@@ -4,15 +4,14 @@ The vague metric is a weighted series over a fixed bank of smooth compactly
 supported bumps; a fixed documented bank keeps the metric reproducible.
 "In probability" statements are rendered as exceedance frequencies with
 Wilson 95% intervals.  Every experiment is a pure function of
-(params, universe, n0_list, replicas): replicas run on child universes and
-aggregate in replica order, so reports are byte-identical on rerun for any
-worker-thread count.
+(params, universe, n0_list, replicas): replicas run one after another in
+index order on child universes and aggregate in that order, so reports are
+byte-identical on rerun.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -213,13 +212,6 @@ def fit_loglog_slope(n0s, means) -> float:
     return float(slope)
 
 
-def _run_indexed(fn, count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _aggregate_rows(kind: str, n0: int, values: np.ndarray) -> list[ReportRow]:
     rows = [ReportRow(kind, n0, r, "raw", float(v), 0.0, float(v), float(v))
             for r, v in enumerate(values)]
@@ -247,8 +239,8 @@ def _trend_flags(means: np.ndarray, ses: np.ndarray) -> dict:
 
 def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
                                    universe: NoiseUniverse,
-                                   bank: TestFunctionBank | None = None,
-                                   threads: int = 1) -> ConvergenceReport:
+                                   bank: TestFunctionBank | None = None
+                                   ) -> ConvergenceReport:
     """Hydrodynamic-limit check: empirical measures against the mean measure.
 
     For each population size and replica this records the sup over the
@@ -288,7 +280,7 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
             out[n0] = (sup_dm, sup_field)
         return out
 
-    per_replica = _run_indexed(one_replica, replicas, threads)
+    per_replica = [one_replica(r) for r in range(replicas)]
 
     rows: list[ReportRow] = []
     summary: dict = {"n0_list": n0_list, "replicas": replicas}
@@ -314,8 +306,8 @@ def _event_signature(traj: MicroTrajectory) -> list[tuple]:
 
 
 def coupling_experiment(params: ModelParams, n0_list, replicas: int,
-                        epsilon_list, universe: NoiseUniverse,
-                        threads: int = 1) -> ConvergenceReport:
+                        epsilon_list, universe: NoiseUniverse
+                        ) -> ConvergenceReport:
     """Pathwise coupling of the first line against the mean-field process.
 
     Shares one noise universe per replica across all population sizes, so the
@@ -345,7 +337,7 @@ def coupling_experiment(params: ModelParams, n0_list, replicas: int,
             out[n0] = (sup_dx, mismatch)
         return out
 
-    per_replica = _run_indexed(one_replica, replicas, threads)
+    per_replica = [one_replica(r) for r in range(replicas)]
 
     rows: list[ReportRow] = []
     summary: dict = {"n0_list": n0_list, "replicas": replicas,
@@ -391,7 +383,7 @@ def coupling_experiment(params: ModelParams, n0_list, replicas: int,
 
 
 def yule_bound_check(params: ModelParams, n0: int, replicas: int,
-                     universe: NoiseUniverse, threads: int = 1) -> ConvergenceReport:
+                     universe: NoiseUniverse) -> ConvergenceReport:
     """Domination of the rescaled live count by the constant-rate pure-birth mean."""
     p = params
 
@@ -401,7 +393,7 @@ def yule_bound_check(params: ModelParams, n0: int, replicas: int,
                                     keep_dead=False)
         return traj.sup_live_over_n0()
 
-    values = np.array(_run_indexed(one_replica, replicas, threads))
+    values = np.array([one_replica(r) for r in range(replicas)])
     rows = _aggregate_rows("yule", n0, values)
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
@@ -416,8 +408,7 @@ def yule_bound_check(params: ModelParams, n0: int, replicas: int,
 
 def coupling_linear_response(params: ModelParams, rho_path: FieldPath,
                              delta_list, replicas: int,
-                             universe: NoiseUniverse,
-                             threads: int = 1) -> dict:
+                             universe: NoiseUniverse) -> dict:
     """Event-mismatch probability under forced constant field offsets.
 
     Runs the single-line model against the base path and against the path
@@ -437,7 +428,7 @@ def coupling_linear_response(params: ModelParams, rho_path: FieldPath,
             flags.append(_event_signature(pert) != base)
         return flags
 
-    per_replica = _run_indexed(one_replica, replicas, threads)
+    per_replica = [one_replica(r) for r in range(replicas)]
     probs = [float(np.mean([per_replica[r][j] for r in range(replicas)]))
              for j in range(len(deltas))]
     x = np.asarray(deltas)

@@ -1,7 +1,9 @@
 """Experiment runner: one subcommand per model or convergence check.
 
 Every output file embeds the config hash and master seed in its header and is
-byte-identical on rerun with the same (config, seed) for any --threads value.
+byte-identical on rerun with the same (config, seed).  Replicas run serially
+in index order; ``--threads`` and ``run.threads`` are accepted for
+compatibility and ignored.
 Exit codes: 0 ok, 2 config error, 3 runtime error, 4 check failure.
 """
 
@@ -75,7 +77,7 @@ def _default_phis(params):
     }
 
 
-def run_micro(cfg, out: Path, seed: int, threads: int) -> int:
+def run_micro(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     n0 = cfg.get_int("run.n0")
     universe = NoiseUniverse(seed, params.grid.d)
@@ -92,7 +94,7 @@ def run_micro(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def run_macro(cfg, out: Path, seed: int, threads: int) -> int:
+def run_macro(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     sol = macroscopic.solve_pks(params)
     head = _header(cfg, seed, "macro")
@@ -116,7 +118,7 @@ def run_macro(cfg, out: Path, seed: int, threads: int) -> int:
     return status
 
 
-def run_hybrid(cfg, out: Path, seed: int, threads: int) -> int:
+def run_hybrid(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     mode = cfg.get_str("meanfield.mode", "macroscopic")
     universe = NoiseUniverse(seed, params.grid.d)
@@ -137,7 +139,7 @@ def run_hybrid(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def run_mass(cfg, out: Path, seed: int, threads: int) -> int:
+def run_mass(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     k_reps = cfg.get_int("mass.replicas", 1000)
     universe = NoiseUniverse(seed, params.grid.d)
@@ -164,13 +166,13 @@ def run_mass(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK
 
 
-def run_converge(cfg, out: Path, seed: int, threads: int) -> int:
+def run_converge(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     n0_list = cfg.get_int_list("converge.n0_list")
     replicas = cfg.get_int("run.replicas")
     universe = NoiseUniverse(seed, params.grid.d)
     report = analysis.measure_convergence_experiment(
-        params, n0_list, replicas, universe, threads=threads)
+        params, n0_list, replicas, universe)
     head = _header(cfg, seed, "converge")
     _write_text(out / "converge_report.csv", head + report.to_csv_lines())
     dm = report.summary["d_M"]
@@ -183,14 +185,14 @@ def run_converge(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def run_couple(cfg, out: Path, seed: int, threads: int) -> int:
+def run_couple(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     n0_list = cfg.get_int_list("couple.n0_list")
     eps_list = cfg.get_float_list("couple.eps", [0.05, 0.2])
     replicas = cfg.get_int("run.replicas")
     universe = NoiseUniverse(seed, params.grid.d)
     report = analysis.coupling_experiment(params, n0_list, replicas, eps_list,
-                                          universe, threads=threads)
+                                          universe)
     head = _header(cfg, seed, "couple")
     _write_text(out / "couple_report.csv", head + report.to_csv_lines())
     passed = all(report.summary[f"exceed_{eps:g}"]["non_increasing_overlap"]
@@ -200,13 +202,12 @@ def run_couple(cfg, out: Path, seed: int, threads: int) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def run_yule(cfg, out: Path, seed: int, threads: int) -> int:
+def run_yule(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     n0 = cfg.get_int("run.n0")
     replicas = cfg.get_int("run.replicas")
     universe = NoiseUniverse(seed, params.grid.d)
-    report = analysis.yule_bound_check(params, n0, replicas, universe,
-                                       threads=threads)
+    report = analysis.yule_bound_check(params, n0, replicas, universe)
     head = _header(cfg, seed, "yule")
     _write_text(out / "yule_report.csv", head + report.to_csv_lines())
     _write_json(out / "yule_summary.json", cfg, seed, report.summary)
@@ -238,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--out", default=None,
                        help="output directory (overrides run.out)")
         s.add_argument("--threads", type=int, default=None,
-                       help="worker thread cap (overrides run.threads)")
+                       help="accepted for compatibility and ignored: "
+                            "replicas run serially in index order")
     return parser
 
 
@@ -247,11 +249,10 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig.from_file(args.config)
         seed = cfg.master_seed(args.seed)
-        threads = cfg.threads(args.threads)
         out = Path(args.out if args.out is not None
                    else cfg.get_str("run.out", "out"))
         out.mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[args.subcommand](cfg, out, seed, threads)
+        return _RUNNERS[args.subcommand](cfg, out, seed)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

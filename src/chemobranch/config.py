@@ -9,6 +9,7 @@ parameters, never as expressions.
 from __future__ import annotations
 
 import hashlib
+import math
 
 from .errors import ConfigInvalid
 from .field import GridSpec
@@ -32,6 +33,17 @@ def parse_config_text(text: str) -> dict[str, str]:
     return pairs
 
 
+def _parse_float(key: str, token: str) -> float:
+    """A finite float, or a ConfigInvalid naming ``key``."""
+    try:
+        val = float(token)
+    except ValueError:
+        raise ConfigInvalid(key, f"not a number: {token!r}") from None
+    if not math.isfinite(val):
+        raise ConfigInvalid(key, f"must be finite, got {token!r}")
+    return val
+
+
 def config_hash(pairs: dict[str, str]) -> str:
     canonical = "\n".join(f"{k}={pairs[k]}" for k in sorted(pairs))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -49,8 +61,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or str(exc)
+            raise ConfigInvalid(str(path), f"cannot read config: {reason}") from None
+        return cls.from_text(text)
 
     @property
     def hash(self) -> str:
@@ -75,10 +92,7 @@ class ExperimentConfig:
             if default is None:
                 raise ConfigInvalid(key, "missing required key")
             return default
-        try:
-            return float(self.pairs[key])
-        except ValueError:
-            raise ConfigInvalid(key, f"not a number: {self.pairs[key]!r}") from None
+        return _parse_float(key, self.pairs[key])
 
     def get_int(self, key: str, default: int | None = None) -> int:
         if key not in self.pairs:
@@ -105,10 +119,8 @@ class ExperimentConfig:
             if default is None:
                 raise ConfigInvalid(key, "missing required key")
             return default
-        try:
-            return [float(tok) for tok in self.pairs[key].split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigInvalid(key, f"not a number list: {self.pairs[key]!r}") from None
+        return [_parse_float(key, tok) for tok in self.pairs[key].split(",")
+                if tok.strip()]
 
     def get_int_list(self, key: str, default: list[int] | None = None) -> list[int]:
         vals = self.get_float_list(key, None if default is None else
@@ -125,11 +137,8 @@ class ExperimentConfig:
         for key, value in self.pairs.items():
             if key.startswith(prefix + ".") and not key.endswith(".kind"):
                 name = key[len(prefix) + 1:]
-                toks = [t for t in value.split(",") if t.strip()]
-                try:
-                    floats = [float(t) for t in toks]
-                except ValueError:
-                    raise ConfigInvalid(key, f"not a number: {value!r}") from None
+                floats = [_parse_float(key, t) for t in value.split(",")
+                          if t.strip()]
                 out[name] = floats if len(floats) > 1 else floats[0]
         return out
 
@@ -140,6 +149,16 @@ class ExperimentConfig:
         if val <= 0:
             raise ConfigInvalid(key, f"must be positive, got {val}")
         return val
+
+    def _rate(self, section: str) -> RateSpec:
+        spec = RateSpec(self.get_str(f"{section}.kind"),
+                        self._section_params(section))
+        if spec.kind != "zero":
+            c = self.get_float(f"{section}.c")
+            if c < 0:
+                raise ConfigInvalid(f"{section}.c",
+                                    f"must be nonnegative, got {c}")
+        return spec
 
     def model_params(self) -> ModelParams:
         d = self.get_int("grid.d")
@@ -154,8 +173,8 @@ class ExperimentConfig:
         if alpha < 0:
             raise ConfigInvalid("model.alpha", f"must be nonnegative, got {alpha}")
         lambda_bar = self._positive("model.lambda_bar")
-        birth = RateSpec(self.get_str("birth.kind"), self._section_params("birth"))
-        death = RateSpec(self.get_str("death.kind"), self._section_params("death"))
+        birth = self._rate("birth")
+        death = self._rate("death")
         if birth.sup() + death.sup() > lambda_bar + 1e-12:
             raise ConfigInvalid(
                 "model.lambda_bar",
@@ -195,8 +214,3 @@ class ExperimentConfig:
         if override is not None:
             return int(override)
         return self.get_int("run.seed")
-
-    def threads(self, override: int | None = None) -> int:
-        if override is not None:
-            return max(1, int(override))
-        return max(1, self.get_int("run.threads", 1))

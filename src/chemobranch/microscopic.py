@@ -212,7 +212,7 @@ class _Engine:
         times, marks = self.u.clock_arrays(idx, self.p.T, self.p.lambda_bar)
         self.clock_times[s] = times
         self.clock_marks[s] = marks
-        self.cursor[s] = np.searchsorted(times, birth, side="left")
+        self.cursor[s] = times.searchsorted(birth)
         self._push_next(s)
         self.n_live += 1
         if self.n_live > self.p.population_cap:
@@ -248,12 +248,17 @@ class _Engine:
         return self._canon
 
     def snapshot(self, t: float, keep_dead: bool = True) -> PopulationState:
+        if not keep_dead:
+            ls = self.live_slots()
+            return PopulationState(t, self.d, self.lines[ls], self.wlens[ls],
+                                   self.wbits[ls], self.births[ls],
+                                   self.deaths[ls], self.pos[ls],
+                                   _presorted=True)
         n = self.count
         pos = np.where(self.alive[:n, None], self.pos[:n], np.nan)
-        state = PopulationState(t, self.d, self.lines[:n], self.wlens[:n],
-                                self.wbits[:n], self.births[:n],
-                                self.deaths[:n], pos)
-        return state if keep_dead else state.compact()
+        return PopulationState(t, self.d, self.lines[:n], self.wlens[:n],
+                               self.wbits[:n], self.births[:n],
+                               self.deaths[:n], pos)
 
 
 def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,

@@ -14,8 +14,9 @@ to a smaller window returns exactly the same events.
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.random import Philox
@@ -43,45 +44,45 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _stream_key(master_seed: int, line: int, word_bits: int, word_len: int,
-                purpose: int) -> np.ndarray:
-    h = _mix64(master_seed & _MASK64)
-    for part in (line, word_bits, word_len, purpose):
-        h = _mix64(h ^ (part & _MASK64))
-    return np.array([h, _mix64(h ^ 0xD1B54A32D192ED03)], dtype=np.uint64)
+def _stream_key(prefix: int, purpose: int) -> tuple[int, int]:
+    """Philox key of one purpose's stream of the cell hashed to ``prefix``."""
+    h = _mix64(prefix ^ purpose)
+    return h, _mix64(h ^ 0xD1B54A32D192ED03)
 
 
 _local = threading.local()
 
 
-def _raw(key: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Raw uint64 outputs [start, start+count) of the keyed Philox stream.
+def _uniform_open(key: tuple[int, int], start: int, count: int) -> np.ndarray:
+    """Raw outputs [start, start+count) of the keyed Philox stream, mapped
+    to doubles strictly inside (0, 1) as ((raw >> 11) + 0.5) * 2^-53.
 
     One Philox instance is reused per thread (construction would re-seed from
     OS entropy on every call); resetting its full state dict is bitwise
     equivalent to constructing Philox(key=key, counter=start // 4).
+    ``Generator.random`` returns (raw >> 11) * 2^-53 exactly, and adding
+    2^-54 rounds as adding 0.5 before the power-of-two scaling does.
     """
     if count <= 0:
-        return np.empty(0, dtype=np.uint64)
-    bg = getattr(_local, "bg", None)
-    if bg is None:
-        bg = _local.bg = Philox(key=np.zeros(2, dtype=np.uint64))
-        _local.template = bg.state
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[0] = start // 4
-    state = _local.template
-    state["state"] = {"counter": counter, "key": key}
-    state["buffer_pos"] = 4          # force a fresh block at this counter
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
+        return np.empty(0)
+    try:
+        bg, gen, state = _local.philox
+    except AttributeError:
+        bg = Philox(key=np.zeros(2, dtype=np.uint64))
+        gen = np.random.Generator(bg)
+        state = bg.state
+        state["buffer_pos"] = 4          # force a fresh block at the counter
+        state["has_uint32"] = 0
+        state["uinteger"] = 0
+        _local.philox = bg, gen, state
+    state["state"] = {"counter": (start // 4, 0, 0, 0), "key": key}
     bg.state = state
     skip = start % 4
-    return bg.random_raw(skip + count)[skip:]
-
-
-def _uniform_open(raw: np.ndarray) -> np.ndarray:
-    """Map uint64 draws to doubles strictly inside (0, 1)."""
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    if skip:
+        bg.random_raw(skip)
+    u = gen.random(count)
+    u += 2.0 ** -54
+    return u
 
 
 @dataclass(frozen=True)
@@ -102,14 +103,36 @@ class NoiseUniverse:
 
     master_seed: int
     dimension: int
+    _seed_mix: int = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_seed_mix",
+                           _mix64(self.master_seed & _MASK64))
 
     def child(self, tag: str, index: int = 0) -> "NoiseUniverse":
         """Derive an independent universe, e.g. one per Monte Carlo replica."""
-        h = _mix64(self.master_seed & _MASK64)
+        h = self._seed_mix
         for byte in tag.encode("utf-8"):
             h = _mix64(h ^ byte)
         h = _mix64(h ^ (index & _MASK64))
         return NoiseUniverse(h, self.dimension)
+
+    def _prefix(self, line: int, word_bits: int = 0, word_len: int = 0) -> int:
+        """Hash of (master seed, line, ancestry word), shared by the
+        purposes' stream keys of one cell."""
+        h = self._seed_mix
+        for part in (line, word_bits, word_len):
+            h = _mix64(h ^ (part & _MASK64))
+        return h
+
+    def _normals(self, key: tuple[int, int], k0: int, k1: int,
+                 dt: float) -> np.ndarray:
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        d = self.dimension
+        z = ndtri(_uniform_open(key, k0 * d, (k1 - k0) * d)).reshape(k1 - k0, d)
+        z *= math.sqrt(dt)
+        return z
 
     # -- Wiener streams ----------------------------------------------------
 
@@ -120,14 +143,8 @@ class NoiseUniverse:
         Entry j is the increment over step k0+j, i.i.d. N(0, dt·I) and a pure
         function of (universe, idx, k0+j).
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        d = self.dimension
-        key = _stream_key(self.master_seed, idx.line, idx.word_bits,
-                          idx.word_len, PURPOSE_WIENER)
-        raw = _raw(key, k0 * d, (k1 - k0) * d)
-        z = ndtri(_uniform_open(raw)).reshape(k1 - k0, d)
-        return z * np.sqrt(dt)
+        prefix = self._prefix(idx.line, idx.word_bits, idx.word_len)
+        return self._normals(_stream_key(prefix, PURPOSE_WIENER), k0, k1, dt)
 
     # -- Poisson clocks ------------------------------------------------------
 
@@ -152,22 +169,25 @@ class NoiseUniverse:
             raise ValueError("lambda_bar must be positive")
         if t_end <= 0:
             return np.empty(0), np.empty(0)
-        tkey = _stream_key(self.master_seed, idx.line, idx.word_bits,
-                           idx.word_len, PURPOSE_CLOCK_TIME)
-        mkey = _stream_key(self.master_seed, idx.line, idx.word_bits,
-                           idx.word_len, PURPOSE_CLOCK_MARK)
-        times = []
+        prefix = self._prefix(idx.line, idx.word_bits, idx.word_len)
+        tkey = _stream_key(prefix, PURPOSE_CLOCK_TIME)
+        blocks: list[np.ndarray] = []
         carry = 0.0
-        g = 0
         while carry < t_end:
-            gaps = -np.log(_uniform_open(_raw(tkey, g, _CLOCK_BLOCK))) / lambda_bar
-            block = carry + np.cumsum(gaps)
-            times.append(block)
-            carry = float(block[-1])
-            g += _CLOCK_BLOCK
-        times = np.concatenate(times)
-        n = int(np.searchsorted(times, t_end, side="left"))
-        marks = lambda_bar * _uniform_open(_raw(mkey, 0, n))
+            gaps = np.log(_uniform_open(tkey, len(blocks) * _CLOCK_BLOCK,
+                                        _CLOCK_BLOCK))
+            gaps /= -lambda_bar
+            block = np.cumsum(gaps, out=gaps)
+            if blocks:
+                block += carry
+            blocks.append(block)
+            carry = block[-1]
+        times = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        n = int(times.searchsorted(t_end))
+        if n == 0:
+            return times[:0], np.empty(0)
+        marks = _uniform_open(_stream_key(prefix, PURPOSE_CLOCK_MARK), 0, n)
+        marks *= lambda_bar
         return times[:n], marks
 
     # -- initial data and auxiliary streams ---------------------------------
@@ -175,18 +195,13 @@ class NoiseUniverse:
     def init_uniforms(self, line: int, count: int,
                       purpose: int = PURPOSE_INIT) -> np.ndarray:
         """Uniform(0,1) draws from the reserved init stream of a line."""
-        key = _stream_key(self.master_seed, line, 0, 0, purpose)
-        return _uniform_open(_raw(key, 0, count))
+        return _uniform_open(_stream_key(self._prefix(line), purpose), 0, count)
 
     def mass_increments(self, replica: int, k0: int, k1: int,
                         dt: float) -> np.ndarray:
         """Wiener increments for the replica-indexed mass-particle stream."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        d = self.dimension
-        key = _stream_key(self.master_seed, replica, 0, 0, PURPOSE_MASS)
-        raw = _raw(key, k0 * d, (k1 - k0) * d)
-        return ndtri(_uniform_open(raw)).reshape(k1 - k0, d) * np.sqrt(dt)
+        return self._normals(_stream_key(self._prefix(replica), PURPOSE_MASS),
+                             k0, k1, dt)
 
 
 def wiener_increments(universe: NoiseUniverse, idx: LineageIndex,

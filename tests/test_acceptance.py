@@ -295,7 +295,7 @@ def test_08_pathwise_coupling(acc):
     params = full_coupling_params(alpha=0.0, birth=RateSpec("zero"),
                                   death=RateSpec("zero"))
     dec = coupling_experiment(params, [16, 64], 10, [0.05, 0.2],
-                              NoiseUniverse(SEED, 1), threads=8)
+                              NoiseUniverse(SEED, 1))
     decoupled_ok = dec.summary["d_X_sup"]["max_value"] == 0.0
     elapsed = time.perf_counter() - t0
     ok = code == 0 and trend_ok and decoupled_ok and elapsed < 1800.0

@@ -152,8 +152,7 @@ class TestYuleCheck:
                              death=RateSpec("zero"), lambda_bar=lam,
                              alpha=0.0, drift=DriftSpec("zero"),
                              dt=0.05, T=1.0)
-        report = yule_bound_check(params, 50, 400, NoiseUniverse(1, 1),
-                                  threads=4)
+        report = yule_bound_check(params, 50, 400, NoiseUniverse(1, 1))
         s = report.summary
         assert s["pass"]
         assert abs(s["mean"] - np.exp(lam)) < 3 * s["se"]
@@ -186,12 +185,12 @@ class TestMeasureConvergence:
         assert -0.7 <= dm["slope"] <= -0.3
         assert dm["strictly_decreasing"]
 
-    def test_deterministic_and_thread_independent(self):
+    def test_deterministic_across_reruns(self):
         params = base_params(dt=0.05, T=0.25)
         a = measure_convergence_experiment(params, [4, 8], 4,
-                                           NoiseUniverse(6, 1), threads=1)
+                                           NoiseUniverse(6, 1))
         b = measure_convergence_experiment(params, [4, 8], 4,
-                                           NoiseUniverse(6, 1), threads=4)
+                                           NoiseUniverse(6, 1))
         assert a.to_csv_lines() == b.to_csv_lines()
         assert a.to_json() == b.to_json()
 
@@ -221,9 +220,9 @@ class TestCouplingExperiment:
     def test_coupled_runs_report_and_are_deterministic(self):
         params = base_params(dt=0.05, T=0.5)
         a = coupling_experiment(params, [4, 16], 5, [0.1],
-                                NoiseUniverse(9, 1), threads=1)
+                                NoiseUniverse(9, 1))
         b = coupling_experiment(params, [4, 16], 5, [0.1],
-                                NoiseUniverse(9, 1), threads=3)
+                                NoiseUniverse(9, 1))
         assert a.to_csv_lines() == b.to_csv_lines()
 
     def test_linear_response_of_event_mismatch(self):
@@ -235,7 +234,7 @@ class TestCouplingExperiment:
         scf = solve_selfconsistent_field(params, "macroscopic")
         result = coupling_linear_response(
             params, scf.rho_path, [0.05, 0.1, 0.2, 0.4], 400,
-            NoiseUniverse(10, 1), threads=4)
+            NoiseUniverse(10, 1))
         assert result["r2"] > 0.9
         assert result["slope"] > 0
         assert result["probs"] == sorted(result["probs"])

@@ -111,6 +111,38 @@ class TestCliRuns:
         assert code == 2
         assert "model.lambda_bar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("model.sigma = 0.2", "model.sigma = nan", "model.sigma"),
+        ("run.T = 0.5", "run.T = inf", "run.T"),
+        ("init.mu0.sd = 0.5", "init.mu0.sd = -inf", "init.mu0.sd"),
+        ("birth.c = 0.3", "birth.c = -0.3", "birth.c"),
+        ("death.c = 0.1", "death.c = -0.1", "death.c"),
+    ])
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, old, new,
+                                          key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        code = main(["micro", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "a_directory"])
+    def test_unreadable_config_exits_2_naming_path(self, tmp_path, capsys,
+                                                   name):
+        path = tmp_path / name
+        if name == "a_directory":
+            path.mkdir()
+        code = main(["yule", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_micro_outputs_and_headers(self, tmp_path):
         cfg = write_config(tmp_path, "run.n0 = 20\n")
         out = tmp_path / "out"

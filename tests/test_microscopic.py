@@ -180,6 +180,17 @@ class TestEventBookkeeping:
                                     snapshot_events=False, keep_dead=False)
         final = traj.states[-1]
         assert len(final) == final.live_count < 50
+        # with branching too, the compact snapshots are the live rows of the
+        # full ones, in the same order, bit for bit
+        params = base_params(dt=0.05, T=2.0)
+        live = simulate_microscopic(params, 30, NoiseUniverse(3, 1),
+                                    snapshot_events=False, keep_dead=False)
+        full = simulate_microscopic(params, 30, NoiseUniverse(3, 1),
+                                    snapshot_events=False)
+        assert any(ev.kind == EVENT_BRANCH for ev in full.event_log)
+        for a, b in zip(live.states, full.states):
+            assert states_equal(a, b.compact())
+            assert np.array_equal(a.word_lens, b.compact().word_lens)
 
 
 class TestLineageRestriction:

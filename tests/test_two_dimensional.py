@@ -48,7 +48,7 @@ def test_pde_mass_matches_mass_particles(params2d):
 
 def test_measure_convergence_decreases(params2d):
     rep = measure_convergence_experiment(params2d, [8, 32], 4,
-                                         NoiseUniverse(7, 2), threads=4)
+                                         NoiseUniverse(7, 2))
     means = rep.summary["d_M"]["means"]
     assert means[1] < means[0]
 
