@@ -16,16 +16,14 @@ from .field import Field, FieldPath, GridSpec, Kernel, deposit, semigroup_step
 from .microscopic import (EventRecord, MicroTrajectory, ModelParams,
                           lineage_restriction, simulate_lines,
                           simulate_microscopic)
-from .meanfield import (MassEnsemble, MassParticlePath, MeanMeasurePath,
-                        SelfConsistentField, estimate_mu, simulate_hybrid,
-                        simulate_mass_ensemble, simulate_mass_particle,
-                        solve_selfconsistent_field)
+from .meanfield import (MassEnsemble, SelfConsistentField, simulate_hybrid,
+                        simulate_mass_ensemble, solve_selfconsistent_field)
 from .macroscopic import (ComparisonReport, PksSolution,
                           compare_with_monte_carlo, observed_order, solve_pks)
 from .population import (CellRecord, EmpiricalMeasure, LineageIndex,
-                         PopulationState, children, empirical, integrate,
-                         parent, state_distance)
-from .randomness import ClockEvent, NoiseUniverse, clock_events, wiener_increments
+                         PopulationState, empirical, integrate, mean_se,
+                         state_distance)
+from .randomness import NoiseUniverse
 from .registry import DriftSpec, InitialFieldSpec, InitialMeasureSpec, RateSpec
 from .analysis import (BumpFunction, ConvergenceReport, TestFunctionBank,
                        coupling_experiment, measure_convergence_experiment,

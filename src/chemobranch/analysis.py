@@ -20,7 +20,7 @@ from .field import Field, FieldPath
 from .meanfield import simulate_hybrid, solve_selfconsistent_field
 from .microscopic import (MicroTrajectory, ModelParams,
                           lineage_restriction, simulate_microscopic)
-from .population import EmpiricalMeasure, state_distance
+from .population import EmpiricalMeasure, mean_se, state_distance
 from .randomness import NoiseUniverse
 
 
@@ -213,13 +213,20 @@ def fit_loglog_slope(n0s, means) -> float:
 
 
 def _aggregate_rows(kind: str, n0: int, values: np.ndarray) -> list[ReportRow]:
+    """Per-replica ``raw`` rows, then the ``mean`` row (mean, SE, 10/90%
+    quantiles) last."""
     rows = [ReportRow(kind, n0, r, "raw", float(v), 0.0, float(v), float(v))
             for r, v in enumerate(values)]
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    mean, se = mean_se(values)
     lo, hi = (float(np.quantile(values, 0.1)), float(np.quantile(values, 0.9)))
     rows.append(ReportRow(kind, n0, len(values), "mean", mean, se, lo, hi))
     return rows
+
+
+def _wilson_row(kind: str, n0: int, hits: int, n: int) -> ReportRow:
+    phat, lo, hi = wilson_interval(hits, n)
+    se = float(np.sqrt(max(phat * (1 - phat), 0.0) / n))
+    return ReportRow(kind, n0, n, "wilson", phat, se, lo, hi)
 
 
 def _trend_flags(means: np.ndarray, ses: np.ndarray) -> dict:
@@ -263,7 +270,7 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
         u_r = universe.child("replica", r)
         out = {}
         for n0 in n0_list:
-            traj = simulate_microscopic(p, n0, u_r, snapshot_events=False)
+            traj = simulate_microscopic(p, n0, u_r)
             sup_dm = 0.0
             sup_field = 0.0
             for k in range(n_checks):
@@ -288,10 +295,10 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
         means, ses = [], []
         for n0 in n0_list:
             values = np.array([per_replica[r][n0][pick] for r in range(replicas)])
-            rows.extend(_aggregate_rows(kind, n0, values))
-            means.append(float(np.mean(values)))
-            ses.append(float(np.std(values, ddof=1) / np.sqrt(len(values)))
-                       if len(values) > 1 else 0.0)
+            agg = _aggregate_rows(kind, n0, values)
+            rows.extend(agg)
+            means.append(agg[-1].value)
+            ses.append(agg[-1].se)
         entry = {"means": means, "ses": ses}
         entry.update(_trend_flags(np.array(means), np.array(ses)))
         if kind == "d_M":
@@ -324,12 +331,11 @@ def coupling_experiment(params: ModelParams, n0_list, replicas: int,
 
     def one_replica(r: int):
         u_r = universe.child("replica", r)
-        hybrid = simulate_hybrid(p, scf.rho_path, u_r, line=1,
-                                 snapshot_events=False)
+        hybrid = simulate_hybrid(p, scf.rho_path, u_r, line=1)
         hybrid_sig = _event_signature(hybrid)
         out = {}
         for n0 in n0_list:
-            micro = simulate_microscopic(p, n0, u_r, snapshot_events=False)
+            micro = simulate_microscopic(p, n0, u_r)
             line1 = lineage_restriction(micro, 1)
             sup_dx = max(state_distance(line1.states[k], hybrid.states[k],
                                         extent=L) for k in range(n_checks))
@@ -345,8 +351,9 @@ def coupling_experiment(params: ModelParams, n0_list, replicas: int,
     sup_means = []
     for n0 in n0_list:
         values = np.array([per_replica[r][n0][0] for r in range(replicas)])
-        rows.extend(_aggregate_rows("d_X_sup", n0, values))
-        sup_means.append(float(np.mean(values)))
+        agg = _aggregate_rows("d_X_sup", n0, values)
+        rows.extend(agg)
+        sup_means.append(agg[-1].value)
     summary["d_X_sup"] = {"means": sup_means,
                           "max_value": float(max(
                               per_replica[r][n0][0]
@@ -357,10 +364,9 @@ def coupling_experiment(params: ModelParams, n0_list, replicas: int,
         series = []
         for n0 in n0_list:
             exceed = sum(per_replica[r][n0][0] > eps for r in range(replicas))
-            phat, lo, hi = wilson_interval(exceed, replicas)
-            se = float(np.sqrt(max(phat * (1 - phat), 0.0) / replicas))
-            rows.append(ReportRow(kind, n0, replicas, "wilson", phat, se, lo, hi))
-            series.append((phat, lo, hi))
+            row = _wilson_row(kind, n0, exceed, replicas)
+            rows.append(row)
+            series.append((row.value, row.lo, row.hi))
         monotone = all(
             series[i + 1][0] <= series[i][0]       # point estimates decrease
             or series[i + 1][1] <= series[i][2]    # or intervals overlap
@@ -373,11 +379,9 @@ def coupling_experiment(params: ModelParams, n0_list, replicas: int,
     mism_series = []
     for n0 in n0_list:
         hits = sum(per_replica[r][n0][1] for r in range(replicas))
-        phat, lo, hi = wilson_interval(hits, replicas)
-        se = float(np.sqrt(max(phat * (1 - phat), 0.0) / replicas))
-        rows.append(ReportRow("event_mismatch", n0, replicas, "wilson",
-                              phat, se, lo, hi))
-        mism_series.append(phat)
+        row = _wilson_row("event_mismatch", n0, hits, replicas)
+        rows.append(row)
+        mism_series.append(row.value)
     summary["event_mismatch"] = {"phat": mism_series}
     return ConvergenceReport(rows, summary)
 
@@ -389,14 +393,12 @@ def yule_bound_check(params: ModelParams, n0: int, replicas: int,
 
     def one_replica(r: int) -> float:
         u_r = universe.child("replica", r)
-        traj = simulate_microscopic(p, n0, u_r, snapshot_events=False,
-                                    keep_dead=False)
+        traj = simulate_microscopic(p, n0, u_r, keep_dead=False)
         return traj.sup_live_over_n0()
 
     values = np.array([one_replica(r) for r in range(replicas)])
     rows = _aggregate_rows("yule", n0, values)
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(replicas)) if replicas > 1 else 0.0
+    mean, se = rows[-1].value, rows[-1].se
     bound = float(np.exp(p.lambda_bar * p.T))
     summary = {
         "n0": n0, "replicas": replicas, "mean": mean, "se": se,
@@ -419,12 +421,10 @@ def coupling_linear_response(params: ModelParams, rho_path: FieldPath,
 
     def one_replica(r: int):
         u_r = universe.child("replica", r)
-        base = _event_signature(simulate_hybrid(params, rho_path, u_r,
-                                                snapshot_events=False))
+        base = _event_signature(simulate_hybrid(params, rho_path, u_r))
         flags = []
         for delta in deltas:
-            pert = simulate_hybrid(params, rho_path.shifted(delta), u_r,
-                                   snapshot_events=False)
+            pert = simulate_hybrid(params, rho_path.shifted(delta), u_r)
             flags.append(_event_signature(pert) != base)
         return flags
 

@@ -79,9 +79,9 @@ def _default_phis(params):
 
 def run_micro(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
-    n0 = cfg.get_int("run.n0")
+    n0 = cfg.get_count("run.n0")
     universe = NoiseUniverse(seed, params.grid.d)
-    traj = simulate_microscopic(params, n0, universe, snapshot_events=False)
+    traj = simulate_microscopic(params, n0, universe)
     head = _header(cfg, seed, "micro")
     _write_text(out / "micro_events.csv", head + _events_csv(traj))
     _write_text(out / "micro_snapshots.txt", head + _snapshot_lines(traj))
@@ -124,10 +124,9 @@ def run_hybrid(cfg, out: Path, seed: int) -> int:
     universe = NoiseUniverse(seed, params.grid.d)
     scf = meanfield.solve_selfconsistent_field(
         params, mode, universe=universe,
-        n_replicas=cfg.get_int("meanfield.picard_replicas", 2000),
+        n_replicas=cfg.get_count("meanfield.picard_replicas", 2000),
         tol=cfg.get_float("meanfield.picard_tol", 1e-4))
-    traj = meanfield.simulate_hybrid(params, scf.rho_path, universe,
-                                     snapshot_events=False)
+    traj = meanfield.simulate_hybrid(params, scf.rho_path, universe)
     head = _header(cfg, seed, "hybrid")
     _write_text(out / "hybrid_events.csv", head + _events_csv(traj))
     _write_text(out / "hybrid_snapshots.txt", head + _snapshot_lines(traj))
@@ -141,7 +140,7 @@ def run_hybrid(cfg, out: Path, seed: int) -> int:
 
 def run_mass(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
-    k_reps = cfg.get_int("mass.replicas", 1000)
+    k_reps = cfg.get_count("mass.replicas", 1000)
     universe = NoiseUniverse(seed, params.grid.d)
     scf = meanfield.solve_selfconsistent_field(params, "macroscopic")
     ens = meanfield.simulate_mass_ensemble(params, scf.rho_path,
@@ -168,8 +167,8 @@ def run_mass(cfg, out: Path, seed: int) -> int:
 
 def run_converge(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
-    n0_list = cfg.get_int_list("converge.n0_list")
-    replicas = cfg.get_int("run.replicas")
+    n0_list = cfg.get_count_list("converge.n0_list")
+    replicas = cfg.get_count("run.replicas")
     universe = NoiseUniverse(seed, params.grid.d)
     report = analysis.measure_convergence_experiment(
         params, n0_list, replicas, universe)
@@ -187,9 +186,9 @@ def run_converge(cfg, out: Path, seed: int) -> int:
 
 def run_couple(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
-    n0_list = cfg.get_int_list("couple.n0_list")
+    n0_list = cfg.get_count_list("couple.n0_list")
     eps_list = cfg.get_float_list("couple.eps", [0.05, 0.2])
-    replicas = cfg.get_int("run.replicas")
+    replicas = cfg.get_count("run.replicas")
     universe = NoiseUniverse(seed, params.grid.d)
     report = analysis.coupling_experiment(params, n0_list, replicas, eps_list,
                                           universe)
@@ -204,8 +203,8 @@ def run_couple(cfg, out: Path, seed: int) -> int:
 
 def run_yule(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
-    n0 = cfg.get_int("run.n0")
-    replicas = cfg.get_int("run.replicas")
+    n0 = cfg.get_count("run.n0")
+    replicas = cfg.get_count("run.replicas")
     universe = NoiseUniverse(seed, params.grid.d)
     report = analysis.yule_bound_check(params, n0, replicas, universe)
     head = _header(cfg, seed, "yule")
@@ -258,6 +257,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ChemobranchError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as exc:  # the CLI contract: an exit code, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -104,6 +104,13 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigInvalid(key, f"not an integer: {self.pairs[key]!r}") from None
 
+    def get_count(self, key: str, default: int | None = None) -> int:
+        """An integer of at least 1: a population size or replica count."""
+        val = self.get_int(key, default)
+        if val < 1:
+            raise ConfigInvalid(key, f"must be at least 1, got {val}")
+        return val
+
     def get_bool(self, key: str, default: bool = False) -> bool:
         if key not in self.pairs:
             return default
@@ -122,14 +129,17 @@ class ExperimentConfig:
         return [_parse_float(key, tok) for tok in self.pairs[key].split(",")
                 if tok.strip()]
 
-    def get_int_list(self, key: str, default: list[int] | None = None) -> list[int]:
-        vals = self.get_float_list(key, None if default is None else
-                                   [float(v) for v in default])
+    def get_count_list(self, key: str) -> list[int]:
+        """A required, nonempty comma-separated list of integers >= 1."""
         out = []
-        for v in vals:
+        for v in self.get_float_list(key):
             if v != int(v):
                 raise ConfigInvalid(key, f"expected integers, got {v}")
+            if v < 1:
+                raise ConfigInvalid(key, f"entries must be at least 1, got {v:g}")
             out.append(int(v))
+        if not out:
+            raise ConfigInvalid(key, "needs at least one entry")
         return out
 
     def _section_params(self, prefix: str) -> dict:
@@ -203,7 +213,7 @@ class ExperimentConfig:
                 mu0=mu0, rho0=rho0,
                 dt=dt, T=T,
                 kernel_width=width if width > 0 else None,
-                population_cap=self.get_int("run.population_cap", 1_000_000),
+                population_cap=self.get_count("run.population_cap", 1_000_000),
                 advection=self.get_str("macro.scheme", "auto"),
                 lambda_arg=self.get_str("model.lambda_arg", "rho"),
             )

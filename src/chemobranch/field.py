@@ -188,14 +188,6 @@ class Kernel:
             acc += np.exp(-((dx + m * L) ** 2) / (2.0 * self.width ** 2))
         return self._norm1d * acc
 
-    def value(self, offsets: np.ndarray) -> np.ndarray:
-        """Kernel value at offset vectors, shape (m, d) -> (m,)."""
-        offsets = np.atleast_2d(np.asarray(offsets, dtype=np.float64))
-        out = self.profile1d(offsets[:, 0])
-        for ax in range(1, self.grid.d):
-            out = out * self.profile1d(offsets[:, ax])
-        return out
-
     def _grid_samples(self) -> np.ndarray:
         axis = self.profile1d(self.grid.axis_coords())
         if self.grid.d == 1:
@@ -205,9 +197,6 @@ class Kernel:
     def torus_mass(self) -> float:
         """Grid quadrature of the kernel (spectrally exact for this profile)."""
         return float(np.sum(self.samples) * self.grid.cell_volume)
-
-    def sup_value(self) -> float:
-        return float(self.value(np.zeros((1, self.grid.d)))[0])
 
     def sup_gradient(self) -> float:
         """Numerical sup-norm of the kernel gradient (fine 1-D sampling)."""

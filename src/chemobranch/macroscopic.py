@@ -24,10 +24,8 @@ import numpy as np
 
 from .errors import CFLViolation, GridMismatch
 from .field import Field, FieldPath, semigroup_step
+from .meanfield import MassEnsemble
 from .microscopic import ModelParams
-
-# the cell density shares the field's grid layout and evaluation machinery
-DensityField = Field
 
 
 def _diffuse(grid, values: np.ndarray, nu: float, dt: float) -> np.ndarray:
@@ -222,24 +220,33 @@ class ComparisonReport:
         return out
 
 
-def compare_with_monte_carlo(pks: PksSolution, mc, phis,
+def _time_index(times: np.ndarray, t: float, where: str) -> int:
+    hits = np.flatnonzero(np.abs(times - t) < 1e-9)
+    if len(hits) == 0:
+        raise ValueError(f"t={t} is not {where}")
+    return int(hits[0])
+
+
+def compare_with_monte_carlo(pks: PksSolution, mc: MassEnsemble, phis,
                              times=None) -> ComparisonReport:
     """Tabulate |<phi, p_t> - <phi, mu_hat_t>| against Monte Carlo SE bands.
 
-    ``mc`` is a mean-measure path whose atoms carry per-replica masses, so
-    standard errors are computed from the measure itself.
+    ``mc`` is a ``MassEnsemble``; every time in ``times`` (default: its
+    stored times) must be one of its stored times and a point of the PDE
+    step grid.
     """
     grid = pks.p_path.grid
     nodes = grid.node_coords()
     if times is None:
         times = mc.times
+    indices = [(float(t), _time_index(pks.times, t, "on the PDE step grid"),
+                _time_index(mc.times, t, "among the ensemble's stored times"))
+               for t in times]
     rows = []
     for name, phi in phis.items():
         phi_nodes = np.asarray(phi(nodes)).reshape(grid.shape)
-        for t in times:
-            k_pde = int(round((t - pks.times[0]) / (pks.times[1] - pks.times[0])))
+        for t, k_pde, k_mc in indices:
             pde_val = Field(grid, pks.p_path.values[k_pde]).integrate_against(phi_nodes)
-            k_mc = int(np.argmin(np.abs(mc.times - t)))
-            mc_val, mc_se = mc.pairing(phi, k_mc)
-            rows.append(ComparisonRow(name, float(t), pde_val, mc_val, mc_se))
+            mc_val, mc_se = mc.pairing_stats(phi, k_mc)
+            rows.append(ComparisonRow(name, t, pde_val, mc_val, mc_se))
     return ComparisonReport(rows)

@@ -1,12 +1,13 @@
-"""Mean-field models: single-line hybrid branching and the mass particle.
+"""Mean-field models: single-line hybrid branching and the (X, M) ensemble.
 
-Two interchangeable representations of the limiting measure are provided:
-the expected empirical measure of a single-line branching diffusion driven
-by a deterministic field, and the mass-weighted law of one particle (X, M)
-whose mass grows at the net rate lambda = lambda_b - lambda_d.  Both consume
-the same deterministic field path, which is produced either by the
-macroscopic solver (default, cheap) or by fixed-point iteration on the mild
-field equation with Monte Carlo mass-particle ensembles.
+Two interchangeable representations of the limiting mean measure are
+provided: the expected empirical measure of a single-line branching diffusion
+driven by a deterministic field (``simulate_hybrid``), and the mass-weighted
+law of one particle (X, M) whose mass grows at the net rate
+lambda = lambda_b - lambda_d, simulated as a replica ensemble
+(``simulate_mass_ensemble``).  Both consume the same deterministic field
+path, which is produced either by the macroscopic solver (default, cheap) or
+by fixed-point iteration on the mild field equation with mass ensembles.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ import numpy as np
 from .errors import EmptyEnsemble, NonFiniteState, PicardStalled
 from .field import Field, FieldPath, deposit, semigroup_step
 from .microscopic import MicroTrajectory, ModelParams, simulate_lines
-from .population import EmpiricalMeasure
+from .population import EmpiricalMeasure, mean_se
 from .randomness import NoiseUniverse
 
 
 def simulate_hybrid(params: ModelParams, rho_path: FieldPath,
-                    universe: NoiseUniverse, line: int = 1, *,
-                    snapshot_events: bool = True,
-                    keep_dead: bool = True) -> MicroTrajectory:
+                    universe: NoiseUniverse, line: int = 1) -> MicroTrajectory:
     """Single-line branching diffusion against a frozen deterministic field.
 
     Uses exactly the Wiener and clock streams of ``line`` in ``universe``, so
@@ -33,39 +32,26 @@ def simulate_hybrid(params: ModelParams, rho_path: FieldPath,
     that run's line bitwise.
     """
     return simulate_lines(params, [line], universe, rho_path=rho_path,
-                          n0_for_measure=1, snapshot_events=snapshot_events,
-                          keep_dead=keep_dead)
-
-
-@dataclass(frozen=True)
-class MassParticlePath:
-    """One (position, mass) trajectory; M(0) = 1."""
-
-    replica: int
-    times: np.ndarray
-    X: np.ndarray  # (n_times, d)
-    M: np.ndarray  # (n_times,)
+                          n0_for_measure=1)
 
 
 @dataclass(frozen=True)
 class MassEnsemble:
-    """Stacked (X, M) replicas stored at selected times."""
+    """Stacked (X, M) replicas stored at selected times; M(0) = 1.
+
+    The ensemble estimates the mean measure as
+    mu_t = (1/K) sum_k M_k(t) delta_{X_k(t)} over its K replicas.
+    """
 
     replica_ids: tuple[int, ...]
     times: np.ndarray
     X: np.ndarray  # (K, n_times, d)
     M: np.ndarray  # (K, n_times)
 
-    def paths(self) -> list[MassParticlePath]:
-        return [MassParticlePath(rid, self.times, self.X[i], self.M[i])
-                for i, rid in enumerate(self.replica_ids)]
-
     def pairing_stats(self, phi, t_index: int) -> tuple[float, float]:
         """Mean and standard error of <phi, mu_t> over replicas."""
         vals = self.M[:, t_index] * np.asarray(phi(self.X[:, t_index]))
-        k = len(vals)
-        se = float(np.std(vals, ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-        return float(np.mean(vals)), se
+        return mean_se(vals)
 
 
 _BLOCK = 64  # steps of Wiener increments prefetched per refill
@@ -141,70 +127,6 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
 
     return MassEnsemble(replica_ids, np.asarray(store_times, dtype=np.float64),
                         Xs, Ms)
-
-
-def simulate_mass_particle(params: ModelParams, rho_path: FieldPath,
-                           universe: NoiseUniverse, replica: int) -> MassParticlePath:
-    """One replica of the mass-carrying particle, full time series."""
-    ens = simulate_mass_ensemble(params, rho_path, universe, [replica])
-    return ens.paths()[0]
-
-
-@dataclass(frozen=True)
-class MeanMeasurePath:
-    """Monte Carlo estimate of the mean measure at a series of times.
-
-    Each measure holds one atom per replica at X_k(t) with weight M_k(t)/K,
-    so total mass is the sample mean of M and the per-replica values needed
-    for standard errors are recoverable from the weights.
-    """
-
-    times: np.ndarray
-    measures: list[EmpiricalMeasure]
-    n_replicas: int
-
-    def pairing(self, phi, t_index: int) -> tuple[float, float]:
-        mu = self.measures[t_index]
-        vals = self.n_replicas * mu.weights * np.asarray(phi(mu.positions))
-        se = (float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-              if len(vals) > 1 else 0.0)
-        return float(np.mean(vals)), se
-
-    def total_mass(self, t_index: int) -> float:
-        return self.measures[t_index].total_mass
-
-
-def estimate_mu(ensemble: list[MassParticlePath],
-                kernel=None) -> MeanMeasurePath:
-    """Mean-measure estimate mu_t = (1/K) sum_k M_k(t) delta_{X_k(t)}.
-
-    ``kernel`` is accepted for symmetry with the deposit pipeline; smoothing
-    happens later via deposit when a grid density is needed.
-    """
-    if not ensemble:
-        raise EmptyEnsemble("estimate_mu needs a nonempty ensemble")
-    k = len(ensemble)
-    times = ensemble[0].times
-    measures = []
-    for j in range(len(times)):
-        pos = np.stack([path.X[j] for path in ensemble])
-        w = np.array([path.M[j] / k for path in ensemble])
-        measures.append(EmpiricalMeasure(pos, w))
-    return MeanMeasurePath(np.asarray(times), measures, k)
-
-
-def hybrid_pairing_stats(trajs: list[MicroTrajectory], phi,
-                         t_index: int) -> tuple[float, float]:
-    """Mean and SE of <phi, xi_t> over independent single-line replicas."""
-    vals = []
-    for traj in trajs:
-        state = traj.states[t_index]
-        live = state.live_positions()
-        vals.append(float(np.sum(phi(live))) if len(live) else 0.0)
-    vals = np.asarray(vals)
-    se = (float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-          if len(vals) > 1 else 0.0)
-    return float(np.mean(vals)), se
 
 
 @dataclass(frozen=True)

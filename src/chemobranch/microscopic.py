@@ -17,7 +17,7 @@ coupled when their inputs coincide.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class MicroTrajectory:
     states: list[PopulationState]
     fields: list[Field]
     event_log: list[EventRecord]
-    event_states: list[PopulationState] = dc_field(default_factory=list)
 
     def measure_at(self, k: int) -> EmpiricalMeasure:
         return empirical(self.states[k], self.n0)
@@ -145,7 +144,6 @@ def lineage_restriction(traj: MicroTrajectory, line: int) -> MicroTrajectory:
         states=[s.restrict_to_line(line) for s in traj.states],
         fields=traj.fields,
         event_log=[ev for ev in traj.event_log if ev.idx.line == line],
-        event_states=[s.restrict_to_line(line) for s in traj.event_states],
     )
 
 
@@ -263,7 +261,7 @@ class _Engine:
 
 def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
                    *, rho_path: FieldPath | None = None, n0_for_measure: int | None = None,
-                   snapshot_events: bool = True, keep_dead: bool = True) -> MicroTrajectory:
+                   keep_dead: bool = True) -> MicroTrajectory:
     """Shared engine behind the microscopic and single-line hybrid models.
 
     ``rho_path`` None runs the coupled model (field sourced by the mollified
@@ -298,7 +296,6 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
     states = [eng.snapshot(0.0, keep_dead)]
     fields = [rho]
     event_log: list[EventRecord] = []
-    event_states: list[PopulationState] = []
 
     for k in range(n_steps):
         t_next = (k + 1) * dt
@@ -331,15 +328,11 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
                 for child in idx.children():
                     eng.add_cell(child, pos_here.copy(), t_e, k + 1)
                 event_log.append(EventRecord(t_e, idx, EVENT_BRANCH, pos_here))
-                if snapshot_events:
-                    event_states.append(eng.snapshot(t_e, keep_dead))
             elif z <= lb + float(death_fn(xs, rho_val)[0]):
                 idx = eng.index_of(s)
                 eng.kill(s, t_e)
                 event_log.append(EventRecord(t_e, idx, EVENT_DEATH,
                                              eng.pos[s].copy()))
-                if snapshot_events:
-                    event_states.append(eng.snapshot(t_e, keep_dead))
             else:
                 eng._push_next(s)
 
@@ -361,14 +354,13 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
 
     return MicroTrajectory(params=p, n0=n0, founder_lines=founder_lines,
                            times=p.times(), states=states, fields=fields,
-                           event_log=event_log, event_states=event_states)
+                           event_log=event_log)
 
 
 def simulate_microscopic(params: ModelParams, n0: int, universe: NoiseUniverse,
-                         *, snapshot_events: bool = True,
-                         keep_dead: bool = True) -> MicroTrajectory:
+                         *, keep_dead: bool = True) -> MicroTrajectory:
     """Run the coupled individual-based model with founder lines 1..n0."""
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
     return simulate_lines(params, range(1, n0 + 1), universe,
-                          snapshot_events=snapshot_events, keep_dead=keep_dead)
+                          keep_dead=keep_dead)

@@ -51,11 +51,13 @@ class LineageIndex:
         return self.word_len == 0
 
     def parent(self) -> "LineageIndex":
+        """Drop the trailing symbol of the ancestry word."""
         if self.word_len == 0:
             raise RootHasNoParent(f"founder of line {self.line} has no parent")
         return LineageIndex(self.line, self.word_len - 1, self.word_bits >> 1)
 
     def children(self) -> tuple["LineageIndex", "LineageIndex"]:
+        """Indices of the two daughters (word + 0, word + 1)."""
         if self.word_len >= MAX_WORD_LEN:
             raise LineageDepthExceeded(
                 f"genealogy deeper than {MAX_WORD_LEN} generations")
@@ -76,16 +78,6 @@ class LineageIndex:
 
     def __repr__(self):
         return f"LineageIndex({self.line}, {self.word_str()!r})"
-
-
-def parent(idx: LineageIndex) -> LineageIndex:
-    """Drop the trailing symbol of the ancestry word."""
-    return idx.parent()
-
-
-def children(idx: LineageIndex) -> tuple[LineageIndex, LineageIndex]:
-    """Indices of the two daughters (word + 0, word + 1)."""
-    return idx.children()
 
 
 @dataclass(frozen=True)
@@ -312,6 +304,17 @@ def integrate(measure: EmpiricalMeasure,
     values = np.asarray(phi(measure.positions), dtype=np.float64)
     values = np.broadcast_to(values, measure.weights.shape)
     return float(np.sum(measure.weights * values))
+
+
+def mean_se(values) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1)/sqrt(n) over replicas.
+
+    A single value has standard error 0.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), se
 
 
 # ---------------------------------------------------------------------------

@@ -86,14 +86,6 @@ def _uniform_open(key: tuple[int, int], start: int, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ClockEvent:
-    """One Poisson clock point: time and uniform mark in (0, lambda_bar)."""
-
-    time: float
-    mark: float
-
-
-@dataclass(frozen=True)
 class NoiseUniverse:
     """Addressable source of all Wiener and Poisson-clock randomness.
 
@@ -148,23 +140,17 @@ class NoiseUniverse:
 
     # -- Poisson clocks ------------------------------------------------------
 
-    def clock_events(self, idx: LineageIndex, t0: float, t1: float,
-                     lambda_bar: float) -> list[ClockEvent]:
-        """Clock points of N_(line,word) with time in [t0, t1), mark in (0, λ̄).
-
-        The underlying point process is fixed once per (universe, idx,
-        lambda_bar): event m has time = Σ_{g<=m} Exp_g(λ̄) anchored at 0 and an
-        independent uniform mark, so any window query returns a restriction
-        of the same global event list.
-        """
-        times, marks = self.clock_arrays(idx, t1, lambda_bar)
-        lo = np.searchsorted(times, t0, side="left")
-        return [ClockEvent(float(t), float(z))
-                for t, z in zip(times[lo:], marks[lo:])]
-
     def clock_arrays(self, idx: LineageIndex, t_end: float,
                      lambda_bar: float) -> tuple[np.ndarray, np.ndarray]:
-        """All clock points with time < t_end, as (times, marks) arrays."""
+        """Clock points of N_(line,word) with time < t_end, as (times, marks)
+        arrays; marks are uniform in (0, lambda_bar).
+
+        The underlying point process is fixed once per (universe, idx,
+        lambda_bar): point m has time = sum_{g<=m} Exp_g(lambda_bar) anchored
+        at 0 and an independent uniform mark, so a smaller ``t_end`` returns a
+        prefix of the arrays of a larger one, and a window [t0, t_end) is the
+        ``times >= t0`` part of that prefix.
+        """
         if lambda_bar <= 0:
             raise ValueError("lambda_bar must be positive")
         if t_end <= 0:
@@ -203,14 +189,3 @@ class NoiseUniverse:
         return self._normals(_stream_key(self._prefix(replica), PURPOSE_MASS),
                              k0, k1, dt)
 
-
-def wiener_increments(universe: NoiseUniverse, idx: LineageIndex,
-                      step_range: tuple[int, int], dt: float) -> np.ndarray:
-    k0, k1 = step_range
-    return universe.wiener_increments(idx, k0, k1, dt)
-
-
-def clock_events(universe: NoiseUniverse, idx: LineageIndex,
-                 window: tuple[float, float], lambda_bar: float) -> list[ClockEvent]:
-    t0, t1 = window
-    return universe.clock_events(idx, t0, t1, lambda_bar)

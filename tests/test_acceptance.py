@@ -14,12 +14,12 @@ import pytest
 from chemobranch import (DriftSpec, Field, GridSpec, InitialFieldSpec,
                          InitialMeasureSpec, ModelParams, NoiseUniverse,
                          RateSpec, compare_with_monte_carlo,
-                         coupling_experiment, estimate_mu, semigroup_step,
-                         simulate_hybrid, simulate_mass_ensemble,
-                         solve_pks, solve_selfconsistent_field)
+                         coupling_experiment, integrate, mean_se,
+                         semigroup_step, simulate_hybrid,
+                         simulate_mass_ensemble, solve_pks,
+                         solve_selfconsistent_field)
 from chemobranch.analysis import TestFunctionBank
 from chemobranch.cli import main
-from chemobranch.meanfield import hybrid_pairing_stats
 
 SEED = 1
 
@@ -187,8 +187,8 @@ def test_05_mean_field_equality(acc):
     times = [0.2, 0.5, 1.0]
     ens = simulate_mass_ensemble(params, scf.rho_path, universe.child("mass"),
                                  10_000, store_times=np.array(times))
-    trajs = [simulate_hybrid(params, scf.rho_path, universe.child("hybrid", r),
-                             snapshot_events=False) for r in range(1000)]
+    trajs = [simulate_hybrid(params, scf.rho_path, universe.child("hybrid", r))
+             for r in range(1000)]
     bank = TestFunctionBank.default_for_grid(params.grid)
     phis = [("bump_wide", bank.functions[1]), ("bump_narrow", bank.functions[5]),
             ("one", lambda x: np.ones(len(np.atleast_2d(x))))]
@@ -198,7 +198,8 @@ def test_05_mean_field_equality(acc):
         k = int(round(t / params.dt))
         for name, phi in phis:
             m_mean, m_se = ens.pairing_stats(phi, j)
-            h_mean, h_se = hybrid_pairing_stats(trajs, phi, k)
+            h_mean, h_se = mean_se([integrate(traj.measure_at(k), phi)
+                                    for traj in trajs])
             z = abs(m_mean - h_mean) / np.hypot(m_se, h_se)
             worst = max(worst, z)
             ok = ok and z <= 3.0
@@ -218,11 +219,10 @@ def test_06_monte_carlo_pde_cross_validation(acc):
     ens = simulate_mass_ensemble(params, scf.rho_path,
                                  NoiseUniverse(SEED, 1).child("mc"), 10_000,
                                  store_times=np.array([0.2, 0.5, 1.0]))
-    mu_path = estimate_mu(ens.paths())
     bank = TestFunctionBank.default_for_grid(params.grid)
     phis = {"bump_wide": bank.functions[1], "bump_narrow": bank.functions[5],
             "one": lambda x: np.ones(len(np.atleast_2d(x)))}
-    report = compare_with_monte_carlo(sol, mu_path, phis, times=[0.2, 0.5, 1.0])
+    report = compare_with_monte_carlo(sol, ens, phis, times=[0.2, 0.5, 1.0])
     elapsed = time.perf_counter() - t0
     worst = max((r.diff / (3 * r.mc_se)) if r.mc_se else 0.0
                 for r in report.rows)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chemobranch import ConfigInvalid
+from chemobranch import ConfigInvalid, cli
 from chemobranch.cli import main
 from chemobranch.config import ExperimentConfig, parse_config_text
 
@@ -128,6 +128,41 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("sub, extra, key", [
+        ("micro", "run.n0 = 0\n", "run.n0"),
+        ("yule", "run.n0 = 10\nrun.replicas = 0\n", "run.replicas"),
+        ("converge", "run.replicas = 2\nconverge.n0_list = 4,0\n",
+         "converge.n0_list"),
+        ("couple", "run.replicas = 2\ncouple.n0_list = 0,4\n",
+         "couple.n0_list"),
+        ("converge", "run.replicas = 2\nconverge.n0_list = ,\n",
+         "converge.n0_list"),
+        ("mass", "mass.replicas = -5\n", "mass.replicas"),
+        ("hybrid", "meanfield.mode = picard\nmeanfield.picard_replicas = 0\n",
+         "meanfield.picard_replicas"),
+        ("micro", "run.n0 = 4\nrun.population_cap = 0\n",
+         "run.population_cap"),
+    ])
+    def test_bad_count_exits_2_naming_key(self, tmp_path, capsys, sub,
+                                          extra, key):
+        cfg = write_config(tmp_path, extra)
+        code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert err.count("\n") == 1
+
+    def test_unexpected_exception_exits_3_without_traceback(
+            self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, out, seed):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._RUNNERS, "micro", broken)
+        cfg = write_config(tmp_path, "run.n0 = 4\n")
+        code = main(["micro", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
     @pytest.mark.parametrize("name", ["missing.cfg", "a_directory"])
     def test_unreadable_config_exits_2_naming_path(self, tmp_path, capsys,

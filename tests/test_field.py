@@ -250,8 +250,7 @@ class TestFieldAlongRuns:
             rho0=InitialFieldSpec("bump", {"amp": 1.0, "center": [4.0],
                                            "width": 1.0}),
             dt=0.02, T=1.0)
-        traj = simulate_microscopic(params, 60, NoiseUniverse(12, 1),
-                                    snapshot_events=False)
+        traj = simulate_microscopic(params, 60, NoiseUniverse(12, 1))
         return params, traj
 
     def test_gradient_budget_along_microscopic_run(self):

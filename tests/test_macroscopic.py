@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from chemobranch import (CFLViolation, DriftSpec, Field, GridSpec,
                          InitialFieldSpec, InitialMeasureSpec, ModelParams,
                          NoiseUniverse, RateSpec, compare_with_monte_carlo,
-                         estimate_mu, observed_order, semigroup_step,
+                         observed_order, semigroup_step,
                          simulate_mass_ensemble, solve_pks)
 from chemobranch.macroscopic import _advect_upwind
 
@@ -164,11 +165,10 @@ class TestCompareWithMonteCarlo:
         sol = solve_pks(params)
         scf_path = sol.rho_path
         ens = simulate_mass_ensemble(params, scf_path, NoiseUniverse(3, 1), 4000)
-        mu_path = estimate_mu(ens.paths())
         phis = {"coord": lambda x: np.atleast_2d(x)[:, 0],
                 "one": lambda x: np.ones(len(np.atleast_2d(x)))}
-        report = compare_with_monte_carlo(sol, mu_path, phis,
-                                          times=[0.0, 0.25, 0.5])
+        report = compare_with_monte_carlo(sol, ens, phis,
+                                          times=[0.0, 0.24, 0.5])
         assert report.all_pass
         coord_rows = [r for r in report.rows if r.phi_name == "coord"]
         assert all(abs(r.pde_value - 4.0) < 0.05 for r in coord_rows)
@@ -184,9 +184,8 @@ class TestCompareWithMonteCarlo:
         path = rebuild_field_path(
             params, lambda k: kernel.convolve_density(sol.p_path.values[k]))
         ens = simulate_mass_ensemble(params, path, NoiseUniverse(4, 1), 2000)
-        mu_path = estimate_mu(ens.paths())
         report = compare_with_monte_carlo(
-            sol, mu_path, {"one": lambda x: np.ones(len(np.atleast_2d(x)))},
+            sol, ens, {"one": lambda x: np.ones(len(np.atleast_2d(x)))},
             times=[0.5])
         assert report.all_pass
         assert report.rows[0].pde_value == pytest.approx(np.exp(c * 0.5), rel=1e-6)
@@ -195,9 +194,21 @@ class TestCompareWithMonteCarlo:
         params = base_params(dt=0.05, T=0.25)
         sol = solve_pks(params)
         ens = simulate_mass_ensemble(params, sol.rho_path, NoiseUniverse(5, 1), 50)
-        mu_path = estimate_mu(ens.paths())
         report = compare_with_monte_carlo(
-            sol, mu_path, {"one": lambda x: np.ones(len(np.atleast_2d(x)))})
+            sol, ens, {"one": lambda x: np.ones(len(np.atleast_2d(x)))})
         lines = report.to_csv_lines()
         assert lines[0].startswith("phi,time,")
         assert len(lines) == 1 + len(report.rows)
+
+    def test_times_must_be_stored_and_on_the_step_grid(self):
+        params = base_params(dt=0.05, T=0.25)
+        sol = solve_pks(params)
+        ens = simulate_mass_ensemble(params, sol.rho_path, NoiseUniverse(5, 1),
+                                     8, store_times=np.array([0.0, 0.25]))
+        phis = {"one": lambda x: np.ones(len(np.atleast_2d(x)))}
+        for t, where in ((0.1, "stored times"), (-0.05, "step grid"),
+                         (0.12, "step grid"), (0.3, "step grid")):
+            with pytest.raises(ValueError, match=re.escape(f"t={t}") + ".*" + where):
+                compare_with_monte_carlo(sol, ens, phis, times=[t])
+        report = compare_with_monte_carlo(sol, ens, phis)
+        assert [row.time for row in report.rows] == [0.0, 0.25]

@@ -5,11 +5,10 @@ import pytest
 
 from chemobranch import (DriftSpec, EmptyEnsemble, FieldPath, GridSpec,
                          InitialFieldSpec, InitialMeasureSpec, ModelParams,
-                         NoiseUniverse, PicardStalled, RateSpec, estimate_mu,
-                         lineage_restriction, semigroup_step, simulate_hybrid,
-                         simulate_mass_ensemble, simulate_mass_particle,
+                         NoiseUniverse, PicardStalled, RateSpec, integrate,
+                         lineage_restriction, mean_se, semigroup_step,
+                         simulate_hybrid, simulate_mass_ensemble,
                          simulate_microscopic, solve_selfconsistent_field)
-from chemobranch.meanfield import hybrid_pairing_stats
 
 
 def base_params(**over):
@@ -93,8 +92,8 @@ class TestHybrid:
         for rep in range(reps):
             u_r = u.child("surv", rep)
             free = simulate_hybrid(params=silent, rho_path=path,
-                                   universe=u_r, snapshot_events=False)
-            real = simulate_hybrid(params, path, u_r, snapshot_events=False)
+                                   universe=u_r)
+            real = simulate_hybrid(params, path, u_r)
             first = real.event_log[0].time if real.event_log else np.inf
             lam_seq = []
             for k in range(params.n_steps):
@@ -117,15 +116,15 @@ class TestMassParticle:
         params = base_params(birth=RateSpec("constant", {"c": c}),
                              death=RateSpec("zero"), lambda_bar=0.3)
         path = free_field_path(params)
-        mp = simulate_mass_particle(params, path, NoiseUniverse(5, 1), 1)
-        assert mp.M[0] == 1.0
-        assert mp.M[-1] == pytest.approx(np.exp(c * params.T), rel=1e-12)
+        M = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [1]).M[0]
+        assert M[0] == 1.0
+        assert M[-1] == pytest.approx(np.exp(c * params.T), rel=1e-12)
 
     def test_zero_rate_mass_is_one(self):
         params = base_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         path = free_field_path(params)
-        mp = simulate_mass_particle(params, path, NoiseUniverse(5, 1), 2)
-        assert np.all(mp.M == 1.0)
+        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [2])
+        assert np.all(ens.M == 1.0)
 
     def test_mass_bounds_pathwise(self):
         params = base_params(
@@ -156,34 +155,41 @@ class TestMassParticle:
     def test_replica_streams_differ(self):
         params = base_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         path = free_field_path(params)
-        a = simulate_mass_particle(params, path, NoiseUniverse(5, 1), 1)
-        b = simulate_mass_particle(params, path, NoiseUniverse(5, 1), 2)
+        a = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [1])
+        b = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [2])
         assert not np.array_equal(a.X, b.X)
+
+
+def one(x):
+    return np.ones(len(np.atleast_2d(x)))
 
 
 class TestEstimateMu:
     def test_single_unit_mass_replica(self):
         params = base_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         path = free_field_path(params)
-        mp = simulate_mass_particle(params, path, NoiseUniverse(5, 1), 1)
-        mu_path = estimate_mu([mp])
-        for j in (0, len(mp.times) - 1):
-            mu = mu_path.measures[j]
-            assert len(mu.weights) == 1 and mu.weights[0] == 1.0
-            assert np.array_equal(mu.positions[0], mp.X[j])
+        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [1])
+        assert ens.replica_ids == (1,)
+        for j in (0, len(ens.times) - 1):
+            assert ens.M[0, j] == 1.0
+            assert ens.pairing_stats(one, j) == (1.0, 0.0)
+            x = ens.X[0, j]
+            assert ens.pairing_stats(lambda p: p[:, 0], j) == (x[0], 0.0)
 
     def test_total_mass_is_mean_M(self):
         params = base_params()
         scf = solve_selfconsistent_field(params, "macroscopic")
         ens = simulate_mass_ensemble(params, scf.rho_path, NoiseUniverse(2, 1), 64)
-        mu_path = estimate_mu(ens.paths())
         for j in (0, len(ens.times) - 1):
-            assert mu_path.total_mass(j) == pytest.approx(ens.M[:, j].mean(),
-                                                          rel=1e-12)
+            assert ens.pairing_stats(one, j)[0] == ens.M[:, j].mean()
 
     def test_empty_ensemble(self):
-        with pytest.raises(EmptyEnsemble):
-            estimate_mu([])
+        params = base_params()
+        path = free_field_path(params)
+        for replicas in (0, []):
+            with pytest.raises(EmptyEnsemble):
+                simulate_mass_ensemble(params, path, NoiseUniverse(5, 1),
+                                       replicas)
 
     def test_mass_vs_hybrid_pairings_agree(self):
         # the two Monte Carlo representations of the mean measure must match
@@ -191,15 +197,15 @@ class TestEstimateMu:
         scf = solve_selfconsistent_field(params, "macroscopic")
         u = NoiseUniverse(77, 1)
         ens = simulate_mass_ensemble(params, scf.rho_path, u.child("mass"), 4000)
-        trajs = [simulate_hybrid(params, scf.rho_path, u.child("hyb", r),
-                                 snapshot_events=False) for r in range(500)]
+        trajs = [simulate_hybrid(params, scf.rho_path, u.child("hyb", r))
+                 for r in range(500)]
         from chemobranch.analysis import TestFunctionBank
         bank = TestFunctionBank.default_for_grid(params.grid)
         k = params.n_steps  # compare at final time
-        for phi in [bank.functions[1], bank.functions[5],
-                    lambda x: np.ones(len(np.atleast_2d(x)))]:
+        for phi in [bank.functions[1], bank.functions[5], one]:
             m_mean, m_se = ens.pairing_stats(phi, k)
-            h_mean, h_se = hybrid_pairing_stats(trajs, phi, k)
+            h_mean, h_se = mean_se([integrate(traj.measure_at(k), phi)
+                                    for traj in trajs])
             assert abs(m_mean - h_mean) < 3 * np.hypot(m_se, h_se) + 1e-12
 
 

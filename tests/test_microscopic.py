@@ -60,8 +60,7 @@ class TestBrownianOracle:
         params = decoupled(sigma=sigma, dt=0.1, T=T,
                            mu0=InitialMeasureSpec("point", {"at": [4.0]}))
         n = 10_000
-        traj = simulate_microscopic(params, n, NoiseUniverse(11, 1),
-                                    snapshot_events=False)
+        traj = simulate_microscopic(params, n, NoiseUniverse(11, 1))
         start = traj.states[0].live_positions()[:, 0]
         end = traj.states[-1].live_positions()[:, 0]
         disp = (end - start + 4.0) % 8.0 - 4.0
@@ -76,8 +75,7 @@ class TestBrownianOracle:
                              death=RateSpec("constant", {"c": c}),
                              lambda_bar=0.7, alpha=0.0,
                              drift=DriftSpec("zero"), dt=0.05, T=T)
-        traj = simulate_microscopic(params, n0, NoiseUniverse(21, 1),
-                                    snapshot_events=False)
+        traj = simulate_microscopic(params, n0, NoiseUniverse(21, 1))
         p_survive = np.exp(-c * T)
         expected = n0 * p_survive
         se = np.sqrt(n0 * p_survive * (1 - p_survive))
@@ -94,8 +92,7 @@ class TestThinning:
             death=RateSpec("zero"), lambda_bar=lam, alpha=0.0,
             drift=DriftSpec("zero"),
             mu0=InitialMeasureSpec("uniform"), dt=0.05, T=2.0)
-        traj = simulate_microscopic(params, 150, NoiseUniverse(3, 1),
-                                    snapshot_events=False)
+        traj = simulate_microscopic(params, 150, NoiseUniverse(3, 1))
         branches = [ev for ev in traj.event_log if ev.kind == EVENT_BRANCH]
         assert len(branches) > 30
         assert all(ev.position[0] < 4.0 for ev in branches)
@@ -106,8 +103,8 @@ class TestThinning:
         params = base_params(alpha=0.0, drift=DriftSpec("zero"), dt=0.05, T=1.0)
         reps = 50
         u = NoiseUniverse(8, 1)
-        sups = [simulate_microscopic(params, 30, u.child("rep", r),
-                                     snapshot_events=False).sup_live_over_n0()
+        sups = [simulate_microscopic(params, 30,
+                                     u.child("rep", r)).sup_live_over_n0()
                 for r in range(reps)]
         bound = np.exp(params.lambda_bar * params.T)
         assert np.mean(sups) <= bound * (1 + 4 / np.sqrt(reps))
@@ -144,26 +141,33 @@ class TestEventBookkeeping:
                              dt=0.05, T=2.0)
         traj = simulate_microscopic(params, 20, NoiseUniverse(5, 1))
         branches = [ev for ev in traj.event_log if ev.kind == EVENT_BRANCH]
-        assert len(branches) > 0
-        assert len(traj.event_states) == len(traj.event_log)
-        by_time = {s.time: s for s in traj.event_states}
+        assert len(branches) == 50
+        ended = {ev.idx for ev in traj.event_log}
+        ended_in_birth_step = 0
         for ev in branches:
-            snap = by_time[ev.time]
-            c0, c1 = ev.idx.children()
-            r0, r1 = snap.record(c0), snap.record(c1)
-            assert r0.alive and r1.alive
-            assert r0.birth_time == r1.birth_time == ev.time
-            assert np.array_equal(r0.position, r1.position)
-            assert np.array_equal(r0.position, ev.position)
+            # the checkpoint closing the step that holds the event
+            k = int(np.searchsorted(traj.times, ev.time, side="right")) - 1
+            assert traj.times[k] <= ev.time < traj.times[k + 1]
+            snap = traj.states[k + 1]
             mother = snap.record(ev.idx)
             assert not mother.alive and mother.death_time == ev.time
+            for child in ev.idx.children():
+                rec = snap.record(child)
+                assert rec.birth_time == ev.time
+                if rec.alive:
+                    # daughters do not move before the next step
+                    assert np.array_equal(rec.position, ev.position)
+                else:
+                    assert child in ended
+                    assert ev.time < rec.death_time < traj.times[k + 1]
+                    ended_in_birth_step += 1
+        assert ended_in_birth_step == 2
 
     def test_event_times_strictly_increasing_per_lineage(self):
         params = base_params(dt=0.05, T=2.0, lambda_bar=0.8,
                              birth=RateSpec("constant", {"c": 0.5}),
                              death=RateSpec("constant", {"c": 0.3}))
-        traj = simulate_microscopic(params, 30, NoiseUniverse(29, 1),
-                                    snapshot_events=False)
+        traj = simulate_microscopic(params, 30, NoiseUniverse(29, 1))
         times = [ev.time for ev in traj.event_log]
         assert times == sorted(times)
         seen = {}
@@ -177,16 +181,15 @@ class TestEventBookkeeping:
                              death=RateSpec("constant", {"c": 0.5}),
                              lambda_bar=0.5, dt=0.05, T=2.0)
         traj = simulate_microscopic(params, 50, NoiseUniverse(2, 1),
-                                    snapshot_events=False, keep_dead=False)
+                                    keep_dead=False)
         final = traj.states[-1]
         assert len(final) == final.live_count < 50
         # with branching too, the compact snapshots are the live rows of the
         # full ones, in the same order, bit for bit
         params = base_params(dt=0.05, T=2.0)
         live = simulate_microscopic(params, 30, NoiseUniverse(3, 1),
-                                    snapshot_events=False, keep_dead=False)
-        full = simulate_microscopic(params, 30, NoiseUniverse(3, 1),
-                                    snapshot_events=False)
+                                    keep_dead=False)
+        full = simulate_microscopic(params, 30, NoiseUniverse(3, 1))
         assert any(ev.kind == EVENT_BRANCH for ev in full.event_log)
         for a, b in zip(live.states, full.states):
             assert states_equal(a, b.compact())
@@ -204,8 +207,7 @@ class TestLineageRestriction:
     def test_restrictions_partition_population(self):
         params = base_params(dt=0.05, T=1.0)
         n0 = 12
-        traj = simulate_microscopic(params, n0, NoiseUniverse(6, 1),
-                                    snapshot_events=False)
+        traj = simulate_microscopic(params, n0, NoiseUniverse(6, 1))
         for k in (0, len(traj.states) // 2, len(traj.states) - 1):
             total = sum(lineage_restriction(traj, i).states[k].live_count
                         for i in range(1, n0 + 1))
@@ -213,16 +215,14 @@ class TestLineageRestriction:
 
     def test_restriction_filters_event_log(self):
         params = base_params(dt=0.05, T=2.0)
-        traj = simulate_microscopic(params, 10, NoiseUniverse(16, 1),
-                                    snapshot_events=False)
+        traj = simulate_microscopic(params, 10, NoiseUniverse(16, 1))
         res = lineage_restriction(traj, 3)
         assert all(ev.idx.line == 3 for ev in res.event_log)
         expected = [ev for ev in traj.event_log if ev.idx.line == 3]
         assert res.event_log == expected
 
     def test_no_such_line(self):
-        traj = simulate_microscopic(base_params(), 2, NoiseUniverse(1, 1),
-                                    snapshot_events=False)
+        traj = simulate_microscopic(base_params(), 2, NoiseUniverse(1, 1))
         with pytest.raises(NoSuchLine):
             lineage_restriction(traj, 5)
 
@@ -234,8 +234,7 @@ class TestGuards:
                              alpha=0.0, drift=DriftSpec("zero"),
                              dt=0.05, T=2.0, population_cap=40)
         with pytest.raises(PopulationExplosion):
-            simulate_microscopic(params, 20, NoiseUniverse(10, 1),
-                                 snapshot_events=False)
+            simulate_microscopic(params, 20, NoiseUniverse(10, 1))
 
     def test_time_grid_validated(self):
         with pytest.raises(ValueError):
@@ -259,8 +258,7 @@ class TestWeakFormResidual:
         reps = 80
         residuals = []
         for rep in range(reps):
-            traj = simulate_microscopic(params, 40, u.child("wf", rep),
-                                        snapshot_events=False)
+            traj = simulate_microscopic(params, 40, u.child("wf", rep))
             acc = 0.0
             for k in range(params.n_steps):
                 state = traj.states[k]
@@ -290,8 +288,8 @@ class TestRateArgumentSwitch:
         params_grad = dataclasses.replace(params_rho,
                                           lambda_arg="grad_rho_norm")
         u = NoiseUniverse(44, 1)
-        a = simulate_microscopic(params_rho, 40, u, snapshot_events=False)
-        b = simulate_microscopic(params_grad, 40, u, snapshot_events=False)
+        a = simulate_microscopic(params_rho, 40, u)
+        b = simulate_microscopic(params_grad, 40, u)
         sig_a = [(e.time, e.idx, e.kind) for e in a.event_log]
         sig_b = [(e.time, e.idx, e.kind) for e in b.event_log]
         assert sig_a != sig_b  # the switch reaches the thinning decision

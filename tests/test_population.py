@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from chemobranch import (CellRecord, DimensionMismatch, EmpiricalMeasure,
                          LineageIndex, PopulationState, RootHasNoParent,
-                         children, empirical, integrate, parent,
-                         state_distance)
+                         empirical, integrate, mean_se, state_distance)
 from chemobranch.errors import LineageDepthExceeded
 from chemobranch.population import (measure_from_lines, measure_to_lines,
                                     population_from_lines, population_to_lines)
@@ -24,36 +23,36 @@ def make_idx(line, bits_str=""):
 class TestLineageIndex:
     def test_parent_drops_trailing_symbol(self):
         # word 101 -> 10
-        assert parent(make_idx(1, "101")) == make_idx(1, "10")
+        assert make_idx(1, "101").parent() == make_idx(1, "10")
 
     def test_parent_single_symbol(self):
-        assert parent(make_idx(3, "0")) == make_idx(3)
+        assert make_idx(3, "0").parent() == make_idx(3)
 
     def test_root_has_no_parent(self):
         with pytest.raises(RootHasNoParent):
-            parent(make_idx(1))
+            make_idx(1).parent()
 
     def test_children_of_root(self):
-        assert children(make_idx(1)) == (make_idx(1, "0"), make_idx(1, "1"))
+        assert make_idx(1).children() == (make_idx(1, "0"), make_idx(1, "1"))
 
     def test_children_append(self):
-        assert children(make_idx(2, "10")) == (make_idx(2, "100"),
-                                               make_idx(2, "101"))
+        assert make_idx(2, "10").children() == (make_idx(2, "100"),
+                                                 make_idx(2, "101"))
 
     @given(line=st.integers(1, 10 ** 6), word_len=st.integers(0, 63),
            bits=st.integers(0, 2 ** 63 - 1))
     @settings(max_examples=200, deadline=None)
     def test_parent_children_round_trip(self, line, word_len, bits):
         idx = LineageIndex(line, word_len, bits & ((1 << word_len) - 1))
-        c0, c1 = children(idx)
-        assert parent(c0) == idx
-        assert parent(c1) == idx
+        c0, c1 = idx.children()
+        assert c0.parent() == idx
+        assert c1.parent() == idx
         assert c0 < c1
 
     def test_depth_cap(self):
         deep = LineageIndex(1, 64, 0)
         with pytest.raises(LineageDepthExceeded):
-            children(deep)
+            deep.children()
         with pytest.raises(LineageDepthExceeded):
             LineageIndex(1, 65, 0)
 
@@ -174,6 +173,13 @@ class TestEmpiricalMeasure:
             return 2.0 * np.ones(len(x))
 
         assert integrate(mu, bump) == pytest.approx(1.0)
+
+    def test_mean_se_over_replicas(self):
+        # SE = sample std (ddof 1) / sqrt(n); one replica has SE 0
+        mean, se = mean_se([1.0, 2.0, 3.0, 4.0])
+        assert mean == 2.5
+        assert se == pytest.approx(np.sqrt(5.0 / 3.0) / 2.0, rel=1e-15)
+        assert mean_se([5.0]) == (5.0, 0.0)
 
 
 class TestSerialization:

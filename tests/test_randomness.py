@@ -7,7 +7,7 @@ from numpy.random import Philox
 from scipy import stats
 from scipy.special import ndtri
 
-from chemobranch import LineageIndex, NoiseUniverse, clock_events, wiener_increments
+from chemobranch import LineageIndex, NoiseUniverse
 
 
 def idx(line, word=""):
@@ -17,15 +17,15 @@ def idx(line, word=""):
 class TestWienerStreams:
     def test_deterministic_replay(self):
         u = NoiseUniverse(123, 2)
-        a = wiener_increments(u, idx(3, "01"), (5, 50), 0.02)
-        b = wiener_increments(u, idx(3, "01"), (5, 50), 0.02)
+        a = u.wiener_increments(idx(3, "01"), 5, 50, 0.02)
+        b = u.wiener_increments(idx(3, "01"), 5, 50, 0.02)
         assert np.array_equal(a, b)
 
     def test_window_independence(self):
         u = NoiseUniverse(123, 2)
-        full = wiener_increments(u, idx(1), (0, 100), 0.05)
-        first = wiener_increments(u, idx(1), (0, 40), 0.05)
-        second = wiener_increments(u, idx(1), (40, 100), 0.05)
+        full = u.wiener_increments(idx(1), 0, 100, 0.05)
+        first = u.wiener_increments(idx(1), 0, 40, 0.05)
+        second = u.wiener_increments(idx(1), 40, 100, 0.05)
         assert np.array_equal(full, np.vstack([first, second]))
 
     def test_sample_mean_bound(self):
@@ -74,20 +74,29 @@ class TestWienerStreams:
 class TestPoissonClocks:
     def test_empty_window(self):
         u = NoiseUniverse(5, 1)
-        assert clock_events(u, idx(1), (1.0, 1.0), 2.0) == []
+        times, marks = u.clock_arrays(idx(1), 0.0, 2.0)
+        assert len(times) == 0 and len(marks) == 0
+        times, _ = u.clock_arrays(idx(1), 1.0, 2.0)
+        assert not np.any(times >= 1.0)      # the window [1, 1) is empty
 
     def test_restriction_consistency_exact(self):
         u = NoiseUniverse(5, 1)
-        wide = clock_events(u, idx(4, "11"), (0.0, 3.0), 1.5)
-        narrow = clock_events(u, idx(4, "11"), (0.0, 1.2), 1.5)
-        assert narrow == [ev for ev in wide if ev.time < 1.2]
-        shifted = clock_events(u, idx(4, "11"), (0.7, 3.0), 1.5)
-        assert shifted == [ev for ev in wide if ev.time >= 0.7]
+        wide_t, wide_m = u.clock_arrays(idx(4, "11"), 3.0, 1.5)
+        narrow_t, narrow_m = u.clock_arrays(idx(4, "11"), 2.1, 1.5)
+        n = len(narrow_t)
+        assert 0 < n < len(wide_t)
+        assert np.array_equal(narrow_t, wide_t[:n])
+        assert np.array_equal(narrow_m, wide_m[:n])
+        assert np.array_equal(narrow_t, wide_t[wide_t < 2.1])
+        # the window [1.5, 3.0) is the times >= 1.5 part: a suffix
+        late = np.flatnonzero(wide_t >= 1.5)
+        assert 0 < len(late) < len(wide_t)
+        assert np.array_equal(late, np.arange(len(wide_t) - len(late),
+                                              len(wide_t)))
 
     def test_times_strictly_increasing(self):
         u = NoiseUniverse(5, 1)
-        evs = clock_events(u, idx(2), (0.0, 50.0), 3.0)
-        times = np.array([e.time for e in evs])
+        times, _ = u.clock_arrays(idx(2), 50.0, 3.0)
         assert np.all(np.diff(times) > 0)
 
     def test_mean_count_oracle(self):

@@ -27,9 +27,8 @@ def params2d():
 
 def test_micro_and_hybrid_couple_bitwise(params2d):
     u = NoiseUniverse(7, 2)
-    micro = simulate_microscopic(params2d, 30, u, snapshot_events=False)
-    hybrid = simulate_hybrid(params2d, micro.field_path(), u, line=1,
-                             snapshot_events=False)
+    micro = simulate_microscopic(params2d, 30, u)
+    hybrid = simulate_hybrid(params2d, micro.field_path(), u, line=1)
     line1 = lineage_restriction(micro, 1)
     for a, b in zip(line1.states, hybrid.states):
         assert np.array_equal(a.positions, b.positions, equal_nan=True)
@@ -59,8 +58,7 @@ def test_brownian_variance_2d(params2d):
         params2d, alpha=0.0, birth=RateSpec("zero"), death=RateSpec("zero"),
         drift=DriftSpec("zero"), dt=0.1, T=1.0,
         mu0=InitialMeasureSpec("point", {"at": [4.0, 4.0]}))
-    traj = simulate_microscopic(params, 4000, NoiseUniverse(9, 2),
-                                snapshot_events=False)
+    traj = simulate_microscopic(params, 4000, NoiseUniverse(9, 2))
     start = traj.states[0].live_positions()
     end = traj.states[-1].live_positions()
     disp = (end - start + 4.0) % 8.0 - 4.0
