@@ -128,12 +128,7 @@ class TestFunctionBank:
 
     def pair_field(self, field: Field) -> np.ndarray:
         vals = self.node_values(field.grid)
-        flat = field.values.ravel()
-        return vals @ flat * field.grid.cell_volume
-
-    def pair_values(self, grid, values: np.ndarray) -> np.ndarray:
-        vals = self.node_values(grid)
-        return vals @ values.ravel() * grid.cell_volume
+        return vals @ field.values.ravel() * field.grid.cell_volume
 
 
 def vague_distance(mu, nu, bank: TestFunctionBank) -> float:
@@ -189,15 +184,12 @@ class ConvergenceReport:
     def to_json(self) -> str:
         return json.dumps(self.summary, sort_keys=True, indent=2)
 
-    def mean_values(self, kind: str) -> dict[int, tuple[float, float]]:
-        return {row.n0: (row.value, row.se) for row in self.rows
-                if row.kind == kind and row.stat == "mean"}
 
-
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float, float]:
     """(point estimate, lower, upper) of the 95% Wilson score interval."""
     if n == 0:
         return 0.0, 0.0, 1.0
+    z = 1.96
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -245,9 +237,7 @@ def _trend_flags(means: np.ndarray, ses: np.ndarray) -> dict:
 # Experiments
 
 def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
-                                   universe: NoiseUniverse,
-                                   bank: TestFunctionBank | None = None
-                                   ) -> ConvergenceReport:
+                                   universe: NoiseUniverse) -> ConvergenceReport:
     """Hydrodynamic-limit check: empirical measures against the mean measure.
 
     For each population size and replica this records the sup over the
@@ -257,12 +247,10 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
     """
     p = params
     n0_list = [int(n) for n in n0_list]
-    if bank is None:
-        bank = TestFunctionBank.default_for_grid(p.grid)
+    bank = TestFunctionBank.default_for_grid(p.grid)
     scf = solve_selfconsistent_field(p, "macroscopic")
     n_checks = p.n_steps + 1
-    ref_pairs = np.stack([bank.pair_values(p.grid, scf.p_path.values[k])
-                          for k in range(n_checks)])
+    ref_density = [Field(p.grid, scf.p_path.values[k]) for k in range(n_checks)]
     ref_grad = [Field(p.grid, scf.rho_path.values[k]).gradient_grid()
                 for k in range(n_checks)]
 
@@ -274,9 +262,7 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
             sup_dm = 0.0
             sup_field = 0.0
             for k in range(n_checks):
-                pairs = bank.pair_measure(traj.measure_at(k))
-                dm = float(np.sum(bank.weights *
-                                  np.minimum(1.0, np.abs(pairs - ref_pairs[k]))))
+                dm = vague_distance(traj.measure_at(k), ref_density[k], bank)
                 sup_dm = max(sup_dm, dm)
                 err_val = float(np.max(np.abs(traj.fields[k].values
                                               - scf.rho_path.values[k])))

@@ -121,6 +121,10 @@ def run_macro(cfg, out: Path, seed: int) -> int:
 def run_hybrid(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     mode = cfg.get_str("meanfield.mode", "macroscopic")
+    if mode not in meanfield.MODES:
+        raise ConfigInvalid("meanfield.mode",
+                            f"must be one of {', '.join(meanfield.MODES)}, "
+                            f"got {mode!r}")
     universe = NoiseUniverse(seed, params.grid.d)
     scf = meanfield.solve_selfconsistent_field(
         params, mode, universe=universe,

@@ -17,6 +17,16 @@ from .microscopic import ModelParams
 from .registry import DriftSpec, InitialFieldSpec, InitialMeasureSpec, RateSpec
 
 
+# the config key of each field that GridSpec, Kernel and ModelParams validate
+_KEY_OF_FIELD = {
+    "d": "grid.d", "n": "grid.n", "extent": "grid.L", "width": "kernel.width",
+    "sigma": "model.sigma", "D": "model.D", "r": "model.r",
+    "alpha": "model.alpha", "lambda_bar": "model.lambda_bar",
+    "lambda_arg": "model.lambda_arg", "advection": "macro.scheme",
+    "dt": "run.dt", "T": "run.T",
+}
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -74,11 +84,6 @@ class ExperimentConfig:
         return config_hash(self.pairs)
 
     # -- typed getters -------------------------------------------------------
-
-    def _require(self, key: str) -> str:
-        if key not in self.pairs:
-            raise ConfigInvalid(key, "missing required key")
-        return self.pairs[key]
 
     def get_str(self, key: str, default: str | None = None) -> str:
         if key in self.pairs:
@@ -149,76 +154,46 @@ class ExperimentConfig:
                 name = key[len(prefix) + 1:]
                 floats = [_parse_float(key, t) for t in value.split(",")
                           if t.strip()]
+                if not floats:
+                    raise ConfigInvalid(key, "empty value")
                 out[name] = floats if len(floats) > 1 else floats[0]
         return out
 
     # -- model construction --------------------------------------------------
 
-    def _positive(self, key: str) -> float:
-        val = self.get_float(key)
-        if val <= 0:
-            raise ConfigInvalid(key, f"must be positive, got {val}")
-        return val
-
-    def _rate(self, section: str) -> RateSpec:
-        spec = RateSpec(self.get_str(f"{section}.kind"),
-                        self._section_params(section))
-        if spec.kind != "zero":
-            c = self.get_float(f"{section}.c")
-            if c < 0:
-                raise ConfigInvalid(f"{section}.c",
-                                    f"must be nonnegative, got {c}")
-        return spec
+    def _spec(self, cls, section: str):
+        kind = self.get_str(f"{section}.kind")
+        params = self._section_params(section)
+        try:
+            return cls(kind, params)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"{section}.{exc.field}", exc.reason) from None
 
     def model_params(self) -> ModelParams:
-        d = self.get_int("grid.d")
-        if d not in (1, 2):
-            raise ConfigInvalid("grid.d", f"must be 1 or 2, got {d}")
-        n = self.get_int("grid.n")
-        if n < 2 or n & (n - 1):
-            raise ConfigInvalid("grid.n", f"must be a power of two, got {n}")
-        grid = GridSpec(d, n, self._positive("grid.L"))
+        """Read the model keys and build ModelParams.
 
-        alpha = self.get_float("model.alpha")
-        if alpha < 0:
-            raise ConfigInvalid("model.alpha", f"must be nonnegative, got {alpha}")
-        lambda_bar = self._positive("model.lambda_bar")
-        birth = self._rate("birth")
-        death = self._rate("death")
-        if birth.sup() + death.sup() > lambda_bar + 1e-12:
-            raise ConfigInvalid(
-                "model.lambda_bar",
-                f"sup(lambda_b + lambda_d) = {birth.sup() + death.sup()} "
-                f"exceeds lambda_bar = {lambda_bar}")
-        drift = DriftSpec(self.get_str("drift.kind"), self._section_params("drift"))
-        mu0 = InitialMeasureSpec(self.get_str("init.mu0.kind"),
-                                 self._section_params("init.mu0"))
-        rho0 = InitialFieldSpec(self.get_str("init.rho0.kind"),
-                                self._section_params("init.rho0"))
-
-        dt = self._positive("run.dt")
-        T = self._positive("run.T")
-        if abs(T / dt - round(T / dt)) > 1e-9:
-            raise ConfigInvalid("run.dt", f"T={T} is not a multiple of dt={dt}")
-        width = self.get_float("kernel.width", 0.0)
+        GridSpec, Kernel, ModelParams and the registry specs validate their
+        own values; their errors are renamed here to the config key.
+        """
+        grid = (self.get_int("grid.d"), self.get_int("grid.n"),
+                self.get_float("grid.L"))
+        fields = {name: self.get_float(_KEY_OF_FIELD[name]) for name in
+                  ("sigma", "D", "r", "alpha", "lambda_bar", "dt", "T")}
+        fields.update(
+            birth=self._spec(RateSpec, "birth"),
+            death=self._spec(RateSpec, "death"),
+            drift=self._spec(DriftSpec, "drift"),
+            mu0=self._spec(InitialMeasureSpec, "init.mu0"),
+            rho0=self._spec(InitialFieldSpec, "init.rho0"),
+            kernel_width=(self.get_float("kernel.width")
+                          if "kernel.width" in self.pairs else None),
+            population_cap=self.get_count("run.population_cap", 1_000_000),
+            advection=self.get_str("macro.scheme", "auto"),
+            lambda_arg=self.get_str("model.lambda_arg", "rho"))
         try:
-            return ModelParams(
-                grid=grid,
-                sigma=self._positive("model.sigma"),
-                D=self._positive("model.D"),
-                r=self._positive("model.r"),
-                alpha=alpha,
-                lambda_bar=lambda_bar,
-                birth=birth, death=death, drift=drift,
-                mu0=mu0, rho0=rho0,
-                dt=dt, T=T,
-                kernel_width=width if width > 0 else None,
-                population_cap=self.get_count("run.population_cap", 1_000_000),
-                advection=self.get_str("macro.scheme", "auto"),
-                lambda_arg=self.get_str("model.lambda_arg", "rho"),
-            )
-        except ValueError as exc:
-            raise ConfigInvalid("model", str(exc)) from None
+            return ModelParams(grid=GridSpec(*grid), **fields)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(_KEY_OF_FIELD[exc.field], exc.reason) from None
 
     def master_seed(self, override: int | None = None) -> int:
         if override is not None:

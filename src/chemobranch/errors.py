@@ -67,12 +67,14 @@ class CFLViolation(ChemobranchError):
         self.required_dt = required_dt
 
 
-class ConfigInvalid(ChemobranchError):
-    """Raised when an experiment configuration fails validation.
+class ConfigInvalid(ChemobranchError, ValueError):
+    """Raised when a setting fails validation.
 
-    ``field`` names the offending key.
+    ``field`` names the offending value: a config key, or the field of the
+    type that owns the rule (the config loader renames it to its key).
     """
 
-    def __init__(self, field, message):
-        super().__init__(f"{field}: {message}")
+    def __init__(self, field, reason):
+        super().__init__(f"{field}: {reason}")
         self.field = field
+        self.reason = reason

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NonFiniteAtom, NonFiniteQuery
+from .errors import ConfigInvalid, GridMismatch, NonFiniteAtom, NonFiniteQuery
 from .population import EmpiricalMeasure
 
 
@@ -32,11 +32,11 @@ class GridSpec:
 
     def __post_init__(self):
         if self.d not in (1, 2):
-            raise ValueError("only d=1 and d=2 are supported")
+            raise ConfigInvalid("d", f"must be 1 or 2, got {self.d}")
         if self.n < 2 or self.n & (self.n - 1):
-            raise ValueError("n must be a power of two")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+            raise ConfigInvalid("n", f"must be a power of two, got {self.n}")
+        if not self.extent > 0:
+            raise ConfigInvalid("extent", f"must be positive, got {self.extent}")
 
     @property
     def dx(self) -> float:
@@ -173,7 +173,10 @@ class Kernel:
         self.grid = grid
         self.width = float(width) if width is not None else 4.0 * grid.dx
         if not 0 < self.width <= grid.extent / 8:
-            raise ValueError("kernel width must lie in (0, L/8]")
+            default = "" if width is not None else " (the default, 4 grid cells)"
+            raise ConfigInvalid("width", f"must lie in (0, L/8] = "
+                                         f"(0, {grid.extent / 8:g}], got "
+                                         f"{self.width:g}{default}")
         self._images = max(1, int(np.ceil(8.0 * self.width / grid.extent)))
         self._norm1d = 1.0 / np.sqrt(2.0 * np.pi * self.width ** 2)
         self.samples = self._grid_samples()

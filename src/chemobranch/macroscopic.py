@@ -18,6 +18,7 @@ sigma.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,17 +108,11 @@ class PksSolution:
 
 
 def solve_pks(params: ModelParams, p0: Field | None = None,
-              rho0: Field | None = None, dt: float | None = None,
-              T: float | None = None, scheme: str | None = None) -> PksSolution:
-    """Solve the coupled density/field system on [0, T]."""
+              rho0: Field | None = None) -> PksSolution:
+    """Solve the coupled density/field system on [0, T] with step dt."""
     p = params
     grid = p.grid
-    dt = p.dt if dt is None else float(dt)
-    T = p.T if T is None else float(T)
-    scheme = p.advection if scheme is None else scheme
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9:
-        raise ValueError("T must be an integer multiple of dt")
+    dt, n_steps, scheme = p.dt, p.n_steps, p.advection
 
     if p0 is None:
         p0 = Field(grid, p.mu0.density(grid))
@@ -166,16 +161,16 @@ def solve_pks(params: ModelParams, p0: Field | None = None,
         p_slices.append(dens)
         rho_slices.append(rho.values)
 
-    times = np.arange(n_steps + 1) * dt
+    times = p.times()
     return PksSolution(times,
                        FieldPath(grid, times, np.stack(p_slices)),
                        FieldPath(grid, times, np.stack(rho_slices)))
 
 
-def observed_order(params: ModelParams, dt: float | None = None) -> float:
+def observed_order(params: ModelParams) -> float:
     """Strang order via a dt-halving triplet on the configured problem."""
-    dt = params.dt if dt is None else dt
-    sols = [solve_pks(params, dt=dt / (2 ** j)) for j in range(3)]
+    sols = [solve_pks(dataclasses.replace(params, dt=params.dt / 2 ** j))
+            for j in range(3)]
     finals = [s.p_path.values[-1] for s in sols]
     e1 = np.max(np.abs(finals[0] - finals[1]))
     e2 = np.max(np.abs(finals[1] - finals[2]))

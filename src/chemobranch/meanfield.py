@@ -22,6 +22,8 @@ from .microscopic import MicroTrajectory, ModelParams, simulate_lines
 from .population import EmpiricalMeasure, mean_se
 from .randomness import NoiseUniverse
 
+MODES = ("macroscopic", "picard")  # how solve_selfconsistent_field finds the field
+
 
 def simulate_hybrid(params: ModelParams, rho_path: FieldPath,
                     universe: NoiseUniverse, line: int = 1) -> MicroTrajectory:
@@ -31,8 +33,7 @@ def simulate_hybrid(params: ModelParams, rho_path: FieldPath,
     with the field path of a coupled run substituted verbatim this reproduces
     that run's line bitwise.
     """
-    return simulate_lines(params, [line], universe, rho_path=rho_path,
-                          n0_for_measure=1)
+    return simulate_lines(params, [line], universe, rho_path=rho_path)
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,8 @@ def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
     estimated mean measure, and iterate to the fixed point (common random
     numbers make the map deterministic, so the gaps contract to round-off).
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     p = params
     kernel = p.make_kernel()
     if mode == "macroscopic":
@@ -179,8 +182,6 @@ def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
             p, lambda k: kernel.convolve_density(sol.p_path.values[k]))
         return SelfConsistentField(rho_path, sol.p_path, mode)
 
-    if mode != "picard":
-        raise ValueError(f"unknown mode {mode!r}")
     if universe is None:
         raise ValueError("picard mode needs a universe for its ensembles")
 

@@ -17,11 +17,12 @@ coupled when their inputs coincide.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, NoSuchLine, PopulationExplosion
+from .errors import ConfigInvalid, NonFiniteState, NoSuchLine, PopulationExplosion
 from .field import Field, FieldPath, GridSpec, Kernel, deposit, semigroup_step
 from .population import EmpiricalMeasure, LineageIndex, PopulationState, empirical
 from .randomness import NoiseUniverse
@@ -29,11 +30,17 @@ from .registry import DriftSpec, InitialFieldSpec, InitialMeasureSpec, RateSpec
 
 EVENT_BRANCH = "branch"
 EVENT_DEATH = "death"
+ADVECTION_SCHEMES = ("auto", "upwind", "semi_lagrangian")
+LAMBDA_ARGS = ("rho", "grad_rho_norm")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All model constants, rate/drift selections, and discretization controls."""
+    """All model constants, rate/drift selections, and discretization controls.
+
+    Construction validates every constant and raises ``ConfigInvalid``
+    naming the offending field (``width`` for the kernel width).
+    """
 
     grid: GridSpec
     sigma: float
@@ -54,23 +61,28 @@ class ModelParams:
     lambda_arg: str = "rho"  # what the rates see: field value or |gradient|
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.D <= 0 or self.r <= 0:
-            raise ValueError("sigma, D, r must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.lambda_bar <= 0:
-            raise ValueError("lambda_bar must be positive")
-        if self.birth.sup() + self.death.sup() > self.lambda_bar + 1e-12:
-            raise ValueError("sup(lambda_b + lambda_d) exceeds lambda_bar")
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+        for name in ("sigma", "D", "r", "lambda_bar", "dt", "T"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigInvalid(name, f"must be positive, got {value}")
+        if not self.alpha >= 0:
+            raise ConfigInvalid("alpha", f"must be nonnegative, got {self.alpha}")
+        rate_sup = self.birth.sup() + self.death.sup()
+        if rate_sup > self.lambda_bar + 1e-12:
+            raise ConfigInvalid("lambda_bar", f"sup(lambda_b + lambda_d) = {rate_sup} "
+                                              f"exceeds lambda_bar = {self.lambda_bar}")
         steps = self.T / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("T must be an integer multiple of dt")
-        if self.advection not in ("auto", "upwind", "semi_lagrangian"):
-            raise ValueError(f"unknown advection scheme {self.advection!r}")
-        if self.lambda_arg not in ("rho", "grad_rho_norm"):
-            raise ValueError(f"unknown lambda_arg {self.lambda_arg!r}")
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(steps - round(steps)) <= 1e-9):
+            raise ConfigInvalid("dt", f"T={self.T} is not a positive integer "
+                                      f"multiple of dt={self.dt}")
+        for name, allowed in (("advection", ADVECTION_SCHEMES),
+                              ("lambda_arg", LAMBDA_ARGS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigInvalid(name, f"must be one of {', '.join(allowed)}, "
+                                          f"got {value!r}")
+        self.make_kernel()
 
     @property
     def n_steps(self) -> int:
@@ -260,7 +272,7 @@ class _Engine:
 
 
 def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
-                   *, rho_path: FieldPath | None = None, n0_for_measure: int | None = None,
+                   *, rho_path: FieldPath | None = None,
                    keep_dead: bool = True) -> MicroTrajectory:
     """Shared engine behind the microscopic and single-line hybrid models.
 
@@ -272,7 +284,7 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
     p = params
     d, dt, L = p.grid.d, p.dt, p.grid.extent
     n_steps = p.n_steps
-    n0 = n0_for_measure if n0_for_measure is not None else len(founder_lines)
+    n0 = len(founder_lines)
     coupled = rho_path is None
 
     birth_fn = p.birth.build(L)

@@ -10,7 +10,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -45,10 +45,6 @@ class LineageIndex:
                 f"word length {self.word_len} outside [0, {MAX_WORD_LEN}]")
         if self.word_bits >> max(self.word_len, 0):
             raise ValueError("word_bits has bits beyond word_len")
-
-    @property
-    def is_root(self) -> bool:
-        return self.word_len == 0
 
     def parent(self) -> "LineageIndex":
         """Drop the trailing symbol of the ancestry word."""
@@ -173,13 +169,6 @@ class PopulationState:
     def __contains__(self, idx: LineageIndex) -> bool:
         return (idx.line, idx.word_len, idx.word_bits) in self._rows()
 
-    def index_at(self, row: int) -> LineageIndex:
-        return LineageIndex(int(self.lines[row]), int(self.word_lens[row]),
-                            int(self.word_bits[row]))
-
-    def indices(self) -> list[LineageIndex]:
-        return [self.index_at(r) for r in range(len(self))]
-
     def record(self, idx: LineageIndex) -> CellRecord:
         row = self._rows()[(idx.line, idx.word_len, idx.word_bits)]
         pos = self.positions[row]
@@ -188,10 +177,6 @@ class PopulationState:
             birth_time=float(self.births[row]),
             death_time=float(self.deaths[row]),
         )
-
-    def items(self) -> Iterator[tuple[LineageIndex, CellRecord]]:
-        for row in range(len(self)):
-            yield self.index_at(row), self.record(self.index_at(row))
 
     @property
     def live_mask(self) -> np.ndarray:
@@ -280,9 +265,6 @@ class EmpiricalMeasure:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
-
-    def integrate(self, phi: Callable[[np.ndarray], np.ndarray]) -> float:
-        return integrate(self, phi)
 
 
 def empirical(pop: PopulationState, n0: int) -> EmpiricalMeasure:

@@ -178,10 +178,10 @@ class NoiseUniverse:
 
     # -- initial data and auxiliary streams ---------------------------------
 
-    def init_uniforms(self, line: int, count: int,
-                      purpose: int = PURPOSE_INIT) -> np.ndarray:
+    def init_uniforms(self, line: int, count: int) -> np.ndarray:
         """Uniform(0,1) draws from the reserved init stream of a line."""
-        return _uniform_open(_stream_key(self._prefix(line), purpose), 0, count)
+        return _uniform_open(_stream_key(self._prefix(line), PURPOSE_INIT), 0,
+                             count)
 
     def mass_increments(self, replica: int, k0: int, k1: int,
                         dt: float) -> np.ndarray:

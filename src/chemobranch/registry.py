@@ -3,12 +3,15 @@
 Configs select these by name plus parameters instead of arbitrary
 expressions, which keeps runs auditable and hashes stable.  Every rate kind
 declares its supremum so that the dominating clock rate can be validated;
-every drift kind is bounded by construction.
+every drift kind is bounded by construction.  Each spec validates its own
+kind and parameters and raises ``ConfigInvalid`` naming ``kind`` or the
+parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtri
@@ -16,14 +19,41 @@ from scipy.special import ndtri
 from .errors import ConfigInvalid
 from .field import Field, GridSpec
 
-RATE_KINDS = ("zero", "constant", "indicator", "logistic")
-DRIFT_KINDS = ("zero", "constant", "chemotaxis")
-MU0_KINDS = ("uniform", "gaussian", "point")
-RHO0_KINDS = ("constant", "cosine", "bump")
+_POINTS = ("center", "at")  # the only parameters that take one entry per axis
 
 
 @dataclass(frozen=True)
-class RateSpec:
+class RegistrySpec:
+    """A registry selection: ``kind`` plus named numeric parameters.
+
+    A parameter name is accepted if some kind of the family reads it, every
+    parameter but a point (``center``, ``at``) is a single number, and the
+    parameters in ``POSITIVE`` are positive when given.
+    """
+
+    kind: str
+    params: dict = field(default_factory=dict)
+
+    KINDS: ClassVar[dict[str, tuple[str, ...]]] = {}  # kind -> names it reads
+    POSITIVE: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ConfigInvalid("kind", f"unknown kind {self.kind!r}; expected "
+                                        f"one of {', '.join(self.KINDS)}")
+        known = sorted({name for names in self.KINDS.values() for name in names})
+        for name, value in self.params.items():
+            if name not in known:
+                raise ConfigInvalid(name, "no kind of this section reads it; "
+                                          f"known: {', '.join(known)}")
+            if name not in _POINTS and np.ndim(value) != 0:
+                raise ConfigInvalid(name, f"expects a single number, got {value}")
+            if name in self.POSITIVE and not value > 0:
+                raise ConfigInvalid(name, f"must be positive, got {value}")
+
+
+@dataclass(frozen=True)
+class RateSpec(RegistrySpec):
     """A birth or death rate lambda(x, rho) chosen from the registry.
 
     kinds:
@@ -33,17 +63,22 @@ class RateSpec:
       logistic   -- c / (1 + exp(-slope * (rho - center))), bounded by c
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    KINDS = {"zero": (), "constant": ("c",), "indicator": ("c",),
+             "logistic": ("c", "slope", "center")}
 
     def __post_init__(self):
-        if self.kind not in RATE_KINDS:
-            raise ConfigInvalid("rate.kind", f"unknown rate kind {self.kind!r}")
+        super().__post_init__()
+        if self.kind == "zero":
+            return
+        if "c" not in self.params:
+            raise ConfigInvalid("c", f"missing required key for kind {self.kind!r}")
+        if not self.params["c"] >= 0:
+            raise ConfigInvalid("c", f"must be nonnegative, got {self.params['c']}")
 
     def sup(self) -> float:
         if self.kind == "zero":
             return 0.0
-        return float(self.params.get("c", 0.0))
+        return float(self.params["c"])
 
     def build(self, extent: float):
         kind, p = self.kind, self.params
@@ -61,7 +96,7 @@ class RateSpec:
 
 
 @dataclass(frozen=True)
-class DriftSpec:
+class DriftSpec(RegistrySpec):
     """Drift b(x, g) with g the chemoattractant gradient.
 
     kinds:
@@ -70,12 +105,8 @@ class DriftSpec:
       chemotaxis  -- chi * g / (1 + |g|/gsat), bounded by chi * gsat
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in DRIFT_KINDS:
-            raise ConfigInvalid("drift.kind", f"unknown drift kind {self.kind!r}")
+    KINDS = {"zero": (), "constant": ("vx", "vy"), "chemotaxis": ("chi", "gsat")}
+    POSITIVE = ("gsat",)
 
     @property
     def is_zero(self) -> bool:
@@ -115,7 +146,7 @@ class DriftSpec:
 
 
 @dataclass(frozen=True)
-class InitialMeasureSpec:
+class InitialMeasureSpec(RegistrySpec):
     """Initial cell-position law mu_0 on the torus.
 
     kinds: uniform; gaussian (center per axis, sd, wrapped); point (at).
@@ -123,12 +154,8 @@ class InitialMeasureSpec:
     coordinate, so founders are pure functions of (universe, line).
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in MU0_KINDS:
-            raise ConfigInvalid("init.mu0.kind", f"unknown mu0 kind {self.kind!r}")
+    KINDS = {"uniform": (), "gaussian": ("center", "sd"), "point": ("at",)}
+    POSITIVE = ("sd",)
 
     def _center(self, d: int, key: str = "center") -> np.ndarray:
         raw = self.params.get(key, [0.0] * d)
@@ -163,19 +190,16 @@ class InitialMeasureSpec:
 
 
 @dataclass(frozen=True)
-class InitialFieldSpec:
+class InitialFieldSpec(RegistrySpec):
     """Initial chemoattractant rho_0 (twice differentiable torus function).
 
     kinds: constant (c); cosine (c0 + amp * cos(2*pi*mode*x_1/L));
     bump (amp * periodized gaussian at center with width).
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in RHO0_KINDS:
-            raise ConfigInvalid("init.rho0.kind", f"unknown rho0 kind {self.kind!r}")
+    KINDS = {"constant": ("c",), "cosine": ("c0", "amp", "mode"),
+             "bump": ("amp", "width", "center")}
+    POSITIVE = ("width",)
 
     def sample(self, grid: GridSpec) -> Field:
         p = self.params

@@ -1,6 +1,8 @@
 import json
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemobranch import ConfigInvalid, cli
 from chemobranch.cli import main
@@ -92,8 +94,9 @@ class TestConfigParsing:
     def test_unknown_rate_kind(self):
         cfg = ExperimentConfig.from_text(
             BASE_CONFIG.replace("birth.kind = constant", "birth.kind = spline"))
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid) as exc:
             cfg.model_params()
+        assert exc.value.field == "birth.kind"
 
     def test_dt_not_dividing_T(self):
         cfg = ExperimentConfig.from_text(
@@ -101,6 +104,62 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid) as exc:
             cfg.model_params()
         assert exc.value.field == "run.dt"
+
+
+PROPERTY_CONFIG = BASE_CONFIG + """
+kernel.width = 0.5
+macro.scheme = semi_lagrangian
+model.lambda_arg = rho
+run.population_cap = 1000
+"""
+PROPERTY_PAIRS = parse_config_text(PROPERTY_CONFIG)
+REGISTRY_KEYS = sorted(k for k in PROPERTY_PAIRS
+                       if k.startswith(("birth.", "death.", "drift.", "init."))
+                       and not k.endswith(".kind"))
+
+# no value below is a power of two written as an integer, so a mutated
+# grid.n never asks for a large grid
+_numbers = st.one_of(
+    st.just("0"),
+    st.integers(-10**6, -1).map(str),
+    st.floats(-1e300, -1e-300).map(repr),
+    st.sampled_from(["1e300", "1e308", "1000000000000000000"]))
+_words = st.text(string.ascii_lowercase + "_", max_size=10)
+_lists = st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=3).map(
+    lambda xs: ",".join(map(repr, xs)))
+
+
+@st.composite
+def _mutated_pairs(draw):
+    """The property config with one key changed, deleted or misspelt."""
+    pairs = dict(PROPERTY_PAIRS)
+    how = draw(st.sampled_from(["set", "delete", "misspell"]))
+    if how == "misspell":
+        key = draw(st.sampled_from(REGISTRY_KEYS))
+        pairs[key + draw(st.text(string.ascii_lowercase, min_size=1,
+                                 max_size=2))] = pairs.pop(key)
+        return pairs
+    key = draw(st.sampled_from(sorted(PROPERTY_PAIRS)))
+    if how == "delete":
+        del pairs[key]
+    else:
+        pairs[key] = draw(st.one_of(_numbers, _words, _lists))
+    return pairs
+
+
+class TestConfigProperty:
+    def test_property_config_loads(self):
+        assert ExperimentConfig(PROPERTY_PAIRS).model_params().kernel_width == 0.5
+
+    # a huge grid.L squares kernel offsets to inf; their exp is the right 0
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(_mutated_pairs())
+    def test_mutated_config_loads_or_names_its_key(self, pairs):
+        try:
+            ExperimentConfig(pairs).model_params()
+        except ConfigInvalid as exc:
+            assert exc.field in set(pairs) | set(PROPERTY_PAIRS)
 
 
 class TestCliRuns:
@@ -143,6 +202,19 @@ class TestCliRuns:
          "meanfield.picard_replicas"),
         ("micro", "run.n0 = 4\nrun.population_cap = 0\n",
          "run.population_cap"),
+        ("micro", "run.n0 = 4\nkernel.width = 2.0\n", "kernel.width"),
+        ("micro", "run.n0 = 4\nkernel.width = -1\n", "kernel.width"),
+        ("micro", "run.n0 = 4\nmacro.scheme = bogus\n", "macro.scheme"),
+        ("micro", "run.n0 = 4\nmodel.lambda_arg = foo\n", "model.lambda_arg"),
+        ("micro", "run.n0 = 4\nbirth.kind = bogus\n", "birth.kind"),
+        ("micro", "run.n0 = 4\nbirth.slop = 2\n", "birth.slop"),
+        ("micro", "run.n0 = 4\ndrift.kind = constant\ndrift.vx = 1,2\n",
+         "drift.vx"),
+        ("macro", "init.mu0.sd = 0\n", "init.mu0.sd"),
+        ("micro", "run.n0 = 4\ninit.rho0.width = 0\n", "init.rho0.width"),
+        ("hybrid", "meanfield.mode = bogus\n", "meanfield.mode"),
+        ("micro", "run.n0 = 4\ndrift.gsat = 0\n", "drift.gsat"),
+        ("micro", "run.n0 = 4\nbirth.c =\n", "birth.c"),
     ])
     def test_bad_count_exits_2_naming_key(self, tmp_path, capsys, sub,
                                           extra, key):
