@@ -18,11 +18,9 @@ from .microscopic import (EventRecord, MicroTrajectory, ModelParams,
                           simulate_microscopic)
 from .meanfield import (MassEnsemble, SelfConsistentField, simulate_hybrid,
                         simulate_mass_ensemble, solve_selfconsistent_field)
-from .macroscopic import (ComparisonReport, PksSolution,
-                          compare_with_monte_carlo, observed_order, solve_pks)
-from .population import (CellRecord, EmpiricalMeasure, LineageIndex,
-                         PopulationState, empirical, integrate, mean_se,
-                         state_distance)
+from .macroscopic import PksSolution, observed_order, solve_pks
+from .population import (EmpiricalMeasure, LineageIndex, PopulationState,
+                         empirical, integrate, mean_se, state_distance)
 from .randomness import NoiseUniverse
 from .registry import DriftSpec, InitialFieldSpec, InitialMeasureSpec, RateSpec
 from .analysis import (BumpFunction, ConvergenceReport, TestFunctionBank,

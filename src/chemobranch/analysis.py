@@ -16,11 +16,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import Field, FieldPath
+from .field import Field
 from .meanfield import simulate_hybrid, solve_selfconsistent_field
 from .microscopic import (MicroTrajectory, ModelParams,
                           lineage_restriction, simulate_microscopic)
-from .population import EmpiricalMeasure, mean_se, state_distance
+from .population import EmpiricalMeasure, integrate, mean_se, state_distance
 from .randomness import NoiseUniverse
 
 
@@ -121,10 +121,7 @@ class TestFunctionBank:
         return self._node_cache[key]
 
     def pair_measure(self, measure: EmpiricalMeasure) -> np.ndarray:
-        if len(measure.weights) == 0:
-            return np.zeros(len(self.functions))
-        return np.array([float(np.sum(measure.weights * f(measure.positions)))
-                         for f in self.functions])
+        return np.array([integrate(measure, f) for f in self.functions])
 
     def pair_field(self, field: Field) -> np.ndarray:
         vals = self.node_values(field.grid)
@@ -317,7 +314,7 @@ def coupling_experiment(params: ModelParams, n0_list, replicas: int,
 
     def one_replica(r: int):
         u_r = universe.child("replica", r)
-        hybrid = simulate_hybrid(p, scf.rho_path, u_r, line=1)
+        hybrid = simulate_hybrid(p, scf.rho_path, u_r)
         hybrid_sig = _event_signature(hybrid)
         out = {}
         for n0 in n0_list:
@@ -389,40 +386,7 @@ def yule_bound_check(params: ModelParams, n0: int, replicas: int,
     summary = {
         "n0": n0, "replicas": replicas, "mean": mean, "se": se,
         "bound": bound, "pass": bool(mean - 3.0 * se <= bound),
-        "gap_in_se": float((bound - mean) / se) if se > 0 else float("inf"),
+        # None (JSON null) when every replica agrees: the gap has no scale
+        "gap_in_se": float((bound - mean) / se) if se > 0 else None,
     }
     return ConvergenceReport(rows, summary)
-
-
-def coupling_linear_response(params: ModelParams, rho_path: FieldPath,
-                             delta_list, replicas: int,
-                             universe: NoiseUniverse) -> dict:
-    """Event-mismatch probability under forced constant field offsets.
-
-    Runs the single-line model against the base path and against the path
-    shifted by each delta; the fraction of replicas whose event log changes
-    should grow linearly in delta (the acceptance bands move by O(delta)).
-    """
-    deltas = [float(d) for d in delta_list]
-
-    def one_replica(r: int):
-        u_r = universe.child("replica", r)
-        base = _event_signature(simulate_hybrid(params, rho_path, u_r))
-        flags = []
-        for delta in deltas:
-            pert = simulate_hybrid(params, rho_path.shifted(delta), u_r)
-            flags.append(_event_signature(pert) != base)
-        return flags
-
-    per_replica = [one_replica(r) for r in range(replicas)]
-    probs = [float(np.mean([per_replica[r][j] for r in range(replicas)]))
-             for j in range(len(deltas))]
-    x = np.asarray(deltas)
-    y = np.asarray(probs)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"deltas": deltas, "probs": probs, "slope": float(slope),
-            "intercept": float(intercept), "r2": float(r2)}

@@ -23,7 +23,8 @@ _KEY_OF_FIELD = {
     "sigma": "model.sigma", "D": "model.D", "r": "model.r",
     "alpha": "model.alpha", "lambda_bar": "model.lambda_bar",
     "lambda_arg": "model.lambda_arg", "advection": "macro.scheme",
-    "dt": "run.dt", "T": "run.T",
+    "dt": "run.dt", "T": "run.T", "mu0.center": "init.mu0.center",
+    "mu0.at": "init.mu0.at", "rho0.center": "init.rho0.center",
 }
 
 
@@ -135,7 +136,8 @@ class ExperimentConfig:
                 if tok.strip()]
 
     def get_count_list(self, key: str) -> list[int]:
-        """A required, nonempty comma-separated list of integers >= 1."""
+        """A required comma-separated list of integers >= 1 with at least two
+        distinct entries: the population sizes a trend is fitted over."""
         out = []
         for v in self.get_float_list(key):
             if v != int(v):
@@ -143,8 +145,9 @@ class ExperimentConfig:
             if v < 1:
                 raise ConfigInvalid(key, f"entries must be at least 1, got {v:g}")
             out.append(int(v))
-        if not out:
-            raise ConfigInvalid(key, "needs at least one entry")
+        if len(set(out)) < 2:
+            raise ConfigInvalid(key, "a trend needs at least two distinct "
+                                     f"entries, got {len(set(out))}")
         return out
 
     def _section_params(self, prefix: str) -> dict:

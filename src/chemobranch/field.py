@@ -91,16 +91,6 @@ class Field:
         self.time = float(time)
         self._hat_over_n = None
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, f, time: float = 0.0) -> "Field":
-        nodes = grid.node_coords()
-        vals = np.asarray(f(nodes), dtype=np.float64).reshape(grid.shape)
-        return cls(grid, vals, time)
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
     def _hat(self) -> np.ndarray:
         # full fftn divided by n^d, cached; Field values are never mutated
         if self._hat_over_n is None:
@@ -157,10 +147,6 @@ class Field:
             out.append(np.fft.ifftn(hat * (1j * k).reshape(shape)).real)
         return out
 
-    def integrate_against(self, phi_nodes: np.ndarray) -> float:
-        """Quadrature pairing <phi, field> with phi sampled on the grid."""
-        return float(np.sum(self.values * phi_nodes) * self.grid.cell_volume)
-
 
 class Kernel:
     """Periodized Gaussian mollifier of unit mass on the torus.
@@ -196,20 +182,6 @@ class Kernel:
         if self.grid.d == 1:
             return axis
         return np.outer(axis, axis)
-
-    def torus_mass(self) -> float:
-        """Grid quadrature of the kernel (spectrally exact for this profile)."""
-        return float(np.sum(self.samples) * self.grid.cell_volume)
-
-    def sup_gradient(self) -> float:
-        """Numerical sup-norm of the kernel gradient (fine 1-D sampling)."""
-        xs = np.linspace(-self.grid.extent / 2, self.grid.extent / 2, 8192)
-        prof = self.profile1d(xs)
-        dprof = np.gradient(prof, xs)
-        if self.grid.d == 1:
-            return float(np.max(np.abs(dprof)))
-        # separable product: max |k'(x) k(y)| = max|k'| * max k
-        return float(np.max(np.abs(dprof)) * np.max(prof))
 
     def convolve_density(self, values: np.ndarray) -> np.ndarray:
         """Spectral convolution (kernel * density) on the grid."""
@@ -302,10 +274,6 @@ class FieldPath:
         vals = (1.0 - w) * self.values[j] + w * self.values[j + 1]
         return Field(self.grid, vals, t)
 
-    def shifted(self, offset: float) -> "FieldPath":
-        """Path with a constant value offset (used for perturbation studies)."""
-        return FieldPath(self.grid, self.times, self.values + offset)
-
 
 # ---------------------------------------------------------------------------
 # Snapshot export
@@ -318,16 +286,6 @@ def field_to_bytes(field: Field) -> bytes:
     head = _MAGIC + struct.pack("<ii", field.grid.d, field.grid.n)
     head += struct.pack("<dd", field.grid.extent, field.time)
     return head + field.values.astype("<f8").tobytes(order="C")
-
-
-def field_from_bytes(blob: bytes) -> Field:
-    if blob[:4] != _MAGIC:
-        raise ValueError("not a field binary blob")
-    d, n = struct.unpack("<ii", blob[4:12])
-    extent, t = struct.unpack("<dd", blob[12:28])
-    grid = GridSpec(d, n, extent)
-    values = np.frombuffer(blob[28:], dtype="<f8").reshape(grid.shape).copy()
-    return Field(grid, values, t)
 
 
 def field_to_csv_lines(field: Field) -> list[str]:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import CFLViolation, GridMismatch
 from .field import Field, FieldPath, semigroup_step
-from .meanfield import MassEnsemble
 from .microscopic import ModelParams
 
 
@@ -107,8 +106,7 @@ class PksSolution:
                       axis=1) * vol
 
 
-def solve_pks(params: ModelParams, p0: Field | None = None,
-              rho0: Field | None = None) -> PksSolution:
+def solve_pks(params: ModelParams, p0: Field | None = None) -> PksSolution:
     """Solve the coupled density/field system on [0, T] with step dt."""
     p = params
     grid = p.grid
@@ -116,9 +114,7 @@ def solve_pks(params: ModelParams, p0: Field | None = None,
 
     if p0 is None:
         p0 = Field(grid, p.mu0.density(grid))
-    if rho0 is None:
-        rho0 = p.make_rho0()
-    if p0.grid != grid or rho0.grid != grid:
+    if p0.grid != grid:
         raise GridMismatch("initial data must live on the model grid")
 
     kernel = p.make_kernel()
@@ -129,7 +125,7 @@ def solve_pks(params: ModelParams, p0: Field | None = None,
     nu = 0.5 * p.sigma ** 2
 
     dens = p0.values
-    rho = rho0
+    rho = p.make_rho0()
     p_slices = [dens]
     rho_slices = [rho.values]
     for k in range(n_steps):
@@ -175,73 +171,3 @@ def observed_order(params: ModelParams) -> float:
     e1 = np.max(np.abs(finals[0] - finals[1]))
     e2 = np.max(np.abs(finals[1] - finals[2]))
     return float(np.log2(e1 / e2))
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    phi_name: str
-    time: float
-    pde_value: float
-    mc_value: float
-    mc_se: float
-
-    @property
-    def diff(self) -> float:
-        return abs(self.pde_value - self.mc_value)
-
-    @property
-    def within_3se(self) -> bool:
-        # round-off allowance keeps zero-variance (deterministic) MC values
-        # comparable: their band would otherwise be exactly zero
-        return self.diff <= 3.0 * self.mc_se + 1e-9 * (1.0 + abs(self.pde_value))
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: list[ComparisonRow]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(row.within_3se for row in self.rows)
-
-    def to_csv_lines(self) -> list[str]:
-        out = ["phi,time,pde_value,mc_value,mc_se,diff,within_3se"]
-        for row in self.rows:
-            out.append(",".join([
-                row.phi_name, repr(row.time), repr(row.pde_value),
-                repr(row.mc_value), repr(row.mc_se), repr(row.diff),
-                str(row.within_3se).lower(),
-            ]))
-        return out
-
-
-def _time_index(times: np.ndarray, t: float, where: str) -> int:
-    hits = np.flatnonzero(np.abs(times - t) < 1e-9)
-    if len(hits) == 0:
-        raise ValueError(f"t={t} is not {where}")
-    return int(hits[0])
-
-
-def compare_with_monte_carlo(pks: PksSolution, mc: MassEnsemble, phis,
-                             times=None) -> ComparisonReport:
-    """Tabulate |<phi, p_t> - <phi, mu_hat_t>| against Monte Carlo SE bands.
-
-    ``mc`` is a ``MassEnsemble``; every time in ``times`` (default: its
-    stored times) must be one of its stored times and a point of the PDE
-    step grid.
-    """
-    grid = pks.p_path.grid
-    nodes = grid.node_coords()
-    if times is None:
-        times = mc.times
-    indices = [(float(t), _time_index(pks.times, t, "on the PDE step grid"),
-                _time_index(mc.times, t, "among the ensemble's stored times"))
-               for t in times]
-    rows = []
-    for name, phi in phis.items():
-        phi_nodes = np.asarray(phi(nodes)).reshape(grid.shape)
-        for t, k_pde, k_mc in indices:
-            pde_val = Field(grid, pks.p_path.values[k_pde]).integrate_against(phi_nodes)
-            mc_val, mc_se = mc.pairing_stats(phi, k_mc)
-            rows.append(ComparisonRow(name, t, pde_val, mc_val, mc_se))
-    return ComparisonReport(rows)

@@ -26,19 +26,19 @@ MODES = ("macroscopic", "picard")  # how solve_selfconsistent_field finds the fi
 
 
 def simulate_hybrid(params: ModelParams, rho_path: FieldPath,
-                    universe: NoiseUniverse, line: int = 1) -> MicroTrajectory:
+                    universe: NoiseUniverse) -> MicroTrajectory:
     """Single-line branching diffusion against a frozen deterministic field.
 
-    Uses exactly the Wiener and clock streams of ``line`` in ``universe``, so
+    Uses exactly the Wiener and clock streams of line 1 in ``universe``, so
     with the field path of a coupled run substituted verbatim this reproduces
-    that run's line bitwise.
+    that run's first line bitwise.
     """
-    return simulate_lines(params, [line], universe, rho_path=rho_path)
+    return simulate_lines(params, [1], universe, rho_path=rho_path)
 
 
 @dataclass(frozen=True)
 class MassEnsemble:
-    """Stacked (X, M) replicas stored at selected times; M(0) = 1.
+    """Stacked (X, M) replicas 1..K stored at every step; M(0) = 1.
 
     The ensemble estimates the mean measure as
     mu_t = (1/K) sum_k M_k(t) delta_{X_k(t)} over its K replicas.
@@ -46,8 +46,8 @@ class MassEnsemble:
 
     replica_ids: tuple[int, ...]
     times: np.ndarray
-    X: np.ndarray  # (K, n_times, d)
-    M: np.ndarray  # (K, n_times)
+    X: np.ndarray  # (K, n_steps + 1, d)
+    M: np.ndarray  # (K, n_steps + 1)
 
     def pairing_stats(self, phi, t_index: int) -> tuple[float, float]:
         """Mean and standard error of <phi, mu_t> over replicas."""
@@ -59,22 +59,19 @@ _BLOCK = 64  # steps of Wiener increments prefetched per refill
 
 
 def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
-                           universe: NoiseUniverse, replicas,
-                           store_times: np.ndarray | None = None) -> MassEnsemble:
+                           universe: NoiseUniverse, replicas: int) -> MassEnsemble:
     """Vectorized (X, M) replicas: Euler-Maruyama for X, exponential Euler for M.
 
+    Replicas 1..``replicas`` are kept at every step of ``params.times()``.
     The mass update M <- M * exp(lambda(X, rho) dt) is exact for constant
     rates; lambda is evaluated where the branching models evaluate their
     clock-event rates, so the two mean-measure estimators share discretization
     conventions.
     """
-    if isinstance(replicas, int):
-        replica_ids = tuple(range(1, replicas + 1))
-    else:
-        replica_ids = tuple(int(r) for r in replicas)
-    K = len(replica_ids)
-    if K == 0:
+    K = replicas
+    if K < 1:
         raise EmptyEnsemble("mass ensemble needs at least one replica")
+    replica_ids = tuple(range(1, K + 1))
     p = params
     d, dt, L = p.grid.d, p.dt, p.grid.extent
     n_steps = p.n_steps
@@ -86,23 +83,12 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
     drift_fn = None if p.drift.is_zero else p.drift.build(d)
     needs_rho = "logistic" in (p.birth.kind, p.death.kind)
 
-    all_times = p.times()
-    if store_times is None:
-        store_times = all_times
-    store_idx = {}
-    for t in np.asarray(store_times, dtype=np.float64):
-        k = int(round(t / dt))
-        if not (0 <= k <= n_steps and abs(all_times[k] - t) < 1e-9):
-            raise ValueError(f"store time {t} is not on the step grid")
-        store_idx[k] = len(store_idx)
-
     X = np.stack([p.mu0.sample(universe, rid, d, L) for rid in replica_ids])
     M = np.ones(K)
-    Xs = np.zeros((K, len(store_idx), d))
-    Ms = np.zeros((K, len(store_idx)))
-    if 0 in store_idx:
-        Xs[:, store_idx[0]] = X
-        Ms[:, store_idx[0]] = M
+    Xs = np.zeros((K, n_steps + 1, d))
+    Ms = np.zeros((K, n_steps + 1))
+    Xs[:, 0] = X
+    Ms[:, 0] = M
 
     inc_block = None
     for k in range(n_steps):
@@ -122,12 +108,10 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
         rho_vals = p.rate_argument(rho, X) if needs_rho else np.zeros(K)
         lam = birth_fn(X, rho_vals) - death_fn(X, rho_vals)
         M = M * np.exp(lam * dt)
-        if k + 1 in store_idx:
-            Xs[:, store_idx[k + 1]] = X
-            Ms[:, store_idx[k + 1]] = M
+        Xs[:, k + 1] = X
+        Ms[:, k + 1] = M
 
-    return MassEnsemble(replica_ids, np.asarray(store_times, dtype=np.float64),
-                        Xs, Ms)
+    return MassEnsemble(replica_ids, p.times(), Xs, Ms)
 
 
 @dataclass(frozen=True)

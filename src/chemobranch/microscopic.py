@@ -39,7 +39,8 @@ class ModelParams:
     """All model constants, rate/drift selections, and discretization controls.
 
     Construction validates every constant and raises ``ConfigInvalid``
-    naming the offending field (``width`` for the kernel width).
+    naming the offending field (``width`` for the kernel width, ``mu0.at``
+    for a point of ``mu0`` whose length does not fit the grid).
     """
 
     grid: GridSpec
@@ -82,6 +83,11 @@ class ModelParams:
             if value not in allowed:
                 raise ConfigInvalid(name, f"must be one of {', '.join(allowed)}, "
                                           f"got {value!r}")
+        for name in ("mu0", "rho0"):
+            try:
+                getattr(self, name).check_points(self.grid.d)
+            except ConfigInvalid as exc:
+                raise ConfigInvalid(f"{name}.{exc.field}", exc.reason) from None
         self.make_kernel()
 
     @property
@@ -130,9 +136,6 @@ class MicroTrajectory:
 
     def live_counts(self) -> np.ndarray:
         return np.array([s.live_count for s in self.states])
-
-    def field_path(self) -> FieldPath:
-        return FieldPath.from_fields(self.fields)
 
     def sup_live_over_n0(self) -> float:
         """sup over continuous time of live count / n0, exact from the event log."""

@@ -3,14 +3,13 @@
 Cells are identified by a cell-line number plus a binary ancestry word
 (daughters append 0 and 1 to the mother's word).  A population snapshot maps
 those identities to a position-or-dead record; the dead marker is represented
-by a NaN position row.  Snapshots are immutable once built and safe to share
-across threads.
+by a NaN position row.  Snapshots are immutable once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -76,30 +75,9 @@ class LineageIndex:
         return f"LineageIndex({self.line}, {self.word_str()!r})"
 
 
-@dataclass(frozen=True)
-class CellRecord:
-    """Per-cell data at a snapshot time.
-
-    ``position`` is None exactly when the snapshot time lies outside
-    [birth_time, death_time).  Times use +inf for events that never happen.
-    """
-
-    position: np.ndarray | None
-    birth_time: float = 0.0
-    death_time: float = np.inf
-
-    def __post_init__(self):
-        if np.isfinite(self.birth_time) and np.isfinite(self.death_time):
-            if not self.birth_time < self.death_time:
-                raise ValueError("birth_time must precede death_time")
-
-    @property
-    def alive(self) -> bool:
-        return self.position is not None
-
-
 class PopulationState:
-    """Finite map LineageIndex -> CellRecord at a fixed time, array-backed.
+    """Finite map LineageIndex -> (birth, death, position) at a fixed time,
+    array-backed.
 
     Rows are kept sorted by (line, word length, word bits) so that every
     iteration order, dump, and deposit is deterministic.  Dead cells keep
@@ -132,29 +110,6 @@ class PopulationState:
         self.positions = positions
         self._key_to_row = None
 
-    @classmethod
-    def from_records(cls, records: dict[LineageIndex, CellRecord], time: float,
-                     d: int) -> "PopulationState":
-        n = len(records)
-        lines = np.empty(n, dtype=np.int64)
-        word_lens = np.empty(n, dtype=np.int64)
-        word_bits = np.empty(n, dtype=np.uint64)
-        births = np.empty(n)
-        deaths = np.empty(n)
-        positions = np.full((n, d), np.nan)
-        for row, (idx, rec) in enumerate(records.items()):
-            lines[row] = idx.line
-            word_lens[row] = idx.word_len
-            word_bits[row] = idx.word_bits
-            births[row] = rec.birth_time
-            deaths[row] = rec.death_time
-            if rec.position is not None:
-                pos = np.asarray(rec.position, dtype=np.float64)
-                if pos.shape != (d,):
-                    raise DimensionMismatch(f"position has shape {pos.shape}, expected ({d},)")
-                positions[row] = pos
-        return cls(time, d, lines, word_lens, word_bits, births, deaths, positions)
-
     def _rows(self):
         if self._key_to_row is None:
             self._key_to_row = {
@@ -168,15 +123,6 @@ class PopulationState:
 
     def __contains__(self, idx: LineageIndex) -> bool:
         return (idx.line, idx.word_len, idx.word_bits) in self._rows()
-
-    def record(self, idx: LineageIndex) -> CellRecord:
-        row = self._rows()[(idx.line, idx.word_len, idx.word_bits)]
-        pos = self.positions[row]
-        return CellRecord(
-            position=None if np.isnan(pos[0]) else pos.copy(),
-            birth_time=float(self.births[row]),
-            death_time=float(self.deaths[row]),
-        )
 
     @property
     def live_mask(self) -> np.ndarray:
@@ -258,14 +204,6 @@ class EmpiricalMeasure:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def d(self) -> int:
-        return self.positions.shape[1]
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
 
 def empirical(pop: PopulationState, n0: int) -> EmpiricalMeasure:
     """Empirical measure of all live cells: one atom of weight 1/n0 each."""
@@ -284,7 +222,8 @@ def integrate(measure: EmpiricalMeasure,
     if len(measure.weights) == 0:
         return 0.0
     values = np.asarray(phi(measure.positions), dtype=np.float64)
-    values = np.broadcast_to(values, measure.weights.shape)
+    if values.shape != measure.weights.shape:
+        values = np.broadcast_to(values, measure.weights.shape)
     return float(np.sum(measure.weights * values))
 
 
@@ -300,7 +239,7 @@ def mean_se(values) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented text serialization (used for CLI trajectory dumps)
+# Line-oriented text format of the CLI's snapshot files
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -317,50 +256,3 @@ def population_to_lines(pop: PopulationState) -> list[str]:
         else:
             out.append(head + " " + " ".join(_fmt(x) for x in pos))
     return out
-
-
-def population_from_lines(lines: Iterable[str]) -> PopulationState:
-    it = iter(lines)
-    header = next(it).split()
-    if header[:2] != ["#", "population"]:
-        raise ValueError("not a population block")
-    t = float(header[2].split("=")[1])
-    d = int(header[3].split("=")[1])
-    recs: dict[LineageIndex, CellRecord] = {}
-    for raw in it:
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            break
-        parts = raw.split()
-        idx = LineageIndex(int(parts[0]), int(parts[2]), int(parts[1]))
-        birth, death = float(parts[3]), float(parts[4])
-        if parts[5] == "dead":
-            pos = None
-        else:
-            pos = np.array([float(x) for x in parts[5:5 + d]])
-        recs[idx] = CellRecord(pos, birth, death)
-    return PopulationState.from_records(recs, t, d)
-
-
-def measure_to_lines(measure: EmpiricalMeasure, time: float = 0.0) -> list[str]:
-    out = [f"# measure t={_fmt(time)} d={measure.d}"]
-    for w, pos in zip(measure.weights, measure.positions):
-        out.append(_fmt(w) + " " + " ".join(_fmt(x) for x in pos))
-    return out
-
-
-def measure_from_lines(lines: Iterable[str]) -> EmpiricalMeasure:
-    it = iter(lines)
-    header = next(it).split()
-    if header[:2] != ["#", "measure"]:
-        raise ValueError("not a measure block")
-    weights, positions = [], []
-    for raw in it:
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            break
-        parts = raw.split()
-        weights.append(float(parts[0]))
-        positions.append([float(x) for x in parts[1:]])
-    return EmpiricalMeasure(np.array(positions, dtype=np.float64),
-                            np.array(weights, dtype=np.float64))

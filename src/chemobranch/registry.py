@@ -19,16 +19,15 @@ from scipy.special import ndtri
 from .errors import ConfigInvalid
 from .field import Field, GridSpec
 
-_POINTS = ("center", "at")  # the only parameters that take one entry per axis
-
 
 @dataclass(frozen=True)
 class RegistrySpec:
     """A registry selection: ``kind`` plus named numeric parameters.
 
     A parameter name is accepted if some kind of the family reads it, every
-    parameter but a point (``center``, ``at``) is a single number, and the
-    parameters in ``POSITIVE`` are positive when given.
+    parameter but those in ``POINTS`` is a single number, and the parameters
+    in ``POSITIVE`` are positive when given.  A point has one entry per axis
+    or one entry for every axis; ``check_points`` holds it to the grid.
     """
 
     kind: str
@@ -36,6 +35,7 @@ class RegistrySpec:
 
     KINDS: ClassVar[dict[str, tuple[str, ...]]] = {}  # kind -> names it reads
     POSITIVE: ClassVar[tuple[str, ...]] = ()
+    POINTS: ClassVar[tuple[str, ...]] = ()
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -46,10 +46,26 @@ class RegistrySpec:
             if name not in known:
                 raise ConfigInvalid(name, "no kind of this section reads it; "
                                           f"known: {', '.join(known)}")
-            if name not in _POINTS and np.ndim(value) != 0:
+            if name not in self.POINTS and np.ndim(value) != 0:
                 raise ConfigInvalid(name, f"expects a single number, got {value}")
             if name in self.POSITIVE and not value > 0:
                 raise ConfigInvalid(name, f"must be positive, got {value}")
+
+    def point(self, name: str, d: int, default: float) -> np.ndarray:
+        """Point parameter ``name`` with d entries (``default`` on every axis
+        when absent); a single entry is repeated to every axis."""
+        arr = np.atleast_1d(np.asarray(self.params.get(name, default),
+                                       dtype=np.float64))
+        if arr.size == d:
+            return arr
+        if arr.size != 1:
+            raise ConfigInvalid(name, f"has {arr.size} entries, expected 1 "
+                                      f"or grid.d = {d}")
+        return np.repeat(arr, d)
+
+    def check_points(self, d: int):
+        for name in self.POINTS:
+            self.point(name, d, 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,14 +128,6 @@ class DriftSpec(RegistrySpec):
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def bound(self, d: int) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            v = self._vector(d)
-            return float(np.sqrt(np.sum(v * v)))
-        return float(self.params.get("chi", 1.0)) * float(self.params.get("gsat", 1.0))
-
     def _vector(self, d: int) -> np.ndarray:
         p = self.params
         comps = [float(p.get("vx", 0.0))]
@@ -156,22 +164,16 @@ class InitialMeasureSpec(RegistrySpec):
 
     KINDS = {"uniform": (), "gaussian": ("center", "sd"), "point": ("at",)}
     POSITIVE = ("sd",)
-
-    def _center(self, d: int, key: str = "center") -> np.ndarray:
-        raw = self.params.get(key, [0.0] * d)
-        arr = np.atleast_1d(np.asarray(raw, dtype=np.float64))
-        if arr.size == 1 and d == 2:
-            arr = np.repeat(arr, 2)
-        return arr
+    POINTS = ("center", "at")
 
     def sample(self, universe, line: int, d: int, extent: float) -> np.ndarray:
         if self.kind == "point":
-            return np.mod(self._center(d, "at"), extent)
+            return np.mod(self.point("at", d, 0.0), extent)
         u = universe.init_uniforms(line, d)
         if self.kind == "uniform":
             return extent * u
         sd = float(self.params.get("sd", extent / 10.0))
-        return np.mod(self._center(d) + sd * ndtri(u), extent)
+        return np.mod(self.point("center", d, 0.0) + sd * ndtri(u), extent)
 
     def density(self, grid: GridSpec) -> np.ndarray:
         """Grid-sampled probability density (unit total mass by quadrature)."""
@@ -180,11 +182,12 @@ class InitialMeasureSpec(RegistrySpec):
             vals = np.ones(len(nodes))
         elif self.kind == "point":
             # narrow normalized bump as the grid representation of an atom
-            vals = _periodized_gaussian(nodes, self._center(grid.d, "at"),
+            vals = _periodized_gaussian(nodes, self.point("at", grid.d, 0.0),
                                         4.0 * grid.dx, grid.extent)
         else:
             sd = float(self.params.get("sd", grid.extent / 10.0))
-            vals = _periodized_gaussian(nodes, self._center(grid.d), sd, grid.extent)
+            vals = _periodized_gaussian(nodes, self.point("center", grid.d, 0.0),
+                                        sd, grid.extent)
         vals = vals.reshape(grid.shape)
         return vals / (np.sum(vals) * grid.cell_volume)
 
@@ -200,6 +203,7 @@ class InitialFieldSpec(RegistrySpec):
     KINDS = {"constant": ("c",), "cosine": ("c0", "amp", "mode"),
              "bump": ("amp", "width", "center")}
     POSITIVE = ("width",)
+    POINTS = ("center",)
 
     def sample(self, grid: GridSpec) -> Field:
         p = self.params
@@ -214,10 +218,7 @@ class InitialFieldSpec(RegistrySpec):
         else:
             amp = float(p.get("amp", 1.0))
             width = float(p.get("width", grid.extent / 10.0))
-            center = np.atleast_1d(np.asarray(p.get("center", [grid.extent / 2] * grid.d),
-                                              dtype=np.float64))
-            if center.size == 1 and grid.d == 2:
-                center = np.repeat(center, 2)
+            center = self.point("center", grid.d, grid.extent / 2)
             vals = amp * _periodized_gaussian(nodes, center, width, grid.extent)
         return Field(grid, vals.reshape(grid.shape), 0.0)
 

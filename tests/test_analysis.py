@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from chemobranch import (DriftSpec, EmpiricalMeasure, Field, GridSpec,
-                         InitialFieldSpec, InitialMeasureSpec, ModelParams,
-                         NoiseUniverse, RateSpec, TestFunctionBank,
-                         coupling_experiment, measure_convergence_experiment,
+from chemobranch import (DriftSpec, EmpiricalMeasure, Field, FieldPath,
+                         GridSpec, InitialFieldSpec, InitialMeasureSpec,
+                         ModelParams, NoiseUniverse, RateSpec,
+                         TestFunctionBank, coupling_experiment,
+                         measure_convergence_experiment, simulate_hybrid,
                          vague_distance, yule_bound_check)
-from chemobranch.analysis import (BumpFunction, coupling_linear_response,
-                                  fit_loglog_slope, wilson_interval)
+from chemobranch.analysis import (BumpFunction, fit_loglog_slope,
+                                  wilson_interval)
 from chemobranch.meanfield import solve_selfconsistent_field
 
 
@@ -105,8 +106,7 @@ class TestVagueDistance:
         # a measure and its kernel representation pair nearly identically
         grid = GridSpec(1, 128, 8.0)
         bank = TestFunctionBank.default_for_grid(grid)
-        density = Field.from_function(
-            grid, lambda x: np.full(len(x), 1.0 / grid.extent))
+        density = Field(grid, np.full(grid.shape, 1.0 / grid.extent))
         rng = np.random.default_rng(3)
         atoms = EmpiricalMeasure(rng.uniform(0, 8, size=(20000, 1)),
                                  np.full(20000, 1.0 / 20000))
@@ -231,10 +231,25 @@ class TestCouplingExperiment:
         params = base_params(
             birth=RateSpec("logistic", {"c": 0.4, "slope": 4.0, "center": 0.3}),
             death=RateSpec("zero"), lambda_bar=0.4, dt=0.05, T=1.0)
-        scf = solve_selfconsistent_field(params, "macroscopic")
-        result = coupling_linear_response(
-            params, scf.rho_path, [0.05, 0.1, 0.2, 0.4], 400,
-            NoiseUniverse(10, 1))
-        assert result["r2"] > 0.9
-        assert result["slope"] > 0
-        assert result["probs"] == sorted(result["probs"])
+        path = solve_selfconsistent_field(params, "macroscopic").rho_path
+        deltas = np.array([0.05, 0.1, 0.2, 0.4])
+        universe = NoiseUniverse(10, 1)
+
+        def events(rho_path, u_r):
+            traj = simulate_hybrid(params, rho_path, u_r)
+            return [(ev.time, ev.idx, ev.kind) for ev in traj.event_log]
+
+        hits = np.zeros(len(deltas))
+        for r in range(400):
+            u_r = universe.child("replica", r)
+            base = events(path, u_r)
+            for j, delta in enumerate(deltas):
+                shifted = FieldPath(path.grid, path.times, path.values + delta)
+                hits[j] += events(shifted, u_r) != base
+        probs = hits / 400
+        slope, intercept = np.polyfit(deltas, probs, 1)
+        resid = probs - (slope * deltas + intercept)
+        r2 = 1.0 - np.sum(resid ** 2) / np.sum((probs - np.mean(probs)) ** 2)
+        assert r2 > 0.9
+        assert slope > 0
+        assert list(probs) == sorted(probs)

@@ -1,0 +1,45 @@
+"""Every name the package exports is used by the package itself.
+
+A name that only tests call is a second API to keep working; this check
+keeps such names from accumulating.  A use is a ``Name`` or ``Attribute``
+node in some ``chemobranch`` module, outside the statement that defines the
+name and outside ``__init__.py``; docstrings and comments do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import chemobranch
+
+PACKAGE = Path(chemobranch.__file__).parent
+
+
+def _exported() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _used() -> set[str]:
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            defined = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != defined:  # recursion is not a caller
+                    used.add(name)
+    return used
+
+
+def test_every_export_has_a_caller_in_the_package():
+    unused = sorted(set(_exported()) - _used())
+    assert unused == [], f"exported but never used inside chemobranch: {unused}"

@@ -98,6 +98,21 @@ class TestConfigParsing:
             cfg.model_params()
         assert exc.value.field == "birth.kind"
 
+    def test_point_takes_one_entry_or_one_per_axis(self):
+        two_d = (BASE_CONFIG.replace("grid.d = 1", "grid.d = 2")
+                 .replace("grid.n = 128", "grid.n = 32"))
+        for center in ("3.0", "3.0,5.0"):
+            params = ExperimentConfig.from_text(two_d.replace(
+                "init.mu0.center = 4.0", f"init.mu0.center = {center}")
+            ).model_params()
+            point = params.mu0.point("center", 2, 0.0)
+            assert list(point) == [3.0, 3.0 if center == "3.0" else 5.0]
+        cfg = ExperimentConfig.from_text(two_d.replace(
+            "init.rho0.center = 4.0", "init.rho0.center = 1,2,3"))
+        with pytest.raises(ConfigInvalid) as exc:
+            cfg.model_params()
+        assert exc.value.field == "init.rho0.center"
+
     def test_dt_not_dividing_T(self):
         cfg = ExperimentConfig.from_text(
             BASE_CONFIG.replace("run.dt = 0.05", "run.dt = 0.07"))
@@ -215,6 +230,18 @@ class TestCliRuns:
         ("hybrid", "meanfield.mode = bogus\n", "meanfield.mode"),
         ("micro", "run.n0 = 4\ndrift.gsat = 0\n", "drift.gsat"),
         ("micro", "run.n0 = 4\nbirth.c =\n", "birth.c"),
+        ("micro", "run.n0 = 4\ninit.mu0.center = 1,2\n", "init.mu0.center"),
+        ("micro", "run.n0 = 4\ninit.mu0.kind = point\ninit.mu0.at = 1,2\n",
+         "init.mu0.at"),
+        ("micro", "run.n0 = 4\ninit.rho0.center = 1,2,3\n",
+         "init.rho0.center"),
+        ("micro", "run.n0 = 4\nbirth.kind = logistic\nbirth.center = 1,2\n",
+         "birth.center"),
+        ("converge", "run.replicas = 2\nconverge.n0_list = 16\n",
+         "converge.n0_list"),
+        ("converge", "run.replicas = 2\nconverge.n0_list = 8,8\n",
+         "converge.n0_list"),
+        ("couple", "run.replicas = 2\ncouple.n0_list = 8\n", "couple.n0_list"),
     ])
     def test_bad_count_exits_2_naming_key(self, tmp_path, capsys, sub,
                                           extra, key):
@@ -272,6 +299,20 @@ class TestCliRuns:
         assert doc["master_seed"] == 42
         report = (out / "yule_report.csv").read_text().splitlines()
         assert report[2] == "kind,n0,replica,stat,value,se,lo,hi"
+
+    def test_yule_single_replica_summary_is_strict_json(self, tmp_path):
+        # one replica has SE 0, so the gap in SE units has no value
+        cfg = write_config(tmp_path, "run.n0 = 10\nrun.replicas = 1\n")
+        out = tmp_path / "out"
+        assert main(["yule", "--config", cfg, "--out", str(out)]) in (0, 4)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads((out / "yule_summary.json").read_text(),
+                         parse_constant=reject)
+        assert doc["summary"]["se"] == 0.0
+        assert doc["summary"]["gap_in_se"] is None
 
     def test_byte_identical_reruns_and_thread_independence(self, tmp_path):
         cfg = write_config(tmp_path, "run.n0 = 10\nrun.replicas = 6\n")

@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from chemobranch import (EmpiricalMeasure, Field, FieldPath, GridMismatch,
                          GridSpec, Kernel, NonFiniteQuery, deposit,
                          semigroup_step)
-from chemobranch.field import field_from_bytes, field_to_bytes, field_to_csv_lines
+from chemobranch.field import field_to_bytes, field_to_csv_lines
 
 
 @pytest.fixture
@@ -29,7 +31,8 @@ class TestKernel:
     def test_unit_mass_on_torus(self, grid1, grid2):
         for grid in (grid1, grid2):
             kern = Kernel(grid)
-            assert abs(kern.torus_mass() - 1.0) < 1e-10
+            # grid quadrature, spectrally exact for this profile
+            assert abs(np.sum(kern.samples) * grid.cell_volume - 1.0) < 1e-10
 
     def test_profile_matches_reference(self, grid1):
         kern = Kernel(grid1, width=0.3)
@@ -71,7 +74,7 @@ class TestDeposit:
             mu = EmpiricalMeasure(pos, w)
             src = deposit(mu, kern, grid)
             total = np.sum(src) * grid.cell_volume
-            assert abs(total - mu.total_mass) < 1e-8 * mu.total_mass
+            assert abs(total - np.sum(w)) < 1e-8 * np.sum(w)
 
     def test_empty_measure(self, grid1):
         mu = EmpiricalMeasure(np.zeros((0, 1)), np.zeros(0))
@@ -126,9 +129,9 @@ class TestSemigroupStep:
         rho = Field(grid1, rng.normal(size=grid1.shape))
         src = rng.normal(size=grid1.shape)
         out = semigroup_step(rho, src, dt, D, r, alpha)
-        expected = (rho.mean * np.exp(-r * dt)
+        expected = (np.mean(rho.values) * np.exp(-r * dt)
                     + alpha * np.mean(src) * (1 - np.exp(-r * dt)) / r)
-        assert out.mean == pytest.approx(expected, rel=1e-12)
+        assert np.mean(out.values) == pytest.approx(expected, rel=1e-12)
 
     def test_source_grid_mismatch(self, grid1):
         rho = Field(grid1, np.zeros(grid1.shape))
@@ -212,17 +215,22 @@ class TestFieldPath:
         path = FieldPath(grid1, np.array([0.0, 1.0]), vals)
         assert np.allclose(path.field_at(0.25).values, 0.25)
 
-    def test_shifted(self, grid1):
-        vals = np.zeros((2, grid1.n))
-        path = FieldPath(grid1, np.array([0.0, 1.0]), vals).shifted(0.5)
-        assert np.all(path.field_at(0.0).values == 0.5)
+
+def read_field(blob):
+    """Parse the field_to_bytes layout: magic, d, n, L, t, row-major values."""
+    assert blob[:4] == b"CBF1"
+    d, n = struct.unpack("<ii", blob[4:12])
+    extent, t = struct.unpack("<dd", blob[12:28])
+    grid = GridSpec(d, n, extent)
+    values = np.frombuffer(blob[28:], dtype="<f8").reshape(grid.shape)
+    return Field(grid, values, t)
 
 
 class TestFieldIO:
     def test_binary_round_trip(self, grid2):
         rng = np.random.default_rng(9)
         rho = Field(grid2, rng.normal(size=grid2.shape), time=2.25)
-        back = field_from_bytes(field_to_bytes(rho))
+        back = read_field(field_to_bytes(rho))
         assert back.grid == grid2 and back.time == 2.25
         assert np.array_equal(back.values, rho.values)
 
@@ -258,7 +266,9 @@ class TestFieldAlongRuns:
         # with 10% discretization slack
         params, traj = self.make_run()
         kern = params.make_kernel()
-        grad_sup_kernel = kern.sup_gradient()
+        # sup |kernel'| by finite differences on a fine 1-D sampling
+        xs = np.linspace(-params.grid.extent / 2, params.grid.extent / 2, 8192)
+        grad_sup_kernel = np.max(np.abs(np.gradient(kern.profile1d(xs), xs)))
         sup_mass = max(s.live_count / traj.n0 for s in traj.states)
         grad0 = np.max(np.abs(traj.fields[0].gradient_grid()[0]))
         for k, t in enumerate(traj.times):
@@ -283,6 +293,7 @@ class TestFieldAlongRuns:
         for k in range(params.n_steps):
             src = deposit(empirical(traj.states[k + 1], traj.n0), kern,
                           params.grid)
-            expected = (traj.fields[k].mean * np.exp(-r * dt)
+            expected = (np.mean(traj.fields[k].values) * np.exp(-r * dt)
                         + alpha * np.mean(src) * (1 - np.exp(-r * dt)) / r)
-            assert traj.fields[k + 1].mean == pytest.approx(expected, rel=1e-12)
+            assert np.mean(traj.fields[k + 1].values) == pytest.approx(
+                expected, rel=1e-12)

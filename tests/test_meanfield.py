@@ -48,7 +48,7 @@ class TestHybrid:
         params = base_params()
         u = NoiseUniverse(7, 1)
         micro = simulate_microscopic(params, 20, u)
-        hybrid = simulate_hybrid(params, micro.field_path(), u, line=1)
+        hybrid = simulate_hybrid(params, FieldPath.from_fields(micro.fields), u)
         line1 = lineage_restriction(micro, 1)
         assert all(states_equal(a, b)
                    for a, b in zip(line1.states, hybrid.states))
@@ -61,7 +61,7 @@ class TestHybrid:
                              drift=DriftSpec("zero"))
         u = NoiseUniverse(3, 1)
         path = free_field_path(params)
-        traj = simulate_hybrid(params, path, u, line=1)
+        traj = simulate_hybrid(params, path, u)
         assert len(traj.event_log) == 0
         assert all(s.live_count == 1 for s in traj.states)
 
@@ -116,14 +116,14 @@ class TestMassParticle:
         params = base_params(birth=RateSpec("constant", {"c": c}),
                              death=RateSpec("zero"), lambda_bar=0.3)
         path = free_field_path(params)
-        M = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [1]).M[0]
+        M = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 1).M[0]
         assert M[0] == 1.0
         assert M[-1] == pytest.approx(np.exp(c * params.T), rel=1e-12)
 
     def test_zero_rate_mass_is_one(self):
         params = base_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         path = free_field_path(params)
-        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [2])
+        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 2)
         assert np.all(ens.M == 1.0)
 
     def test_mass_bounds_pathwise(self):
@@ -155,9 +155,8 @@ class TestMassParticle:
     def test_replica_streams_differ(self):
         params = base_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         path = free_field_path(params)
-        a = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [1])
-        b = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [2])
-        assert not np.array_equal(a.X, b.X)
+        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 2)
+        assert not np.array_equal(ens.X[0], ens.X[1])
 
 
 def one(x):
@@ -168,7 +167,7 @@ class TestEstimateMu:
     def test_single_unit_mass_replica(self):
         params = base_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         path = free_field_path(params)
-        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), [1])
+        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 1)
         assert ens.replica_ids == (1,)
         for j in (0, len(ens.times) - 1):
             assert ens.M[0, j] == 1.0
@@ -186,7 +185,7 @@ class TestEstimateMu:
     def test_empty_ensemble(self):
         params = base_params()
         path = free_field_path(params)
-        for replicas in (0, []):
+        for replicas in (0, -1):
             with pytest.raises(EmptyEnsemble):
                 simulate_mass_ensemble(params, path, NoiseUniverse(5, 1),
                                        replicas)

@@ -134,6 +134,15 @@ class TestCouplingDeterminism:
             assert all(states_equal(x, y) for x, y in zip(ra.states, rb.states))
 
 
+def row_of(state, idx):
+    """The one row of ``state`` that holds cell ``idx``."""
+    rows = np.flatnonzero((state.lines == idx.line)
+                          & (state.word_lens == idx.word_len)
+                          & (state.word_bits == idx.word_bits))
+    assert len(rows) == 1
+    return rows[0]
+
+
 class TestEventBookkeeping:
     def test_snapshots_at_event_times_and_sibling_symmetry(self):
         params = base_params(birth=RateSpec("constant", {"c": 0.5}),
@@ -149,17 +158,18 @@ class TestEventBookkeeping:
             k = int(np.searchsorted(traj.times, ev.time, side="right")) - 1
             assert traj.times[k] <= ev.time < traj.times[k + 1]
             snap = traj.states[k + 1]
-            mother = snap.record(ev.idx)
-            assert not mother.alive and mother.death_time == ev.time
+            mother = row_of(snap, ev.idx)
+            assert np.isnan(snap.positions[mother, 0])
+            assert snap.deaths[mother] == ev.time
             for child in ev.idx.children():
-                rec = snap.record(child)
-                assert rec.birth_time == ev.time
-                if rec.alive:
+                row = row_of(snap, child)
+                assert snap.births[row] == ev.time
+                if not np.isnan(snap.positions[row, 0]):
                     # daughters do not move before the next step
-                    assert np.array_equal(rec.position, ev.position)
+                    assert np.array_equal(snap.positions[row], ev.position)
                 else:
                     assert child in ended
-                    assert ev.time < rec.death_time < traj.times[k + 1]
+                    assert ev.time < snap.deaths[row] < traj.times[k + 1]
                     ended_in_birth_step += 1
         assert ended_in_birth_step == 2
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chemobranch import (DriftSpec, GridSpec, InitialFieldSpec,
+from chemobranch import (DriftSpec, FieldPath, GridSpec, InitialFieldSpec,
                          InitialMeasureSpec, ModelParams, NoiseUniverse,
                          RateSpec, lineage_restriction,
                          measure_convergence_experiment, simulate_hybrid,
@@ -28,7 +28,7 @@ def params2d():
 def test_micro_and_hybrid_couple_bitwise(params2d):
     u = NoiseUniverse(7, 2)
     micro = simulate_microscopic(params2d, 30, u)
-    hybrid = simulate_hybrid(params2d, micro.field_path(), u, line=1)
+    hybrid = simulate_hybrid(params2d, FieldPath.from_fields(micro.fields), u)
     line1 = lineage_restriction(micro, 1)
     for a, b in zip(line1.states, hybrid.states):
         assert np.array_equal(a.positions, b.positions, equal_nan=True)
