@@ -11,7 +11,7 @@ from .errors import (CFLViolation, ChemobranchError, ConfigInvalid,
                      DimensionMismatch, EmptyEnsemble, GridMismatch,
                      LineageDepthExceeded, NonFiniteAtom, NonFiniteQuery,
                      NonFiniteState, NoSuchLine, PicardStalled,
-                     PopulationExplosion, RootHasNoParent)
+                     PopulationExplosion)
 from .field import Field, FieldPath, GridSpec, Kernel, deposit, semigroup_step
 from .microscopic import (EventRecord, MicroTrajectory, ModelParams,
                           lineage_restriction, simulate_lines,

@@ -11,7 +11,6 @@ byte-identical on rerun.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -177,9 +176,6 @@ class ConvergenceReport:
                 repr(row.value), repr(row.se), repr(row.lo), repr(row.hi),
             ]))
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary, sort_keys=True, indent=2)
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float, float]:

@@ -132,8 +132,11 @@ class ExperimentConfig:
             if default is None:
                 raise ConfigInvalid(key, "missing required key")
             return default
-        return [_parse_float(key, tok) for tok in self.pairs[key].split(",")
-                if tok.strip()]
+        out = [_parse_float(key, tok) for tok in self.pairs[key].split(",")
+               if tok.strip()]
+        if not out:
+            raise ConfigInvalid(key, f"holds no numbers: {self.pairs[key]!r}")
+        return out
 
     def get_count_list(self, key: str) -> list[int]:
         """A required comma-separated list of integers >= 1 with at least two

@@ -5,10 +5,6 @@ class ChemobranchError(Exception):
     """Base class for all package errors."""
 
 
-class RootHasNoParent(ChemobranchError):
-    """Raised when asking for the parent of a founder cell."""
-
-
 class LineageDepthExceeded(ChemobranchError):
     """Raised when a genealogy word grows past the packed-integer capacity."""
 

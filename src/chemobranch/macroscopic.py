@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CFLViolation, GridMismatch
+from .errors import CFLViolation
 from .field import Field, FieldPath, semigroup_step
 from .microscopic import ModelParams
 
@@ -106,16 +106,11 @@ class PksSolution:
                       axis=1) * vol
 
 
-def solve_pks(params: ModelParams, p0: Field | None = None) -> PksSolution:
+def solve_pks(params: ModelParams) -> PksSolution:
     """Solve the coupled density/field system on [0, T] with step dt."""
     p = params
     grid = p.grid
     dt, n_steps, scheme = p.dt, p.n_steps, p.advection
-
-    if p0 is None:
-        p0 = Field(grid, p.mu0.density(grid))
-    if p0.grid != grid:
-        raise GridMismatch("initial data must live on the model grid")
 
     kernel = p.make_kernel()
     birth_fn = p.birth.build(grid.extent)
@@ -124,7 +119,7 @@ def solve_pks(params: ModelParams, p0: Field | None = None) -> PksSolution:
     nodes = grid.node_coords()
     nu = 0.5 * p.sigma ** 2
 
-    dens = p0.values
+    dens = p.mu0.density(grid)
     rho = p.make_rho0()
     p_slices = [dens]
     rho_slices = [rho.values]

@@ -13,12 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    LineageDepthExceeded,
-    NonFiniteAtom,
-    RootHasNoParent,
-)
+from .errors import DimensionMismatch, LineageDepthExceeded, NonFiniteAtom
 
 MAX_WORD_LEN = 64
 
@@ -44,12 +39,6 @@ class LineageIndex:
                 f"word length {self.word_len} outside [0, {MAX_WORD_LEN}]")
         if self.word_bits >> max(self.word_len, 0):
             raise ValueError("word_bits has bits beyond word_len")
-
-    def parent(self) -> "LineageIndex":
-        """Drop the trailing symbol of the ancestry word."""
-        if self.word_len == 0:
-            raise RootHasNoParent(f"founder of line {self.line} has no parent")
-        return LineageIndex(self.line, self.word_len - 1, self.word_bits >> 1)
 
     def children(self) -> tuple["LineageIndex", "LineageIndex"]:
         """Indices of the two daughters (word + 0, word + 1)."""
@@ -81,8 +70,8 @@ class PopulationState:
 
     Rows are kept sorted by (line, word length, word bits) so that every
     iteration order, dump, and deposit is deterministic.  Dead cells keep
-    their row (genealogy retained) with a NaN position; ``compact()`` drops
-    them for long runs.
+    their row (genealogy retained) with a NaN position; ``live_mask`` selects
+    the live ones.
     """
 
     __slots__ = ("time", "d", "lines", "word_lens", "word_bits", "births",
@@ -121,9 +110,6 @@ class PopulationState:
     def __len__(self) -> int:
         return len(self.lines)
 
-    def __contains__(self, idx: LineageIndex) -> bool:
-        return (idx.line, idx.word_len, idx.word_bits) in self._rows()
-
     @property
     def live_mask(self) -> np.ndarray:
         return ~np.isnan(self.positions[:, 0])
@@ -137,14 +123,6 @@ class PopulationState:
 
     def restrict_to_line(self, line: int) -> "PopulationState":
         keep = self.lines == line
-        return PopulationState(self.time, self.d, self.lines[keep],
-                               self.word_lens[keep], self.word_bits[keep],
-                               self.births[keep], self.deaths[keep],
-                               self.positions[keep], _presorted=True)
-
-    def compact(self) -> "PopulationState":
-        """Drop dead rows (genealogy no longer reconstructible)."""
-        keep = self.live_mask
         return PopulationState(self.time, self.d, self.lines[keep],
                                self.word_lens[keep], self.word_bits[keep],
                                self.births[keep], self.deaths[keep],

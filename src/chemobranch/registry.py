@@ -225,11 +225,12 @@ class InitialFieldSpec(RegistrySpec):
 
 def _periodized_gaussian(nodes: np.ndarray, center: np.ndarray, width: float,
                          extent: float) -> np.ndarray:
+    images = max(1, int(np.ceil(8.0 * width / extent)))
     out = np.ones(len(nodes))
     for ax in range(nodes.shape[1]):
         dx = np.mod(nodes[:, ax] - center[ax] + 0.5 * extent, extent) - 0.5 * extent
         acc = np.zeros(len(nodes))
-        for m in (-1, 0, 1):
+        for m in range(-images, images + 1):
             acc += np.exp(-((dx + m * extent) ** 2) / (2.0 * width ** 2))
         out = out * acc / np.sqrt(2.0 * np.pi * width ** 2)
     return out

@@ -219,6 +219,8 @@ class TestCliRuns:
          "run.population_cap"),
         ("micro", "run.n0 = 4\nkernel.width = 2.0\n", "kernel.width"),
         ("micro", "run.n0 = 4\nkernel.width = -1\n", "kernel.width"),
+        # 1.5 grid cells: below the spectral kernel's 2 dx
+        ("micro", "run.n0 = 4\nkernel.width = 0.09375\n", "kernel.width"),
         ("micro", "run.n0 = 4\nmacro.scheme = bogus\n", "macro.scheme"),
         ("micro", "run.n0 = 4\nmodel.lambda_arg = foo\n", "model.lambda_arg"),
         ("micro", "run.n0 = 4\nbirth.kind = bogus\n", "birth.kind"),
@@ -242,6 +244,8 @@ class TestCliRuns:
         ("converge", "run.replicas = 2\nconverge.n0_list = 8,8\n",
          "converge.n0_list"),
         ("couple", "run.replicas = 2\ncouple.n0_list = 8\n", "couple.n0_list"),
+        ("couple", "run.replicas = 2\ncouple.n0_list = 4,8\ncouple.eps = ,\n",
+         "couple.eps"),
     ])
     def test_bad_count_exits_2_naming_key(self, tmp_path, capsys, sub,
                                           extra, key):

@@ -1,11 +1,14 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from chemobranch import (EmpiricalMeasure, Field, FieldPath, GridMismatch,
-                         GridSpec, Kernel, NonFiniteQuery, deposit,
-                         semigroup_step)
+from chemobranch import (ConfigInvalid, EmpiricalMeasure, Field, FieldPath,
+                         GridMismatch, GridSpec, Kernel, NonFiniteQuery,
+                         deposit, semigroup_step)
 from chemobranch.field import field_to_bytes, field_to_csv_lines
 
 
@@ -27,6 +30,33 @@ def reference_periodized_gaussian(offset, width, extent, images=3):
     return acc / np.sqrt(2 * np.pi * width ** 2)
 
 
+def dense_deposit(positions, weights, width, grid):
+    """Image-sum deposit: sum_a w_a prod_axes kernel(node - x_a)."""
+    L = grid.extent
+    offsets = grid.axis_coords()[None, :] - positions.T[:, :, None]
+    profiles = reference_periodized_gaussian((offsets + L / 2) % L - L / 2,
+                                             width, L)
+    if grid.d == 1:
+        return np.einsum("a,ai->i", weights, profiles[0])
+    return np.einsum("a,ai,aj->ij", weights, profiles[0], profiles[1])
+
+
+def dense_interpolant(values, grid, points):
+    """Value and gradient of the trigonometric interpolant from the full
+    fftn spectrum and one e^{ikx} per point, axis and mode."""
+    c = np.fft.fftn(values) / values.size
+    k = grid.axis_wavenumbers()
+    E = [np.exp(1j * np.outer(points[:, ax], k)) for ax in range(grid.d)]
+    spectra = [c] + [1j * k.reshape([-1 if b == ax else 1
+                                     for b in range(grid.d)]) * c
+                     for ax in range(grid.d)]
+    if grid.d == 1:
+        out = [E[0] @ s for s in spectra]
+    else:
+        out = [np.einsum("pa,ab,pb->p", E[0], s, E[1]) for s in spectra]
+    return out[0].real, np.stack([g.real for g in out[1:]], axis=1)
+
+
 class TestKernel:
     def test_unit_mass_on_torus(self, grid1, grid2):
         for grid in (grid1, grid2):
@@ -35,15 +65,52 @@ class TestKernel:
             assert abs(np.sum(kern.samples) * grid.cell_volume - 1.0) < 1e-10
 
     def test_profile_matches_reference(self, grid1):
+        # single-atom deposits at shifted positions, inside and outside
+        # [0, L), are the profile at (node - position)
         kern = Kernel(grid1, width=0.3)
-        xs = np.linspace(-12.0, 12.0, 57)
-        ref = np.array([reference_periodized_gaussian(
-            ((x + 4.0) % 8.0) - 4.0, 0.3, 8.0) for x in xs])
-        assert np.allclose(kern.profile1d(xs), ref, rtol=1e-12)
+        for x in np.linspace(-12.0, 12.0, 57):
+            src = deposit(EmpiricalMeasure(np.array([[x]]), np.ones(1)), kern,
+                          grid1)
+            offsets = (grid1.axis_coords() - x + 4.0) % 8.0 - 4.0
+            ref = reference_periodized_gaussian(offsets, 0.3, 8.0)
+            assert np.max(np.abs(src - ref)) <= 1e-13 * np.max(ref)
 
     def test_width_bounds(self, grid1):
         with pytest.raises(ValueError):
             Kernel(grid1, width=2.0)  # wider than L/8
+        with pytest.raises(ConfigInvalid) as exc:
+            Kernel(grid1, width=1.5 * grid1.dx)  # below 2 dx
+        assert exc.value.field == "width"
+        assert Kernel(grid1, width=2 * grid1.dx).width == 2 * grid1.dx
+        assert Kernel(grid1, width=grid1.extent / 8).width == grid1.extent / 8
+
+
+# (relative bound, width in grid cells or None for L/8): the spectral kernel
+# drops modes beyond the grid's, exp(-w^2 k_Nyq^2 / 2) = 2.7e-9 at 2 dx
+DENSE_CASES = [(1e-8, 2.0), (1e-13, 4.0), (1e-13, None)]
+
+
+class TestAgainstDenseReferences:
+    @pytest.mark.parametrize("d, n", [(1, 128), (2, 64)])
+    @pytest.mark.parametrize("bound, cells", DENSE_CASES)
+    def test_deposit_and_point_evaluation(self, d, n, bound, cells):
+        grid = GridSpec(d, n, 8.0)
+        width = grid.extent / 8 if cells is None else cells * grid.dx
+        kern = Kernel(grid, width)
+        rng = np.random.default_rng(11)
+        # positions and queries on [-L, 2L): wrapping is part of the contract
+        pos = rng.uniform(-8.0, 16.0, size=(60, d))
+        w = rng.uniform(0.1, 1.0, size=60)
+        ref = dense_deposit(pos, w, width, grid)
+        src = deposit(EmpiricalMeasure(pos, w), kern, grid)
+        assert np.max(np.abs(src - ref)) <= bound * np.max(np.abs(ref))
+        pts = rng.uniform(-8.0, 16.0, size=(200, d))
+        val, grad = dense_interpolant(ref, grid, pts)
+        rho = Field(grid, ref)
+        assert (np.max(np.abs(rho.value_at(pts) - val))
+                <= bound * np.max(np.abs(val)))
+        assert (np.max(np.abs(rho.gradient_at(pts) - grad))
+                <= bound * np.max(np.abs(grad)))
 
 
 class TestDeposit:
@@ -84,6 +151,41 @@ class TestDeposit:
         mu = EmpiricalMeasure(np.array([[0.0]]), np.array([1.0]))
         with pytest.raises(GridMismatch):
             deposit(mu, Kernel(grid2), grid1)
+
+
+BLAS_PROBE = """
+import hashlib
+import numpy as np
+from chemobranch import EmpiricalMeasure, Field, GridSpec, Kernel, deposit
+digest = hashlib.sha256()
+for d, n in ((1, 128), (2, 32)):
+    grid = GridSpec(d, n, 8.0)
+    pos = np.random.default_rng(d).uniform(0.0, 8.0, size=(5000, d))
+    mu = EmpiricalMeasure(pos, np.full(5000, 2e-4))
+    flat = Kernel(grid)
+    flat.hat = np.ones_like(flat.hat)  # passes every mode of the atom sum
+    rho = Field(grid, deposit(mu, Kernel(grid), grid))
+    for arr in (rho.values, deposit(mu, flat, grid), rho.value_at(pos),
+                rho.gradient_at(pos)):
+        digest.update(arr.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # the atom and mode reductions use einsum, never a BLAS product whose
+    # summation order can follow the thread count
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestSemigroupStep:
@@ -268,7 +370,9 @@ class TestFieldAlongRuns:
         kern = params.make_kernel()
         # sup |kernel'| by finite differences on a fine 1-D sampling
         xs = np.linspace(-params.grid.extent / 2, params.grid.extent / 2, 8192)
-        grad_sup_kernel = np.max(np.abs(np.gradient(kern.profile1d(xs), xs)))
+        profile = reference_periodized_gaussian(xs, kern.width,
+                                                params.grid.extent)
+        grad_sup_kernel = np.max(np.abs(np.gradient(profile, xs)))
         sup_mass = max(s.live_count / traj.n0 for s in traj.states)
         grad0 = np.max(np.abs(traj.fields[0].gradient_grid()[0]))
         for k, t in enumerate(traj.times):

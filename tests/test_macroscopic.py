@@ -27,19 +27,30 @@ def base_params(**over):
 
 class TestDegenerateDynamics:
     def test_pure_heat_flow_eigenmode(self):
-        # analytic decay rate of one Fourier mode under (sigma^2/2) Lap
+        # analytic decay rate of every Fourier mode under (sigma^2/2) Lap,
+        # starting from the gaussian mu0 density
         params = base_params(alpha=0.0, sigma=0.4,
                              birth=RateSpec("zero"), death=RateSpec("zero"),
                              drift=DriftSpec("zero"))
         grid = params.grid
+        sol = solve_pks(params)
+        start = np.fft.rfft(sol.p_path.values[0])
+        end = np.fft.rfft(sol.p_path.values[-1])
+        assert np.array_equal(sol.p_path.values[0], params.mu0.density(grid))
+        assert np.abs(start[4]) > 0.1 * np.abs(start[0])  # modes carry mass
+        decay = np.exp(-0.5 * params.sigma ** 2 * grid.rfft_k2() * params.T)
+        assert np.max(np.abs(end - start * decay)) / grid.n < 1e-12
+
+    def test_wide_initial_density_is_the_wrapped_normal(self):
+        # sd = L/2: the PDE's initial density sums enough periodic images to
+        # be the wrapped normal that InitialMeasureSpec.sample draws from
+        grid = GridSpec(1, 128, 8.0)
+        spec = InitialMeasureSpec("gaussian", {"center": [4.0], "sd": 4.0})
         x = grid.axis_coords()
-        m = 2
-        p0 = Field(grid, 1.0 + 0.5 * np.cos(2 * np.pi * m * x / grid.extent))
-        sol = solve_pks(params, p0=p0)
-        k2 = (2 * np.pi * m / grid.extent) ** 2
-        decay = np.exp(-0.5 * params.sigma ** 2 * k2 * params.T)
-        expected = 1.0 + 0.5 * decay * np.cos(2 * np.pi * m * x / grid.extent)
-        assert np.max(np.abs(sol.p_path.values[-1] - expected)) < 1e-6
+        ref = sum(np.exp(-(x - 4.0 + m * 8.0) ** 2 / 32.0)
+                  for m in range(-20, 21))
+        ref /= np.sum(ref) * grid.cell_volume
+        assert np.max(np.abs(spec.density(grid) - ref)) <= 1e-12 * np.max(ref)
 
     def test_constant_rate_mass_growth_exact(self):
         # zero-mode oracle: total mass grows as exp(c T) with the exact

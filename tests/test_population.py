@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemobranch import (DimensionMismatch, EmpiricalMeasure, LineageIndex,
-                         PopulationState, RootHasNoParent, empirical,
-                         integrate, mean_se, state_distance)
+                         PopulationState, empirical, integrate, mean_se,
+                         state_distance)
 from chemobranch.errors import LineageDepthExceeded
 from chemobranch.population import population_to_lines
 
@@ -19,17 +19,23 @@ def make_idx(line, bits_str=""):
     return LineageIndex(line, wl, wb)
 
 
+def parent(idx):
+    """The mother's index: the ancestry word without its trailing symbol."""
+    return LineageIndex(idx.line, idx.word_len - 1, idx.word_bits >> 1)
+
+
 class TestLineageIndex:
     def test_parent_drops_trailing_symbol(self):
         # word 101 -> 10
-        assert make_idx(1, "101").parent() == make_idx(1, "10")
+        assert parent(make_idx(1, "101")) == make_idx(1, "10")
 
     def test_parent_single_symbol(self):
-        assert make_idx(3, "0").parent() == make_idx(3)
+        assert parent(make_idx(3, "0")) == make_idx(3)
 
     def test_root_has_no_parent(self):
-        with pytest.raises(RootHasNoParent):
-            make_idx(1).parent()
+        # a founder's word is empty, and no index has a shorter one
+        with pytest.raises(LineageDepthExceeded):
+            parent(make_idx(1))
 
     def test_children_of_root(self):
         assert make_idx(1).children() == (make_idx(1, "0"), make_idx(1, "1"))
@@ -44,8 +50,8 @@ class TestLineageIndex:
     def test_parent_children_round_trip(self, line, word_len, bits):
         idx = LineageIndex(line, word_len, bits & ((1 << word_len) - 1))
         c0, c1 = idx.children()
-        assert c0.parent() == idx
-        assert c1.parent() == idx
+        assert parent(c0) == idx
+        assert parent(c1) == idx
         assert c0 < c1
 
     def test_depth_cap(self):
@@ -224,4 +230,6 @@ class TestSerialization:
 
     def test_compact_drops_dead(self):
         pop = state_from(1, {make_idx(1): [0.5], make_idx(2): None})
-        assert len(pop.compact()) == 1 and pop.compact().live_count == 1
+        assert list(pop.live_mask) == [True, False] and pop.live_count == 1
+        assert np.array_equal(pop.lines[pop.live_mask], [1])
+        assert np.array_equal(pop.live_positions(), [[0.5]])
