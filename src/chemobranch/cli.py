@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .config import ExperimentConfig
 from .errors import ChemobranchError, ConfigInvalid
 from .field import Field, field_to_bytes, field_to_csv_lines
 from .microscopic import simulate_microscopic
-from .population import population_to_lines
+from .population import join_columns, population_to_lines
 from .randomness import NoiseUniverse
 
 EXIT_OK = 0
@@ -39,8 +40,12 @@ def _header(cfg: ExperimentConfig, seed: int, subcommand: str) -> list[str]:
             f"# config_hash={cfg.hash} master_seed={seed}"]
 
 
-def _write_text(path: Path, lines: list[str]):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_text(path: Path, lines: list[str], blocks=()):
+    """Write ``lines``, then each block of lines as ``blocks`` yields it, so
+    a file of many checkpoints or replicas is never held whole."""
+    with path.open("w", encoding="utf-8") as f:
+        for block in chain([lines], blocks):
+            f.write("\n".join(block) + "\n")
 
 
 def _write_json(path: Path, cfg: ExperimentConfig, seed: int, payload: dict):
@@ -51,21 +56,16 @@ def _write_json(path: Path, cfg: ExperimentConfig, seed: int, payload: dict):
 
 def _events_csv(traj) -> list[str]:
     d = traj.params.grid.d
+    log = traj.event_log
     cols = "time,line,word_bits,word_len,kind," + ",".join(
         f"x{i + 1}" for i in range(d))
-    out = [cols]
-    for ev in traj.event_log:
-        coords = ",".join(repr(float(c)) for c in ev.position)
-        out.append(f"{_fmt(ev.time)},{ev.idx.line},{ev.idx.word_bits},"
-                   f"{ev.idx.word_len},{ev.kind},{coords}")
-    return out
-
-
-def _snapshot_lines(traj) -> list[str]:
-    out = []
-    for state in traj.states:
-        out.extend(population_to_lines(state))
-    return out
+    ids = np.array([(ev.idx.line, ev.idx.word_bits, ev.idx.word_len)
+                    for ev in log], dtype=np.uint64).reshape(len(log), 3)
+    positions = np.array([ev.position for ev in log],
+                         dtype=np.float64).reshape(len(log), d)
+    return [cols] + join_columns(
+        (np.array([ev.time for ev in log], dtype=np.float64), *ids.T,
+         [ev.kind for ev in log], *positions.T), sep=",")
 
 
 def _default_phis(params):
@@ -84,10 +84,10 @@ def run_micro(cfg, out: Path, seed: int) -> int:
     traj = simulate_microscopic(params, n0, universe)
     head = _header(cfg, seed, "micro")
     _write_text(out / "micro_events.csv", head + _events_csv(traj))
-    _write_text(out / "micro_snapshots.txt", head + _snapshot_lines(traj))
-    _write_text(out / "micro_live_counts.csv",
-                head + ["time,live"] + [f"{_fmt(t)},{c}" for t, c in
-                                        zip(traj.times, traj.live_counts())])
+    _write_text(out / "micro_snapshots.txt", head,
+                map(population_to_lines, traj.states))
+    _write_text(out / "micro_live_counts.csv", head + ["time,live"]
+                + join_columns((traj.times, traj.live_counts()), sep=","))
     (out / "micro_field_final.bin").write_bytes(field_to_bytes(traj.fields[-1]))
     _write_text(out / "micro_field_final.csv",
                 head + field_to_csv_lines(traj.fields[-1]))
@@ -96,6 +96,7 @@ def run_micro(cfg, out: Path, seed: int) -> int:
 
 def run_macro(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
+    order_check = cfg.get_bool("macro.order_check", False)
     sol = macroscopic.solve_pks(params)
     head = _header(cfg, seed, "macro")
     p_final = Field(params.grid, sol.p_path.values[-1], sol.times[-1])
@@ -104,11 +105,10 @@ def run_macro(cfg, out: Path, seed: int) -> int:
     (out / "macro_rho_final.bin").write_bytes(field_to_bytes(rho_final))
     _write_text(out / "macro_p_final.csv", head + field_to_csv_lines(p_final))
     _write_text(out / "macro_rho_final.csv", head + field_to_csv_lines(rho_final))
-    _write_text(out / "macro_mass.csv",
-                head + ["time,mass"] + [f"{_fmt(t)},{_fmt(m)}" for t, m in
-                                        zip(sol.times, sol.mass())])
+    _write_text(out / "macro_mass.csv", head + ["time,mass"]
+                + join_columns((sol.times, sol.mass()), sep=","))
     status = EXIT_OK
-    if cfg.get_bool("macro.order_check", False):
+    if order_check:
         order = macroscopic.observed_order(params)
         ok = 1.8 <= order <= 2.2
         _write_json(out / "macro_order.json", cfg, seed,
@@ -133,7 +133,8 @@ def run_hybrid(cfg, out: Path, seed: int) -> int:
     traj = meanfield.simulate_hybrid(params, scf.rho_path, universe)
     head = _header(cfg, seed, "hybrid")
     _write_text(out / "hybrid_events.csv", head + _events_csv(traj))
-    _write_text(out / "hybrid_snapshots.txt", head + _snapshot_lines(traj))
+    _write_text(out / "hybrid_snapshots.txt", head,
+                map(population_to_lines, traj.states))
     rho_final = Field(params.grid, scf.rho_path.values[-1], params.T)
     (out / "hybrid_rho_final.bin").write_bytes(field_to_bytes(rho_final))
     if scf.picard_gaps:
@@ -145,6 +146,7 @@ def run_hybrid(cfg, out: Path, seed: int) -> int:
 def run_mass(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     k_reps = cfg.get_count("mass.replicas", 1000)
+    write_paths = cfg.get_bool("mass.write_paths", False)
     universe = NoiseUniverse(seed, params.grid.d)
     scf = meanfield.solve_selfconsistent_field(params, "macroscopic")
     ens = meanfield.simulate_mass_ensemble(params, scf.rho_path,
@@ -157,15 +159,14 @@ def run_mass(cfg, out: Path, seed: int) -> int:
             mean, se = ens.pairing_stats(phi, j)
             lines.append(f"{_fmt(t)},{name},{mean!r},{se!r}")
     _write_text(out / "mass_pairings.csv", head + lines)
-    if cfg.get_bool("mass.write_paths", False):
+    if write_paths:
         d = params.grid.d
         cols = "replica,time," + ",".join(f"x{i + 1}" for i in range(d)) + ",M"
-        rows = [cols]
-        for i, rid in enumerate(ens.replica_ids):
-            for j, t in enumerate(ens.times):
-                coords = ",".join(repr(float(c)) for c in ens.X[i, j])
-                rows.append(f"{rid},{_fmt(t)},{coords},{_fmt(ens.M[i, j])}")
-        _write_text(out / "mass_paths.csv", head + rows)
+        times = join_columns([ens.times])
+        _write_text(out / "mass_paths.csv", head + [cols], (
+            join_columns((repeat(str(rid)), times, *ens.X[i].T, ens.M[i]),
+                         sep=",")
+            for i, rid in enumerate(ens.replica_ids)))
     return EXIT_OK
 
 

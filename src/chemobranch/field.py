@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, GridMismatch, NonFiniteAtom, NonFiniteQuery
-from .population import EmpiricalMeasure
+from .population import EmpiricalMeasure, join_columns
 
 
 @dataclass(frozen=True)
@@ -294,10 +294,5 @@ def field_to_bytes(field: Field) -> bytes:
 
 def field_to_csv_lines(field: Field) -> list[str]:
     cols = "x,value" if field.grid.d == 1 else "x,y,value"
-    out = [cols]
-    nodes = field.grid.node_coords()
-    flat = field.values.ravel(order="C")
-    for row, v in zip(nodes, flat):
-        coords = ",".join(repr(float(c)) for c in row)
-        out.append(f"{coords},{float(v)!r}")
-    return out
+    return [cols] + join_columns(
+        (*field.grid.node_coords().T, field.values.ravel(order="C")), sep=",")

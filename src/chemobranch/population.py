@@ -217,20 +217,30 @@ def mean_se(values) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented text format of the CLI's snapshot files
+# Line-oriented text format of the CLI's snapshot and CSV files
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _column_text(column):
+    if not isinstance(column, np.ndarray):
+        return column
+    return map(repr if column.dtype.kind == "f" else str, column.tolist())
+
+
+def join_columns(columns, sep: str = " ") -> list[str]:
+    """Text rows whose row r joins entry r of every column with ``sep``.
+
+    A float array is written as ``repr(float(x))`` and an integer array as
+    ``str(int(x))``, each converted to Python values once per column; any
+    other column must already hold strings.
+    """
+    return list(map(sep.join, zip(*map(_column_text, columns))))
 
 
 def population_to_lines(pop: PopulationState) -> list[str]:
-    out = [f"# population t={_fmt(pop.time)} d={pop.d}"]
-    for row in range(len(pop)):
-        head = (f"{pop.lines[row]} {pop.word_bits[row]} {pop.word_lens[row]} "
-                f"{_fmt(pop.births[row])} {_fmt(pop.deaths[row])}")
-        pos = pop.positions[row]
-        if np.isnan(pos[0]):
-            out.append(head + " dead")
-        else:
-            out.append(head + " " + " ".join(_fmt(x) for x in pos))
-    return out
+    """A ``# population t= d=`` line, then one row per cell: line, word bits,
+    word length, birth, death, and the position or ``dead``."""
+    coords = join_columns(pop.positions.T)
+    where = [c if live else "dead"
+             for c, live in zip(coords, pop.live_mask.tolist())]
+    return [f"# population t={pop.time!r} d={pop.d}"] + join_columns(
+        (pop.lines, pop.word_bits, pop.word_lens, pop.births, pop.deaths,
+         where))

@@ -1,12 +1,15 @@
 import json
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_population import read_population
 
-from chemobranch import ConfigInvalid, cli
+from chemobranch import ConfigInvalid, NoiseUniverse, cli, meanfield
 from chemobranch.cli import main
 from chemobranch.config import ExperimentConfig, parse_config_text
+from chemobranch.microscopic import simulate_microscopic
 
 BASE_CONFIG = """
 # shared model block
@@ -42,6 +45,32 @@ def write_config(tmp_path, extra=""):
     path = tmp_path / "run.cfg"
     path.write_text(BASE_CONFIG + extra)
     return str(path)
+
+
+def data_lines(path):
+    """Lines of a CLI output file after its two header lines."""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# chemobranch ")
+    assert lines[1].startswith("# config_hash=")
+    return lines[2:]
+
+
+def assert_snapshots_equal(path, states):
+    """The file holds one ``# population`` block per state, in order, and
+    each block parses back to that state exactly."""
+    lines = data_lines(path)
+    starts = [i for i, line in enumerate(lines)
+              if line.startswith("# population ")]
+    assert starts[0] == 0
+    blocks = [read_population(lines[a:b])
+              for a, b in zip(starts, starts[1:] + [len(lines)])]
+    assert len(blocks) == len(states)
+    for back, state in zip(blocks, states):
+        assert back.time == state.time and back.d == state.d
+        for name in ("lines", "word_lens", "word_bits", "births", "deaths",
+                     "positions"):
+            assert np.array_equal(getattr(back, name), getattr(state, name),
+                                  equal_nan=True), name
 
 
 class TestConfigParsing:
@@ -246,15 +275,21 @@ class TestCliRuns:
         ("couple", "run.replicas = 2\ncouple.n0_list = 8\n", "couple.n0_list"),
         ("couple", "run.replicas = 2\ncouple.n0_list = 4,8\ncouple.eps = ,\n",
          "couple.eps"),
+        ("mass", "mass.replicas = 5\nmass.write_paths = maybe\n",
+         "mass.write_paths"),
+        ("macro", "macro.order_check = sure\n", "macro.order_check"),
     ])
     def test_bad_count_exits_2_naming_key(self, tmp_path, capsys, sub,
                                           extra, key):
+        # a bad value fails before the run starts: nothing lands in --out
         cfg = write_config(tmp_path, extra)
-        code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main([sub, "--config", cfg, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ")
         assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_unexpected_exception_exits_3_without_traceback(
             self, tmp_path, capsys, monkeypatch):
@@ -282,17 +317,23 @@ class TestCliRuns:
         assert not (tmp_path / "out").exists()
 
     def test_micro_outputs_and_headers(self, tmp_path):
-        cfg = write_config(tmp_path, "run.n0 = 20\n")
+        cfg = write_config(tmp_path, "run.n0 = 40\n")
         out = tmp_path / "out"
         assert main(["micro", "--config", cfg, "--out", str(out)]) == 0
         events = (out / "micro_events.csv").read_text().splitlines()
         assert events[0] == "# chemobranch micro"
         assert events[1].startswith("# config_hash=")
         assert "master_seed=42" in events[1]
-        assert (out / "micro_snapshots.txt").exists()
         assert (out / "micro_field_final.bin").exists()
         counts = (out / "micro_live_counts.csv").read_text().splitlines()
         assert counts[2] == "time,live"
+        params = ExperimentConfig.from_file(cfg).model_params()
+        traj = simulate_microscopic(params, 40, NoiseUniverse(42, 1))
+        assert len(traj.states) == params.n_steps + 1
+        # the run has daughters and dead rows for the file to carry
+        final = traj.states[-1]
+        assert final.word_lens.any() and not final.live_mask.all()
+        assert_snapshots_equal(out / "micro_snapshots.txt", traj.states)
 
     def test_yule_pass_and_reports(self, tmp_path):
         cfg = write_config(tmp_path, "run.n0 = 30\nrun.replicas = 30\n")
@@ -362,7 +403,35 @@ class TestCliRuns:
         pairings = (out / "mass_pairings.csv").read_text().splitlines()
         assert pairings[2] == "time,phi,mean,se"
         assert main(["hybrid", "--config", cfg, "--out", str(out)]) == 0
-        assert (out / "hybrid_snapshots.txt").exists()
+        params = ExperimentConfig.from_file(cfg).model_params()
+        universe = NoiseUniverse(42, 1)
+        scf = meanfield.solve_selfconsistent_field(params, universe=universe)
+        traj = meanfield.simulate_hybrid(params, scf.rho_path, universe)
+        assert len(traj.states) == params.n_steps + 1
+        assert_snapshots_equal(out / "hybrid_snapshots.txt", traj.states)
+
+    def test_mass_paths_are_the_ensemble(self, tmp_path):
+        cfg = write_config(tmp_path, "mass.replicas = 3\n"
+                                     "mass.write_paths = true\n")
+        out = tmp_path / "out"
+        assert main(["mass", "--config", cfg, "--out", str(out)]) == 0
+        lines = data_lines(out / "mass_paths.csv")
+        assert lines[0] == "replica,time,x1,M"
+        params = ExperimentConfig.from_file(cfg).model_params()
+        scf = meanfield.solve_selfconsistent_field(params)
+        ens = meanfield.simulate_mass_ensemble(
+            params, scf.rho_path, NoiseUniverse(42, 1).child("mass"), 3)
+        # replica-major: replica k's rows are the k-th run of len(times)
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in lines[1:]])
+        rows = rows.reshape(len(ens.replica_ids), len(ens.times), 4)
+        assert np.array_equal(rows[:, :, 0],
+                              np.repeat([ens.replica_ids], len(ens.times),
+                                        axis=0).T)
+        assert np.array_equal(rows[:, :, 1],
+                              np.tile(ens.times, (len(ens.replica_ids), 1)))
+        assert np.array_equal(rows[:, :, 2:3], ens.X)
+        assert np.array_equal(rows[:, :, 3], ens.M)
 
     def test_converge_and_couple_small(self, tmp_path):
         cfg = write_config(

@@ -99,6 +99,27 @@ def read_population(lines):
                            np.array(positions).reshape(len(rows), d))
 
 
+def row_by_row_lines(pop):
+    """Reference for population_to_lines: one f-string per row."""
+    def fmt(x):
+        return repr(float(x))
+
+    out = [f"# population t={fmt(pop.time)} d={pop.d}"]
+    for row in range(len(pop)):
+        head = (f"{pop.lines[row]} {pop.word_bits[row]} {pop.word_lens[row]} "
+                f"{fmt(pop.births[row])} {fmt(pop.deaths[row])}")
+        pos = pop.positions[row]
+        if np.isnan(pos[0]):
+            out.append(head + " dead")
+        else:
+            out.append(head + " " + " ".join(fmt(x) for x in pos))
+    return out
+
+
+_floats = st.one_of(st.sampled_from([0.0, -0.0, 1e-7, 0.1, 1e20, 5e-324]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestStateDistance:
     def test_identical_states(self):
         a = state_from(2, {make_idx(1): [0.1, 0.2], make_idx(2): [1.0, 1.5]})
@@ -227,6 +248,27 @@ class TestSerialization:
     def test_dead_rows_serialize_as_dead(self):
         pop = state_from(1, {make_idx(1): None})
         assert population_to_lines(pop)[1].endswith(" dead")
+
+    @given(data=st.data(), d=st.sampled_from([1, 2]), time=_floats,
+           n=st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_columnar_writer_matches_row_formatter(self, data, d, time, n):
+        lines, word_lens, word_bits, births, deaths, positions = (
+            [], [], [], [], [], [])
+        for _ in range(n):
+            word_len = data.draw(st.one_of(st.just(64), st.integers(0, 64)))
+            lines.append(data.draw(st.integers(1, 10 ** 9)))
+            word_lens.append(word_len)
+            word_bits.append(data.draw(st.integers(0, 2 ** word_len - 1)))
+            births.append(data.draw(_floats))
+            dead = data.draw(st.booleans())
+            deaths.append(data.draw(_floats) if dead
+                          else data.draw(st.sampled_from([np.inf, 1e20])))
+            positions.append([np.nan] * d if dead else
+                             [data.draw(_floats) for _ in range(d)])
+        pop = PopulationState(time, d, lines, word_lens, word_bits, births,
+                              deaths, np.array(positions).reshape(n, d))
+        assert population_to_lines(pop) == row_by_row_lines(pop)
 
     def test_compact_drops_dead(self):
         pop = state_from(1, {make_idx(1): [0.5], make_idx(2): None})
