@@ -26,6 +26,25 @@ from .randomness import NoiseUniverse
 # ---------------------------------------------------------------------------
 # Test functions
 
+def _offsets(x, centers: np.ndarray, radii: np.ndarray,
+             extents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wrapped offsets y, (k, m, d), of m points from k bump centers, and
+    u^2 = |y|^2 / radius^2, (k, m)."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    half = 0.5 * extents[:, None, None]
+    y = (x - centers[:, None, :] + half) % extents[:, None, None] - half
+    return y, np.sum(y * y, axis=2) / radii[:, None] ** 2
+
+
+def _bump(u2: np.ndarray) -> np.ndarray:
+    """exp(1 - 1/(1 - u^2)) inside the unit ball, 0 outside."""
+    inside = u2 < 1.0
+    out = np.zeros(u2.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
+    return out
+
+
 class BumpFunction:
     """Radial mollifier bump: exp(1 - 1/(1-u^2)) with u = |x - c|_wrap / radius.
 
@@ -40,22 +59,13 @@ class BumpFunction:
         if not 0 < self.radius < extent / 2:
             raise ValueError("bump radius must be in (0, extent/2)")
 
-    def _wrapped(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return (x - self.center + 0.5 * self.extent) % self.extent - 0.5 * self.extent
-
     def _u2(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self._wrapped(x)
-        u2 = np.sum(y * y, axis=1) / self.radius ** 2
-        return y, u2
+        y, u2 = _offsets(x, self.center[None], np.array([self.radius]),
+                         np.array([self.extent]))
+        return y[0], u2[0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        _, u2 = self._u2(x)
-        inside = u2 < 1.0
-        out = np.zeros(len(u2))
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
-        return out
+        return _bump(self._u2(x)[1])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         y, u2 = self._u2(x)
@@ -93,6 +103,9 @@ class TestFunctionBank:
             raise ValueError("bank must contain at least one function")
         self.functions = list(functions)
         self.weights = np.array([2.0 ** -(k + 1) for k in range(len(functions))])
+        self._centers = np.stack([f.center for f in self.functions])
+        self._radii = np.array([f.radius for f in self.functions])
+        self._extents = np.array([f.extent for f in self.functions])
         self._node_cache: dict = {}
 
     @classmethod
@@ -116,11 +129,15 @@ class TestFunctionBank:
         key = (grid.d, grid.n, grid.extent)
         if key not in self._node_cache:
             nodes = grid.node_coords()
-            self._node_cache[key] = np.stack([f(nodes) for f in self.functions])
+            self._node_cache[key] = self._values(nodes)
         return self._node_cache[key]
 
+    def _values(self, x) -> np.ndarray:
+        """Every bump at the points in one pass, shape (len(functions), m)."""
+        return _bump(_offsets(x, self._centers, self._radii, self._extents)[1])
+
     def pair_measure(self, measure: EmpiricalMeasure) -> np.ndarray:
-        return np.array([integrate(measure, f) for f in self.functions])
+        return integrate(measure, self._values)
 
     def pair_field(self, field: Field) -> np.ndarray:
         vals = self.node_values(field.grid)

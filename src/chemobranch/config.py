@@ -28,6 +28,21 @@ _KEY_OF_FIELD = {
 }
 
 
+# every key outside the registry sections that a subcommand reads (the tests
+# hold this to the getter call sites), plus run.threads, accepted and
+# ignored; the registry specs check the parameter names of their sections
+KEYS = frozenset({
+    "converge.n0_list", "couple.eps", "couple.n0_list", "grid.L", "grid.d",
+    "grid.n", "kernel.width", "macro.order_check", "macro.scheme",
+    "mass.replicas", "mass.write_paths", "meanfield.mode",
+    "meanfield.picard_replicas", "meanfield.picard_tol", "model.D",
+    "model.alpha", "model.lambda_arg", "model.lambda_bar", "model.r",
+    "model.sigma", "run.T", "run.dt", "run.n0", "run.out",
+    "run.population_cap", "run.replicas", "run.seed", "run.threads",
+})
+REGISTRY_SECTIONS = ("birth", "death", "drift", "init.mu0", "init.rho0")
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -175,12 +190,21 @@ class ExperimentConfig:
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"{section}.{exc.field}", exc.reason) from None
 
+    def _check_keys(self):
+        """Every key is one a subcommand reads: in ``KEYS`` or in a registry
+        section.  Anything else is a ConfigInvalid naming the key."""
+        sections = tuple(s + "." for s in REGISTRY_SECTIONS)
+        for key in sorted(self.pairs):
+            if key not in KEYS and not key.startswith(sections):
+                raise ConfigInvalid(key, "unknown key; no subcommand reads it")
+
     def model_params(self) -> ModelParams:
-        """Read the model keys and build ModelParams.
+        """Check the keys, read the model keys and build ModelParams.
 
         GridSpec, Kernel, ModelParams and the registry specs validate their
         own values; their errors are renamed here to the config key.
         """
+        self._check_keys()
         grid = (self.get_int("grid.d"), self.get_int("grid.n"),
                 self.get_float("grid.L"))
         fields = {name: self.get_float(_KEY_OF_FIELD[name]) for name in

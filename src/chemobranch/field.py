@@ -7,18 +7,25 @@ spectral semigroup: mode k decays by exp(-(D|k|^2+r)dt) and a source frozen
 over the step enters through the exact Duhamel multiplier
 (1 - exp(-(D|k|^2+r)dt)) / (D|k|^2+r).
 
-Off-grid work is a nonuniform DFT through one table of e^{ikx} per point and
-axis on the rfftn layout (``_phase_table``).  The deposit of a measure is
-the kernel's Fourier multiplier times the conjugated atom sum of the table,
-then one inverse FFT.  Point evaluation is trigonometric interpolation; the
-gradient is the exact gradient of that interpolant, so value/gradient form a
-consistent pair.  Sums over atoms and modes are numpy einsums in a fixed
-order, never BLAS products, whose summation order can follow the BLAS
-thread count; so results are bit-identical across BLAS settings.
+Off-grid work is a nonuniform DFT evaluated mode-major, in O(m) memory for
+m points: each point contributes z = e^{2 pi i x/L} per axis, and the sums
+over the modes of the last (rfft) axis run as Horner's rule in z over
+``_STRANDS`` interleaved strands (``_horner``).  Point evaluation is
+trigonometric interpolation; the gradient is the exact gradient of that
+interpolant, so value/gradient form a consistent pair.  The deposit of a
+measure is the kernel's Fourier multiplier times the conjugated atom sums
+sum_a w_a z_a^j, built by the same recurrence run over the atoms, then one
+inverse FFT.  In 2-D the leading (full) axis keeps one e^{ikx} table per
+point (``_leading_table``).  A point's value is computed by elementwise
+operations in a fixed order, so it does not depend on the batch of points
+it is evaluated in; sums over atoms are numpy reductions, never BLAS
+products, whose summation order can follow the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -41,8 +48,9 @@ class GridSpec:
             raise ConfigInvalid("d", f"must be 1 or 2, got {self.d}")
         if self.n < 2 or self.n & (self.n - 1):
             raise ConfigInvalid("n", f"must be a power of two, got {self.n}")
-        if not self.extent > 0:
-            raise ConfigInvalid("extent", f"must be positive, got {self.extent}")
+        if not (self.extent > 0 and math.isfinite(self.extent * self.extent)):
+            raise ConfigInvalid("extent", "must be positive with a finite square, "
+                                          f"got {self.extent}")
 
     @property
     def dx(self) -> float:
@@ -109,26 +117,26 @@ class Field:
             raise NonFiniteQuery("field evaluated at non-finite point")
         return self.grid.wrap(pts)
 
-    def _interpolate(self, points: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-        """Interpolants of rfftn-layout spectra at the points, (m, len(spectra))."""
-        n = self.grid.n
-        weight = np.full(n // 2 + 1, 2.0 / self.values.size)
-        weight[[0, n // 2]] /= 2.0  # the other modes stand for their conjugates too
-        table = _phase_table(self.grid, self._check_points(points))
-        out = np.einsum("q...j,aj->aq...", spectra * weight, table[-1])
-        for axis in table[-2::-1]:
-            out = np.einsum("aq...i,ai->aq...", out, axis)
-        return out.real
+    def _interpolate(self, points: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """Interpolants at the points of the spectrum times each row of
+        ``factors`` (``_interpolation_factors``), (m, len(factors))."""
+        coef = np.moveaxis(self._coefficients() * factors, -1, 0)
+        z = _unit_phases(self.grid, self._check_points(points))
+        lead = _leading_table(self.grid, z)
+        out = np.empty((len(factors), z.shape[1]))
+        for lo in range(0, z.shape[1], _CHUNK):
+            sl = slice(lo, lo + _CHUNK)
+            out[:, sl] = _horner(self.grid, coef, z[-1, sl],
+                                 None if lead is None else lead[:, sl])
+        return out.T
 
     def value_at(self, points: np.ndarray) -> np.ndarray:
         """Trigonometric interpolant at arbitrary points, shape (m,)."""
-        return self._interpolate(points, self._coefficients()[None])[:, 0]
+        return self._interpolate(points, _interpolation_factors(self.grid)[:1])[:, 0]
 
     def gradient_at(self, points: np.ndarray) -> np.ndarray:
         """Exact gradient of the interpolant used by value_at, shape (m, d)."""
-        c = self._coefficients()
-        return self._interpolate(points, np.stack([1j * k * c for k in
-                                                   _wavenumbers(self.grid)]))
+        return self._interpolate(points, _interpolation_factors(self.grid)[1:])
 
     def gradient_grid(self) -> list[np.ndarray]:
         """Spectral gradient sampled on the grid, one array per axis."""
@@ -141,6 +149,22 @@ class Field:
         return out
 
 
+@functools.lru_cache(maxsize=16)
+def _interpolation_factors(grid: GridSpec) -> np.ndarray:
+    """Per-mode factors on the rfftn layout that turn the spectrum into the
+    interpolant's coefficients: row 0 for the value, then i k per axis for
+    the gradient.  Each mode of the last axis but 0 and n/2 stands for its
+    conjugate too, so weighs 2/n^d, and those two weigh 1/n^d."""
+    h = grid.n // 2
+    weight = np.full(h + 1, 2.0 / grid.n ** grid.d)
+    weight[[0, h]] /= 2.0
+    shape = grid.shape[:-1] + (h + 1,)
+    rows = [weight + 0j] + [1j * k * weight for k in _wavenumbers(grid)]
+    factors = np.stack([np.broadcast_to(row, shape) for row in rows])
+    factors.flags.writeable = False
+    return factors
+
+
 def _wavenumbers(grid: GridSpec) -> list[np.ndarray]:
     """Per-axis wavenumbers broadcasting on the rfftn layout, in numpy fft
     order (mode n/2 counts as -n/2); the last axis keeps n/2 + 1 of them."""
@@ -150,22 +174,91 @@ def _wavenumbers(grid: GridSpec) -> list[np.ndarray]:
     return [k[:, None], k[None, :grid.n // 2 + 1]]
 
 
-def _phase_table(grid: GridSpec, points: np.ndarray) -> list[np.ndarray]:
-    """e^{ikx} at the points, one (m, modes) array per axis on the
-    wavenumbers of ``_wavenumbers``: one complex exp per point and axis, and
-    its powers by a cumulative product (about n/2 round-offs of accuracy)."""
-    n = grid.n
-    tables = []
-    for ax in range(grid.d):
-        half = np.empty((len(points), n // 2 + 1), dtype=np.complex128)
-        half[:, 0] = 1.0
-        half[:, 1:] = np.exp(2j * np.pi / grid.extent * points[:, ax])[:, None]
-        np.cumprod(half, axis=1, out=half)
-        half[:, n // 2] = half[:, n // 2].conj()  # mode n/2 counts as -n/2
-        if ax < grid.d - 1:  # full axis: the negative modes are conjugates
-            half = np.concatenate([half, half[:, n // 2 - 1:0:-1].conj()], axis=1)
-        tables.append(half)
-    return tables
+_STRANDS = 8  # interleaved Horner strands on the last axis
+_CHUNK = 2048  # points per pass of the kernel, so that its arrays stay in cache
+
+
+def _unit_phases(grid: GridSpec, points: np.ndarray) -> np.ndarray:
+    """z = e^{2 pi i x/L} at the (wrapped) points, shape (d, m): one complex
+    exp per point and axis."""
+    return np.exp(2j * np.pi / grid.extent * np.ascontiguousarray(points.T))
+
+
+def _squares(grid: GridSpec, z: np.ndarray) -> list[np.ndarray]:
+    """z, z^2, z^4, ..., z^S by squaring, for S = min(_STRANDS, n/2)
+    strands; both powers of two, so S divides n/2."""
+    squares = [z]
+    while 2 ** len(squares) <= min(_STRANDS, grid.n // 2):
+        squares.append(squares[-1] * squares[-1])
+    return squares
+
+
+def _leading_table(grid: GridSpec, z: np.ndarray) -> np.ndarray | None:
+    """In 2-D, e^{ikx} on the leading (full) axis, shape (n, m), modes in
+    numpy fft order with n/2 counted as -n/2; None in 1-D."""
+    if grid.d == 1:
+        return None
+    n, h = grid.n, grid.n // 2
+    table = np.empty((n, z.shape[1]), dtype=np.complex128)
+    table[0] = 1.0
+    for i in range(1, h + 1):
+        np.multiply(table[i - 1], z[0], out=table[i])
+    table[h] = table[h].conj()
+    table[h + 1:] = table[h - 1:0:-1].conj()
+    return table
+
+
+def _horner(grid: GridSpec, coef: np.ndarray, z: np.ndarray,
+            lead: np.ndarray | None) -> np.ndarray:
+    """Re sum_j coef[j] z^j over the last axis's modes j, (q, m): ``coef``
+    is (n/2 + 1, q[, n]), with the leading axis summed against ``lead`` in
+    2-D.  Horner's rule in z^strands, mode j on strand j % strands.  Only
+    the real part is kept, and Re(c z^-h) is Re(conj(c) z^h), so mode n/2
+    (counted as -n/2) tops strand 0."""
+    h, q, m = grid.n // 2, coef.shape[1], len(z)
+    # the q sums at the m points run as q*m points on one axis, so every
+    # complex product is of two contiguous arrays of one shape, which numpy
+    # rounds alike at every position and length
+    zq = np.tile(z, q)
+    squares = _squares(grid, zq)
+    strands = 2 ** (len(squares) - 1)
+    step = np.empty((strands, q * m), dtype=np.complex128)
+    step[...] = squares[-1]
+    acc = np.zeros((strands, q * m), dtype=np.complex128)
+    blocks = acc.reshape(strands, q, m)
+    blocks[0] = _at_points(coef[h:], lead)[0].conj()
+    for j in range(h - strands, -1, -strands):
+        acc *= step
+        blocks += _at_points(coef[j:j + strands], lead)
+    out = acc[-1]
+    for s in range(strands - 2, -1, -1):  # sum_s z^s acc[s], by Horner
+        out = out * zq + acc[s]
+    return out.reshape(q, m).real
+
+
+def _at_points(coef: np.ndarray, lead: np.ndarray | None) -> np.ndarray:
+    """Coefficients (k, q[, n]) of k last-axis modes as their values at the
+    points, (k, q, m): in 2-D summed against the leading table mode by mode
+    in real arithmetic, whose products round alike in any array layout; in
+    1-D the same at every point, (k, q, 1)."""
+    if lead is None:
+        return coef[..., None]
+    times_i = np.empty_like(lead)
+    times_i.real, times_i.imag = -lead.imag, lead.real
+    out = np.zeros(coef.shape[:2] + lead.shape[1:], dtype=np.complex128)
+    pairs = out.view(np.float64)  # real and imaginary parts interleaved
+    for i, (e, ie) in enumerate(zip(lead.view(np.float64),
+                                    times_i.view(np.float64))):
+        pairs += coef[..., i, None].real * e
+        pairs += coef[..., i, None].imag * ie
+    return out
+
+
+def _atom_sums(terms: np.ndarray, lead: np.ndarray | None) -> np.ndarray:
+    """sum_a terms[s, a], times the leading table in 2-D: (k,) or (n, k)."""
+    if lead is None:
+        return terms.sum(axis=-1)
+    return np.einsum("ia,sa->is", lead, terms)
 
 
 class Kernel:
@@ -200,10 +293,10 @@ class Kernel:
 def deposit(measure: EmpiricalMeasure, kernel: Kernel, grid: GridSpec) -> np.ndarray:
     """Mollified empirical measure on the grid: sum_a w_a * kernel(node - x_a).
 
-    Spectral: the inverse FFT of kernel.hat * conj(sum_a w_a e^{ikx_a}).  The
-    atom sum is an einsum in the canonical (lineage) atom order, not a BLAS
-    product, whose order can follow its thread count; so deposits are
-    bit-reproducible.
+    Spectral: the inverse FFT of kernel.hat * conj(sum_a w_a e^{ikx_a}), the
+    atom sums taken mode by mode in the canonical (lineage) atom order, never
+    through a BLAS product, whose order can follow its thread count; so
+    deposits are bit-reproducible.
     """
     if kernel.grid != grid:
         raise GridMismatch("kernel was built for a different grid")
@@ -211,10 +304,19 @@ def deposit(measure: EmpiricalMeasure, kernel: Kernel, grid: GridSpec) -> np.nda
         raise NonFiniteAtom("deposit received non-finite atoms")
     if len(measure.weights) == 0:
         return np.zeros(grid.shape)
-    table = _phase_table(grid, grid.wrap(measure.positions))
-    table[0] *= measure.weights[:, None]
-    axes = "ij"[:grid.d]
-    spectrum = np.einsum(",".join("a" + ax for ax in axes) + "->" + axes, *table)
+    z = _unit_phases(grid, grid.wrap(measure.positions))
+    lead = _leading_table(grid, z)
+    squares = _squares(grid, z[-1])
+    terms = np.empty((2 ** (len(squares) - 1), z.shape[1]), dtype=np.complex128)
+    terms[0] = measure.weights
+    for i, zz in enumerate(squares[:-1]):  # w_a z_a^s for s < strands
+        np.multiply(terms[:2 ** i], zz, out=terms[2 ** i:2 ** (i + 1)])
+    sums = []
+    for _ in range(0, grid.n // 2, len(terms)):
+        sums.append(_atom_sums(terms, lead))
+        terms *= squares[-1]
+    sums.append(_atom_sums(terms[:1].conj(), lead))  # mode n/2 counts as -n/2
+    spectrum = np.concatenate(sums, axis=-1)
     return np.fft.irfftn(kernel.hat * spectrum.conj(), s=grid.shape,
                          axes=range(grid.d))
 

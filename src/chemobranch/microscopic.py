@@ -3,11 +3,15 @@
 Founder lines move by Euler-Maruyama with chemotactic drift, branch or die
 at Poisson-clock points thinned by the state-dependent rates, and source the
 field through the mollified empirical measure.  Within each step of length dt
-the order is fixed: evaluate the gradient, move every live cell, process
-clock events in global time order (rates at end-of-substep positions, field
-at substep start), then deposit and advance the field.  This order plus
-counter-based noise makes every trajectory a pure function of
-(params, universe), independent of thread count.
+the order is fixed: evaluate the gradient, move every live cell, read the
+field quantity the rates consume, in one batch, at the cells whose clock
+rings in the step (end-of-substep positions, field at substep start),
+process clock events in global time order (daughters read their mother's
+value, as they sit at her position), then deposit and advance the field.
+A point's field value does not depend on the batch it is read in, so the
+batch holds only the cells that need it.  This order plus counter-based
+noise makes every trajectory a pure function of (params, universe),
+independent of thread count.
 
 The same engine drives the single-line mean-field process by swapping the
 coupled field for a frozen field path, which keeps the two models bitwise
@@ -66,6 +70,9 @@ class ModelParams:
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigInvalid(name, f"must be positive, got {value}")
+        if not math.isfinite(self.sigma * self.sigma):
+            raise ConfigInvalid("sigma", "must have a finite square, "
+                                         f"got {self.sigma}")
         if not self.alpha >= 0:
             raise ConfigInvalid("alpha", f"must be nonnegative, got {self.alpha}")
         rate_sup = self.birth.sup() + self.death.sup()
@@ -178,6 +185,8 @@ class _Engine:
         self.deaths = np.full(cap, np.inf)
         self.alive = np.zeros(cap, dtype=bool)
         self.pos = np.zeros((cap, self.d))
+        self.next_time = np.full(cap, np.inf)  # the cell's next clock point
+        self.rate_arg = np.zeros(cap)  # what its rates read in this step
         self.inc = np.zeros((cap, self.n_steps, self.d))
         self.clock_times: list[np.ndarray | None] = [None] * cap
         self.clock_marks: list[np.ndarray | None] = [None] * cap
@@ -191,10 +200,10 @@ class _Engine:
         cap = len(self.lines)
         new = cap * 2
         for name in ("lines", "wlens", "wbits", "births", "deaths", "alive",
-                     "cursor"):
+                     "cursor", "next_time", "rate_arg"):
             arr = getattr(self, name)
             grown = np.zeros(new, dtype=arr.dtype)
-            if name == "deaths":
+            if name in ("deaths", "next_time"):
                 grown[:] = np.inf
             grown[:cap] = arr
             setattr(self, name, grown)
@@ -238,8 +247,11 @@ class _Engine:
         c = int(self.cursor[s])
         times = self.clock_times[s]
         if c < len(times):
+            self.next_time[s] = times[c]
             heapq.heappush(self.heap, (float(times[c]), int(self.lines[s]),
                                        int(self.wlens[s]), int(self.wbits[s]), s))
+        else:
+            self.next_time[s] = np.inf
 
     def kill(self, s: int, t: float):
         self.alive[s] = False
@@ -326,13 +338,17 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
             if not np.all(np.isfinite(x)):
                 raise NonFiniteState(f"non-finite position at t={t_next}")
             eng.pos[ls] = x
+            if needs_rho:  # one batch: the cells whose clock rings in the step
+                ring = eng.next_time[ls] < t_next
+                if ring.any():
+                    eng.rate_arg[ls[ring]] = p.rate_argument(rho, x[ring])
 
         while eng.heap and eng.heap[0][0] < t_next:
             t_e, _, _, _, s = heapq.heappop(eng.heap)
             if not eng.alive[s]:
                 continue
             xs = eng.pos[s].reshape(1, d)
-            rho_val = p.rate_argument(rho, xs) if needs_rho else np.zeros(1)
+            rho_val = eng.rate_arg[s:s + 1]
             z = float(eng.clock_marks[s][eng.cursor[s]])
             eng.cursor[s] += 1
             lb = float(birth_fn(xs, rho_val)[0])
@@ -341,7 +357,8 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
                 eng.kill(s, t_e)
                 pos_here = eng.pos[s].copy()
                 for child in idx.children():
-                    eng.add_cell(child, pos_here.copy(), t_e, k + 1)
+                    c = eng.add_cell(child, pos_here.copy(), t_e, k + 1)
+                    eng.rate_arg[c] = eng.rate_arg[s]  # born where s sits
                 event_log.append(EventRecord(t_e, idx, EVENT_BRANCH, pos_here))
             elif z <= lb + float(death_fn(xs, rho_val)[0]):
                 idx = eng.index_of(s)

@@ -190,19 +190,19 @@ def empirical(pop: PopulationState, n0: int) -> EmpiricalMeasure:
                             np.full(len(live), 1.0 / n0))
 
 
-def integrate(measure: EmpiricalMeasure,
-              phi: Callable[[np.ndarray], np.ndarray]) -> float:
+def integrate(measure: EmpiricalMeasure, phi: Callable[[np.ndarray], np.ndarray]):
     """Pairing <phi, measure> = Σ weight · phi(position).
 
-    ``phi`` receives an (n_atoms, d) array and must return per-atom values;
-    scalar returns broadcast (constant test functions).
+    ``phi`` receives an (n_atoms, d) array and returns per-atom values (a
+    float pairing) or the values of k functions stacked as (k, n_atoms) (k
+    pairings, each summed along the contiguous atom axis); scalar returns
+    broadcast (constant test functions).
     """
-    if len(measure.weights) == 0:
-        return 0.0
     values = np.asarray(phi(measure.positions), dtype=np.float64)
-    if values.shape != measure.weights.shape:
+    if values.shape[-1:] != measure.weights.shape:
         values = np.broadcast_to(values, measure.weights.shape)
-    return float(np.sum(measure.weights * values))
+    pairing = np.sum(measure.weights * values, axis=-1)
+    return float(pairing) if pairing.ndim == 0 else pairing
 
 
 def mean_se(values) -> tuple[float, float]:

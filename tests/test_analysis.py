@@ -133,6 +133,22 @@ class TestVagueDistance:
         assert vague_distance(mu, nu, bank) == pytest.approx(direct, rel=1e-12)
 
 
+class TestPairMeasure:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_bank_pass_equals_the_per_bump_loop(self, d):
+        # the bank is evaluated in one (bumps, atoms) pass and summed along
+        # the atom axis; the pairings keep the bits of one integrate per bump
+        from chemobranch import integrate
+        grid = GridSpec(d, 64, 8.0)
+        bank = TestFunctionBank.default_for_grid(grid)
+        rng = np.random.default_rng(30 + d)
+        for m in (0, 1, 7, 8, 9, 130, 5000):
+            mu = EmpiricalMeasure(rng.uniform(-8.0, 16.0, size=(m, d)),
+                                  rng.uniform(0.1, 1.0, size=m))
+            per_bump = np.array([integrate(mu, f) for f in bank.functions])
+            assert bank.pair_measure(mu).tobytes() == per_bump.tobytes()
+
+
 class TestHelpers:
     def test_wilson_interval(self):
         phat, lo, hi = wilson_interval(8, 10)

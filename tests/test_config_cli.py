@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
+import re
 import string
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +212,28 @@ class TestConfigProperty:
             assert exc.field in set(pairs) | set(PROPERTY_PAIRS)
 
 
+class TestKnownKeys:
+    def test_keys_are_the_keys_the_subcommands_read(self):
+        # every getter call site reads a key of KEYS, and every key of KEYS
+        # but the ignored run.threads is read somewhere
+        import chemobranch
+        from chemobranch.config import _KEY_OF_FIELD, KEYS, REGISTRY_SECTIONS
+        text = "".join(p.read_text(encoding="utf-8") for p in
+                       Path(chemobranch.__file__).parent.glob("*.py"))
+        read = set(re.findall(r"\.get_\w+\(\s*f?\"([^\"]+)\"", text))
+        sections = {key for key in read if "{" in key}
+        assert sections == {"{section}.kind"}
+        read -= sections
+        read |= {key for key in _KEY_OF_FIELD.values()
+                 if not key.startswith(tuple(s + "." for s in REGISTRY_SECTIONS))}
+        assert read <= KEYS
+        assert KEYS - read == {"run.threads"}
+
+    def test_run_threads_is_accepted(self):
+        pairs = dict(PROPERTY_PAIRS, **{"run.threads": "8"})
+        ExperimentConfig(pairs).model_params()
+
+
 class TestCliRuns:
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -278,6 +306,9 @@ class TestCliRuns:
         ("mass", "mass.replicas = 5\nmass.write_paths = maybe\n",
          "mass.write_paths"),
         ("macro", "macro.order_check = sure\n", "macro.order_check"),
+        ("micro", "run.n0 = 4\nmodel.sigmaa = 3\n", "model.sigmaa"),
+        ("micro", "run.n0 = 4\nrun.tt = 3\n", "run.tt"),
+        ("macro", "init.kind = bump\n", "init.kind"),
     ])
     def test_bad_count_exits_2_naming_key(self, tmp_path, capsys, sub,
                                           extra, key):
@@ -433,6 +464,17 @@ class TestCliRuns:
         assert np.array_equal(rows[:, :, 2:3], ens.X)
         assert np.array_equal(rows[:, :, 3], ens.M)
 
+    @pytest.mark.parametrize("key", ["init.rho0.width", "init.mu0.sd"])
+    @pytest.mark.parametrize("value", ["1e6", "1e300"])
+    def test_wide_initial_data_run_fast(self, tmp_path, key, value):
+        # the wrapped normal sums its Fourier series once it is wider than
+        # L/2, a few terms however wide; the image sum took 15 s at 1e6
+        cfg = write_config(tmp_path, f"run.n0 = 4\n{key} = {value}\n")
+        start = time.perf_counter()
+        for sub in ("macro", "micro"):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+        assert time.perf_counter() - start < 1.0
+
     def test_converge_and_couple_small(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -445,3 +487,71 @@ class TestCliRuns:
         assert (out / "couple_report.csv").exists()
         doc = json.loads((out / "couple_summary.json").read_text())
         assert "exceed_0.1" in doc["summary"]
+
+
+# keys that size the work or memory of a run (steps, grid, cells, replicas,
+# clock points): the run-time property gives them only invalid values or
+# a few small positive ones, and never a small run.dt
+SIZE_KEYS = {"run.T", "run.dt", "grid.n", "run.n0", "run.population_cap",
+             "run.replicas", "mass.replicas", "meanfield.picard_replicas",
+             "converge.n0_list", "couple.n0_list", "model.lambda_bar"}
+RUN_CONFIG = PROPERTY_CONFIG.replace("run.T = 0.5", "run.T = 0.1") + """
+run.n0 = 4
+run.replicas = 2
+mass.replicas = 4
+meanfield.picard_replicas = 4
+converge.n0_list = 2,4
+couple.n0_list = 2,4
+"""
+RUN_PAIRS = parse_config_text(RUN_CONFIG)
+_small_numbers = st.one_of(
+    st.integers(-10**6, 0).map(str), st.floats(-1e300, 0.0).map(repr),
+    st.sampled_from(["1", "2", "0.5", "1,2"]))
+
+
+@st.composite
+def _mutated_run(draw):
+    """A subcommand and the tiny run config with one key changed, deleted or
+    misspelt."""
+    pairs = dict(RUN_PAIRS)
+    key = draw(st.sampled_from(sorted(RUN_PAIRS)))
+    how = draw(st.sampled_from(["set", "delete", "misspell"]))
+    if how == "misspell":
+        pairs[key + draw(st.text(string.ascii_lowercase, min_size=1,
+                                 max_size=2))] = pairs.pop(key)
+    elif how == "delete":
+        del pairs[key]
+    elif key in SIZE_KEYS:
+        pairs[key] = draw(st.one_of(_small_numbers, _words))
+    else:
+        pairs[key] = draw(st.one_of(_numbers, _words, _lists))
+    return draw(st.sampled_from(sorted(cli._RUNNERS))), pairs
+
+
+class TestRunProperty:
+    def test_run_config_runs_every_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG)
+        for sub in sorted(cli._RUNNERS):
+            code = main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)])
+            assert code in (0, 4), sub
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(_mutated_run())
+    def test_mutated_run_keeps_the_exit_contract(self, case):
+        # T = 2 dt and n0 <= 4: every input ends with an exit code of the
+        # contract, never a traceback, and an exit 3 is a runtime error
+        sub, pairs = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+            with contextlib.redirect_stderr(err):
+                code = main([sub, "--config", str(cfg), "--out",
+                             str(Path(tmp) / "out")])
+        text = err.getvalue()
+        assert code in (0, 2, 3, 4), text
+        assert "Traceback" not in text and "internal error:" not in text, text
+        if code == 3:
+            assert text.startswith("runtime error: "), text

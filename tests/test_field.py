@@ -303,6 +303,60 @@ class TestEvaluation:
             rho.value_at(np.array([[np.nan]]))
 
 
+class TestModeMajorKernel:
+    """The field's off-grid kernel: per-point results that do not depend on
+    the batch, and O(m) memory in 1-D."""
+
+    @pytest.mark.parametrize("d, n", [(1, 128), (2, 64)])
+    def test_point_alone_equals_point_in_batch(self, d, n):
+        # a hybrid run evaluates one line's cells, a micro run thousands of
+        # cells; the bits of a cell's value must not depend on which
+        grid = GridSpec(d, n, 8.0)
+        rng = np.random.default_rng(21)
+        rho = Field(grid, rng.normal(size=grid.shape))
+        batch = rng.uniform(-8.0, 16.0, size=(5000, d))
+        values, grads = rho.value_at(batch), rho.gradient_at(batch)
+        for i in (0, 1, 7, 8, 9, 2500, 4999):
+            assert rho.value_at(batch[i]).tobytes() == values[i:i + 1].tobytes()
+            assert (rho.gradient_at(batch[i:i + 1]).tobytes()
+                    == grads[i:i + 1].tobytes())
+        for lo, hi in ((0, 3), (17, 33), (100, 1124)):
+            assert rho.value_at(batch[lo:hi]).tobytes() == values[lo:hi].tobytes()
+            assert (rho.gradient_at(batch[lo:hi]).tobytes()
+                    == grads[lo:hi].tobytes())
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_extinct_population_deposits_zero(self, d):
+        from chemobranch import PopulationState, empirical
+        grid = GridSpec(d, 32, 8.0)
+        extinct = PopulationState(1.0, d, [1], [0], [0], [0.0], [0.5],
+                                  np.full((1, d), np.nan))
+        mu = empirical(extinct, 4)
+        assert len(mu.weights) == 0
+        src = deposit(mu, Kernel(grid), grid)
+        assert src.shape == grid.shape and np.all(src == 0.0)
+
+    def test_no_per_point_mode_table_in_1d(self):
+        # an (m, n/2 + 1) complex table at m = n = 2048 would take 33.6 MB
+        import tracemalloc
+        grid = GridSpec(1, 2048, 8.0)
+        rng = np.random.default_rng(22)
+        rho = Field(grid, rng.normal(size=grid.shape))
+        pts = rng.uniform(0.0, 8.0, size=(2048, 1))
+        mu = EmpiricalMeasure(pts, np.full(2048, 1e-3))
+        kern = Kernel(grid)
+        rho.gradient_at(pts[:1])  # the cached spectrum is not per point
+        tracemalloc.start()
+        try:
+            rho.value_at(pts)
+            rho.gradient_at(pts)
+            deposit(mu, kern, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 1025 * 16 / 8
+
+
 class TestFieldPath:
     def test_stored_slices_bitwise(self, grid1):
         rng = np.random.default_rng(8)

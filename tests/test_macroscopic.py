@@ -52,6 +52,24 @@ class TestDegenerateDynamics:
         ref /= np.sum(ref) * grid.cell_volume
         assert np.max(np.abs(spec.density(grid) - ref)) <= 1e-12 * np.max(ref)
 
+    @pytest.mark.parametrize("sd", [4.0, 8.0, 24.0])
+    def test_fourier_and_image_sums_agree(self, sd):
+        # at and beyond L/2 the density is the wrapped normal's Fourier
+        # series; an image sum long enough to converge gives the same
+        grid = GridSpec(1, 128, 8.0)
+        spec = InitialMeasureSpec("gaussian", {"center": [4.0], "sd": sd})
+        x = grid.axis_coords()
+        ref = sum(np.exp(-(x - 4.0 + m * 8.0) ** 2 / (2 * sd ** 2))
+                  for m in range(-60, 61))
+        ref /= np.sum(ref) * grid.cell_volume
+        assert np.max(np.abs(spec.density(grid) - ref)) <= 1e-12 * np.max(ref)
+
+    def test_huge_width_is_uniform(self):
+        grid = GridSpec(2, 16, 8.0)
+        field = InitialFieldSpec("bump", {"amp": 2.0, "width": 1e300,
+                                          "center": [4.0]}).sample(grid)
+        assert np.all(field.values == 2.0 / 64.0)
+
     def test_constant_rate_mass_growth_exact(self):
         # zero-mode oracle: total mass grows as exp(c T) with the exact
         # reaction step and mass-conserving diffusion
