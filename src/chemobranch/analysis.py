@@ -16,9 +16,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import Field
-from .meanfield import simulate_hybrid, solve_selfconsistent_field
-from .microscopic import (MicroTrajectory, ModelParams,
-                          lineage_restriction, simulate_microscopic)
+from .meanfield import (rebuild_field_path, simulate_hybrid,
+                        solve_selfconsistent_field)
+from .microscopic import (MicroTrajectory, ModelParams, lineage_restriction,
+                          simulate_lines, simulate_microscopic)
 from .population import EmpiricalMeasure, integrate, mean_se, state_distance
 from .randomness import NoiseUniverse
 
@@ -386,10 +387,17 @@ def yule_bound_check(params: ModelParams, n0: int, replicas: int,
                      universe: NoiseUniverse) -> ConvergenceReport:
     """Domination of the rescaled live count by the constant-rate pure-birth mean."""
     p = params
+    if n0 < 1:
+        raise ValueError("n0 must be at least 1")
+    # with alpha = 0 the field does not depend on the cells: one path, built
+    # by the coupled run's own stepping, serves every replica
+    rho_path = (rebuild_field_path(p, lambda k: None) if p.alpha == 0.0
+                else None)
 
     def one_replica(r: int) -> float:
         u_r = universe.child("replica", r)
-        traj = simulate_microscopic(p, n0, u_r, keep_dead=False)
+        traj = simulate_lines(p, range(1, n0 + 1), u_r, rho_path=rho_path,
+                              keep_dead=False)
         return traj.sup_live_over_n0()
 
     values = np.array([one_replica(r) for r in range(replicas)])

@@ -63,6 +63,8 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
     """Vectorized (X, M) replicas: Euler-Maruyama for X, exponential Euler for M.
 
     Replicas 1..``replicas`` are kept at every step of ``params.times()``.
+    Their initial positions, and each 64-step block of their increments,
+    are drawn in one batch.
     The mass update M <- M * exp(lambda(X, rho) dt) is exact for constant
     rates; lambda is evaluated where the branching models evaluate their
     clock-event rates, so the two mean-measure estimators share discretization
@@ -83,7 +85,7 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
     drift_fn = None if p.drift.is_zero else p.drift.build(d)
     needs_rho = "logistic" in (p.birth.kind, p.death.kind)
 
-    X = np.stack([p.mu0.sample(universe, rid, d, L) for rid in replica_ids])
+    X = p.mu0.sample(universe, replica_ids, d, L)
     M = np.ones(K)
     Xs = np.zeros((K, n_steps + 1, d))
     Ms = np.zeros((K, n_steps + 1))
@@ -94,8 +96,7 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
     for k in range(n_steps):
         if k % _BLOCK == 0:
             hi = min(k + _BLOCK, n_steps)
-            inc_block = np.stack([universe.mass_increments(rid, k, hi, dt)
-                                  for rid in replica_ids])
+            inc_block = universe.mass_increments(replica_ids, k, hi, dt)
         t = k * dt
         rho = rho_path.field_at(t)
         if drift_fn is not None:

@@ -13,6 +13,13 @@ batch holds only the cells that need it.  This order plus counter-based
 noise makes every trajectory a pure function of (params, universe),
 independent of thread count.
 
+Cells enter the engine in batches, all founders at once and the two
+daughters of a branch together, and each batch draws its clock points in one
+call.  Wiener increments are held one 64-step block per cell: every live
+cell draws the next block when it starts, and the cells born during a step
+draw the rest of its block together at the step's end.  Counter-indexed
+streams make every draw bit-identical to a per-cell draw of the whole run.
+
 The same engine drives the single-line mean-field process by swapping the
 coupled field for a frozen field path, which keeps the two models bitwise
 coupled when their inputs coincide.
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +37,15 @@ import numpy as np
 from .errors import ConfigInvalid, NonFiniteState, NoSuchLine, PopulationExplosion
 from .field import Field, FieldPath, GridSpec, Kernel, deposit, semigroup_step
 from .population import EmpiricalMeasure, LineageIndex, PopulationState, empirical
-from .randomness import NoiseUniverse
+from .randomness import NoiseUniverse, split_rows
 from .registry import DriftSpec, InitialFieldSpec, InitialMeasureSpec, RateSpec
 
 EVENT_BRANCH = "branch"
 EVENT_DEATH = "death"
 ADVECTION_SCHEMES = ("auto", "upwind", "semi_lagrangian")
 LAMBDA_ARGS = ("rho", "grad_rho_norm")
+# bound on lambda_bar * T, the mean number of clock points a cell draws
+MAX_CLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,11 @@ class ModelParams:
                                          f"got {self.sigma}")
         if not self.alpha >= 0:
             raise ConfigInvalid("alpha", f"must be nonnegative, got {self.alpha}")
+        if not self.lambda_bar * self.T <= MAX_CLOCK_POINTS:
+            raise ConfigInvalid("lambda_bar", "lambda_bar * T = "
+                                f"{self.lambda_bar * self.T} exceeds the "
+                                "per-cell clock-point limit "
+                                f"{MAX_CLOCK_POINTS}")
         rate_sup = self.birth.sup() + self.death.sup()
         if rate_sup > self.lambda_bar + 1e-12:
             raise ConfigInvalid("lambda_bar", f"sup(lambda_b + lambda_d) = {rate_sup} "
@@ -169,8 +184,19 @@ def lineage_restriction(traj: MicroTrajectory, line: int) -> MicroTrajectory:
     )
 
 
+_BLOCK = 64  # steps of Wiener increments drawn per refill
+
+
 class _Engine:
-    """Growable arrays of per-cell state plus the global event heap."""
+    """Growable arrays of per-cell state plus the global event heap.
+
+    ``inc`` holds one block of Wiener increments per cell, (cap, 64, d):
+    step k reads column k % 64.  A cell draws its increments of a block
+    when the block starts, together with every live cell (``refill``), or,
+    if it first moves inside the block, from that step to the block's end
+    together with the cells born in the same step (``draw_born``; founders
+    first move at step 0).
+    """
 
     def __init__(self, params: ModelParams, universe: NoiseUniverse):
         self.p = params
@@ -187,14 +213,20 @@ class _Engine:
         self.pos = np.zeros((cap, self.d))
         self.next_time = np.full(cap, np.inf)  # the cell's next clock point
         self.rate_arg = np.zeros(cap)  # what its rates read in this step
-        self.inc = np.zeros((cap, self.n_steps, self.d))
+        self.inc = np.zeros((cap, min(_BLOCK, self.n_steps), self.d))
         self.clock_times: list[np.ndarray | None] = [None] * cap
         self.clock_marks: list[np.ndarray | None] = [None] * cap
         self.cursor = np.zeros(cap, dtype=np.int64)
         self.count = 0
         self.n_live = 0
         self.heap: list[tuple[float, int, int, int, int]] = []
+        # (line, word length, word bits, slot) keys of the live cells and of
+        # every cell, sorted, with their slots in that order: births and
+        # deaths bisect into them, so nothing is sorted again
+        self._live: tuple[list, list] = ([], [])
+        self._every: tuple[list, list] = ([], [])
         self._canon: np.ndarray | None = None
+        self._canon_every: np.ndarray | None = None
 
     def _grow(self):
         cap = len(self.lines)
@@ -215,33 +247,84 @@ class _Engine:
         self.clock_times.extend([None] * cap)
         self.clock_marks.extend([None] * cap)
 
-    def add_cell(self, idx: LineageIndex, position: np.ndarray, birth: float,
-                 birth_step: int) -> int:
-        if self.count == len(self.lines):
-            self._grow()
-        s = self.count
-        self.count += 1
-        self.lines[s] = idx.line
-        self.wlens[s] = idx.word_len
-        self.wbits[s] = idx.word_bits
-        self.births[s] = birth
-        self.deaths[s] = np.inf
-        self.alive[s] = True
-        self.pos[s] = position
-        if birth_step < self.n_steps:
-            self.inc[s, birth_step:] = self.u.wiener_increments(
-                idx, birth_step, self.n_steps, self.p.dt)
-        times, marks = self.u.clock_arrays(idx, self.p.T, self.p.lambda_bar)
-        self.clock_times[s] = times
-        self.clock_marks[s] = marks
-        self.cursor[s] = times.searchsorted(birth)
-        self._push_next(s)
-        self.n_live += 1
-        if self.n_live > self.p.population_cap:
+    def add_cells(self, lines, wlens, wbits, positions: np.ndarray,
+                  birth: float) -> slice:
+        """Insert a batch of cells born at ``birth`` into consecutive slots
+        and draw their clock points up to T in one batch (``draw_born``
+        draws their Wiener increments)."""
+        m = len(lines)
+        if self.n_live + m > self.p.population_cap:
             raise PopulationExplosion(
-                f"live count {self.n_live} exceeds cap {self.p.population_cap}")
-        self._canon = None
-        return s
+                f"live count {self.p.population_cap + 1} exceeds cap "
+                f"{self.p.population_cap}")
+        while self.count + m > len(self.lines):
+            self._grow()
+        new = slice(self.count, self.count + m)
+        self.count += m
+        self.n_live += m
+        self.lines[new] = lines
+        self.wlens[new] = wlens
+        self.wbits[new] = wbits
+        self.births[new] = birth
+        self.deaths[new] = np.inf
+        self.alive[new] = True
+        self.pos[new] = positions
+        times, marks, offsets = self.u.clock_arrays(
+            (self.lines[new], self.wlens[new], self.wbits[new]), self.p.T,
+            self.p.lambda_bar)
+        self.clock_times[new] = split_rows(times, offsets)
+        self.clock_marks[new] = split_rows(marks, offsets)
+        # a cell's next point is its first one at or after its birth
+        points, bounds = times.tolist(), offsets.tolist()
+        cursor, nxt, entries, keys = [], [], [], []
+        for i, key in enumerate(zip(self.lines[new].tolist(),
+                                    self.wlens[new].tolist(),
+                                    self.wbits[new].tolist(),
+                                    range(new.start, new.stop))):
+            keys.append(key)
+            lo, hi = bounds[i], bounds[i + 1]
+            c = bisect_left(points, birth, lo, hi)
+            cursor.append(c - lo)
+            if c < hi:
+                nxt.append(points[c])
+                entries.append((points[c], *key))
+            else:
+                nxt.append(math.inf)
+        self.cursor[new] = cursor
+        self.next_time[new] = nxt
+        # heap keys are unique, so a heapify pops in the same order as pushes
+        if len(entries) > len(self.heap):
+            self.heap.extend(entries)
+            heapq.heapify(self.heap)
+        else:
+            for entry in entries:
+                heapq.heappush(self.heap, entry)
+        _insort(self._live, keys)
+        _insort(self._every, keys)
+        self._canon = self._canon_every = None
+        return new
+
+    def draw_born(self, s0: int, k0: int):
+        """Draw the Wiener increments of the cells in slots s0.., first
+        moved at step k0, up to the end of that step's block.  At a block
+        boundary k0 > 0 ``refill`` draws them with every live cell."""
+        j0 = k0 % _BLOCK
+        if s0 == self.count or k0 >= self.n_steps or (k0 and not j0):
+            return
+        end = min(k0 - j0 + _BLOCK, self.n_steps)
+        born = slice(s0, self.count)
+        self.u.wiener_increments(
+            (self.lines[born], self.wlens[born], self.wbits[born]), k0, end,
+            self.p.dt, out=self.inc[born, j0:j0 + end - k0])
+
+    def refill(self, k: int):
+        """Draw the increments of the block starting at step k for every
+        live cell."""
+        ls = self.live_slots()
+        end = min(k + _BLOCK, self.n_steps)
+        self.inc[ls, :end - k] = self.u.wiener_increments(
+            (self.lines[ls], self.wlens[ls], self.wbits[ls]), k, end,
+            self.p.dt)
 
     def _push_next(self, s: int):
         c = int(self.cursor[s])
@@ -257,6 +340,10 @@ class _Engine:
         self.alive[s] = False
         self.deaths[s] = t
         self.n_live -= 1
+        order, slots = self._live
+        at = bisect_left(order, (int(self.lines[s]), int(self.wlens[s]),
+                                 int(self.wbits[s]), s))
+        del order[at], slots[at]
         self._canon = None
 
     def index_of(self, s: int) -> LineageIndex:
@@ -266,24 +353,36 @@ class _Engine:
     def live_slots(self) -> np.ndarray:
         """Live slots sorted by (line, word length, word bits)."""
         if self._canon is None:
-            live = np.flatnonzero(self.alive[:self.count])
-            order = np.lexsort((self.wbits[live], self.wlens[live],
-                                self.lines[live]))
-            self._canon = live[order]
+            self._canon = np.array(self._live[1], dtype=np.int64)
         return self._canon
 
     def snapshot(self, t: float, keep_dead: bool = True) -> PopulationState:
-        if not keep_dead:
-            ls = self.live_slots()
-            return PopulationState(t, self.d, self.lines[ls], self.wlens[ls],
-                                   self.wbits[ls], self.births[ls],
-                                   self.deaths[ls], self.pos[ls],
-                                   _presorted=True)
-        n = self.count
-        pos = np.where(self.alive[:n, None], self.pos[:n], np.nan)
-        return PopulationState(t, self.d, self.lines[:n], self.wlens[:n],
-                               self.wbits[:n], self.births[:n],
-                               self.deaths[:n], pos)
+        if keep_dead:
+            if self._canon_every is None:
+                self._canon_every = np.array(self._every[1], dtype=np.int64)
+            rows = self._canon_every
+        else:
+            rows = self.live_slots()
+        pos = self.pos[rows]
+        pos[~self.alive[rows]] = np.nan
+        return PopulationState(t, self.d, self.lines[rows], self.wlens[rows],
+                               self.wbits[rows], self.births[rows],
+                               self.deaths[rows], pos, _presorted=True)
+
+
+def _insort(order: tuple[list, list], keys: list):
+    """Insert cell keys (line, word length, word bits, slot) into a sorted
+    (keys, slots) pair; a batch larger than the order is sorted in."""
+    ordered, slots = order
+    if len(keys) > len(ordered):
+        ordered.extend(keys)
+        ordered.sort()
+        slots[:] = [key[3] for key in ordered]
+    else:
+        for key in keys:
+            at = bisect_left(ordered, key)
+            ordered.insert(at, key)
+            slots.insert(at, key[3])
 
 
 def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
@@ -316,9 +415,9 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
         rho = rho_path.field_at(0.0)
 
     eng = _Engine(p, universe)
-    for line in founder_lines:
-        x0 = p.mu0.sample(universe, line, d, L)
-        eng.add_cell(LineageIndex(line), x0, 0.0, 0)
+    lines = np.array(founder_lines, dtype=np.int64)
+    eng.add_cells(lines, 0, 0, p.mu0.sample(universe, lines, d, L), 0.0)
+    eng.draw_born(0, 0)
 
     states = [eng.snapshot(0.0, keep_dead)]
     fields = [rho]
@@ -326,14 +425,16 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
 
     for k in range(n_steps):
         t_next = (k + 1) * dt
+        if k and k % _BLOCK == 0:
+            eng.refill(k)
         ls = eng.live_slots()
         if len(ls):
             x = eng.pos[ls]
             if drift_fn is not None:
                 move = drift_fn(x, rho.gradient_at(x)) * dt
-                x = x + move + p.sigma * eng.inc[ls, k]
+                x = x + move + p.sigma * eng.inc[ls, k % _BLOCK]
             else:
-                x = x + p.sigma * eng.inc[ls, k]
+                x = x + p.sigma * eng.inc[ls, k % _BLOCK]
             x = np.mod(x, L)
             if not np.all(np.isfinite(x)):
                 raise NonFiniteState(f"non-finite position at t={t_next}")
@@ -343,6 +444,7 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
                 if ring.any():
                     eng.rate_arg[ls[ring]] = p.rate_argument(rho, x[ring])
 
+        born = eng.count
         while eng.heap and eng.heap[0][0] < t_next:
             t_e, _, _, _, s = heapq.heappop(eng.heap)
             if not eng.alive[s]:
@@ -356,9 +458,12 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
                 idx = eng.index_of(s)
                 eng.kill(s, t_e)
                 pos_here = eng.pos[s].copy()
-                for child in idx.children():
-                    c = eng.add_cell(child, pos_here.copy(), t_e, k + 1)
-                    eng.rate_arg[c] = eng.rate_arg[s]  # born where s sits
+                kids = idx.children()
+                c = eng.add_cells([kid.line for kid in kids],
+                                  [kid.word_len for kid in kids],
+                                  [kid.word_bits for kid in kids],
+                                  pos_here, t_e)
+                eng.rate_arg[c] = eng.rate_arg[s]  # born where s sits
                 event_log.append(EventRecord(t_e, idx, EVENT_BRANCH, pos_here))
             elif z <= lb + float(death_fn(xs, rho_val)[0]):
                 idx = eng.index_of(s)
@@ -367,6 +472,7 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
                                              eng.pos[s].copy()))
             else:
                 eng._push_next(s)
+        eng.draw_born(born, k + 1)
 
         if coupled:
             source = None

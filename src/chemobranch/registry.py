@@ -166,10 +166,12 @@ class InitialMeasureSpec(RegistrySpec):
     POSITIVE = ("sd",)
     POINTS = ("center", "at")
 
-    def sample(self, universe, line: int, d: int, extent: float) -> np.ndarray:
+    def sample(self, universe, lines, d: int, extent: float) -> np.ndarray:
+        """Initial positions (m, d) of a batch of founder lines."""
         if self.kind == "point":
-            return np.mod(self.point("at", d, 0.0), extent)
-        u = universe.init_uniforms(line, d)
+            return np.tile(np.mod(self.point("at", d, 0.0), extent),
+                           (len(lines), 1))
+        u = universe.init_uniforms(lines, d)
         if self.kind == "uniform":
             return extent * u
         sd = float(self.params.get("sd", extent / 10.0))

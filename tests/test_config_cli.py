@@ -274,6 +274,9 @@ class TestCliRuns:
          "meanfield.picard_replicas"),
         ("micro", "run.n0 = 4\nrun.population_cap = 0\n",
          "run.population_cap"),
+        # lambda_bar * T = 50000 clock points per cell: over the limit
+        ("micro", "run.n0 = 4\nmodel.lambda_bar = 100000\n",
+         "model.lambda_bar"),
         ("micro", "run.n0 = 4\nkernel.width = 2.0\n", "kernel.width"),
         ("micro", "run.n0 = 4\nkernel.width = -1\n", "kernel.width"),
         # 1.5 grid cells: below the spectral kernel's 2 dx
@@ -489,12 +492,13 @@ class TestCliRuns:
         assert "exceed_0.1" in doc["summary"]
 
 
-# keys that size the work or memory of a run (steps, grid, cells, replicas,
-# clock points): the run-time property gives them only invalid values or
-# a few small positive ones, and never a small run.dt
+# keys that size the work or memory of a run (steps, grid, cells, replicas):
+# the run-time property gives them only invalid values or a few small
+# positive ones, and never a small run.dt.  model.lambda_bar is drawn freely:
+# its clock work is bounded at load
 SIZE_KEYS = {"run.T", "run.dt", "grid.n", "run.n0", "run.population_cap",
              "run.replicas", "mass.replicas", "meanfield.picard_replicas",
-             "converge.n0_list", "couple.n0_list", "model.lambda_bar"}
+             "converge.n0_list", "couple.n0_list"}
 RUN_CONFIG = PROPERTY_CONFIG.replace("run.T = 0.5", "run.T = 0.1") + """
 run.n0 = 4
 run.replicas = 2

@@ -55,19 +55,19 @@ class TestHybrid:
         assert [(e.time, e.idx, e.kind) for e in line1.event_log] == \
                [(e.time, e.idx, e.kind) for e in hybrid.event_log]
 
-    def test_zero_rates_single_diffusing_particle(self):
+    @pytest.mark.parametrize("T", [1.0, 3.0])  # 3.0: two 64-step refills
+    def test_zero_rates_single_diffusing_particle(self, T):
         # strong oracle: replay Euler-Maruyama by hand from the same stream
         params = base_params(birth=RateSpec("zero"), death=RateSpec("zero"),
-                             drift=DriftSpec("zero"))
+                             drift=DriftSpec("zero"), T=T)
         u = NoiseUniverse(3, 1)
         path = free_field_path(params)
         traj = simulate_hybrid(params, path, u)
         assert len(traj.event_log) == 0
         assert all(s.live_count == 1 for s in traj.states)
 
-        from chemobranch.population import LineageIndex
-        x = params.mu0.sample(u, 1, 1, 8.0)
-        inc = u.wiener_increments(LineageIndex(1), 0, params.n_steps, params.dt)
+        x = params.mu0.sample(u, [1], 1, 8.0)[0]
+        inc = u.wiener_increments(([1], 0, 0), 0, params.n_steps, params.dt)[0]
         for k in range(params.n_steps):
             x = np.mod(x + params.sigma * inc[k], 8.0)
             got = traj.states[k + 1].live_positions()[0]

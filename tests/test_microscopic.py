@@ -1,13 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chemobranch import (DriftSpec, GridSpec, InitialFieldSpec,
+from chemobranch import (ConfigInvalid, DriftSpec, GridSpec, InitialFieldSpec,
                          InitialMeasureSpec, ModelParams, NoiseUniverse,
                          NoSuchLine, PopulationExplosion, RateSpec,
                          lineage_restriction, simulate_microscopic)
-from chemobranch.microscopic import EVENT_BRANCH, EVENT_DEATH
+from chemobranch.microscopic import (EVENT_BRANCH, EVENT_DEATH,
+                                     MAX_CLOCK_POINTS)
 
 
 def base_params(**over):
@@ -251,6 +253,32 @@ class TestGuards:
     def test_time_grid_validated(self):
         with pytest.raises(ValueError):
             base_params(dt=0.3, T=1.0)
+
+    def test_clock_work_bounded_at_construction(self):
+        # lambda_bar * T is the mean clock-point count of a cell
+        base_params(lambda_bar=MAX_CLOCK_POINTS, T=1.0)
+        for lam in (MAX_CLOCK_POINTS * 1.01, 1e300):
+            with pytest.raises(ConfigInvalid) as exc:
+                base_params(lambda_bar=lam, T=1.0)
+            assert exc.value.field == "lambda_bar"
+
+    def test_working_memory_does_not_grow_with_T(self):
+        # the engine holds one 64-step block of Wiener increments per cell:
+        # at a fixed population (zero rates) the memory a run frees when it
+        # ends is the same at 64 and at 256 steps, up to the clock points
+        def working(T):
+            params = decoupled(lambda_bar=0.05, dt=0.25, T=T)
+            tracemalloc.start()
+            try:
+                traj = simulate_microscopic(params, 256, NoiseUniverse(1, 1),
+                                            keep_dead=False)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert traj.live_counts()[-1] == 256
+            return peak - current
+
+        assert working(64.0) < 1.1 * working(16.0)
 
 
 class TestWeakFormResidual:

@@ -7,37 +7,60 @@ from numpy.random import Philox
 from scipy import stats
 from scipy.special import ndtri
 
-from chemobranch import LineageIndex, NoiseUniverse
+from chemobranch import InitialMeasureSpec, LineageIndex, NoiseUniverse
 
 
 def idx(line, word=""):
     return LineageIndex(line, len(word), int(word, 2) if word else 0)
 
 
+def batch(*indices):
+    """A batch of cells as the (lines, word lengths, word bits) columns."""
+    return (np.array([i.line for i in indices], dtype=np.int64),
+            np.array([i.word_len for i in indices], dtype=np.int64),
+            np.array([i.word_bits for i in indices], dtype=np.uint64))
+
+
+def wiener(u, index, k0, k1, dt):
+    return u.wiener_increments(batch(index), k0, k1, dt)[0]
+
+
+def clock(u, index, t_end, lambda_bar):
+    times, marks, offsets = u.clock_arrays(batch(index), t_end, lambda_bar)
+    assert offsets.tolist() == [0, len(times)] and len(marks) == len(times)
+    return times, marks
+
+
+def counts(u, n, t_end, lambda_bar):
+    """Clock-point counts of founders 1..n in one batch."""
+    cells = (np.arange(1, n + 1), 0, 0)
+    return np.diff(u.clock_arrays(cells, t_end, lambda_bar)[2])
+
+
 class TestWienerStreams:
     def test_deterministic_replay(self):
         u = NoiseUniverse(123, 2)
-        a = u.wiener_increments(idx(3, "01"), 5, 50, 0.02)
-        b = u.wiener_increments(idx(3, "01"), 5, 50, 0.02)
+        a = wiener(u, idx(3, "01"), 5, 50, 0.02)
+        b = wiener(u, idx(3, "01"), 5, 50, 0.02)
         assert np.array_equal(a, b)
 
     def test_window_independence(self):
         u = NoiseUniverse(123, 2)
-        full = u.wiener_increments(idx(1), 0, 100, 0.05)
-        first = u.wiener_increments(idx(1), 0, 40, 0.05)
-        second = u.wiener_increments(idx(1), 40, 100, 0.05)
+        full = wiener(u, idx(1), 0, 100, 0.05)
+        first = wiener(u, idx(1), 0, 40, 0.05)
+        second = wiener(u, idx(1), 40, 100, 0.05)
         assert np.array_equal(full, np.vstack([first, second]))
 
     def test_sample_mean_bound(self):
         # CLT oracle: per-coordinate SE is sqrt(dt)/sqrt(N) = 0.1/1e3
         u = NoiseUniverse(2024, 1)
-        inc = u.wiener_increments(idx(1), 0, 10 ** 6, 0.01)
+        inc = wiener(u, idx(1), 0, 10 ** 6, 0.01)
         assert abs(inc.mean()) < 4 * 0.1 / 1e3
 
     def test_sample_covariance(self):
         # sample-covariance oracle: diag within 1% of dt, off-diagonal near 0
         u = NoiseUniverse(55, 2)
-        inc = u.wiener_increments(idx(2), 0, 10 ** 6, 0.01)
+        inc = wiener(u, idx(2), 0, 10 ** 6, 0.01)
         cov = np.cov(inc.T)
         assert abs(cov[0, 0] - 0.01) < 1e-4
         assert abs(cov[1, 1] - 0.01) < 1e-4
@@ -46,43 +69,44 @@ class TestWienerStreams:
     def test_cross_stream_correlation(self):
         n = 10 ** 6
         u = NoiseUniverse(9, 1)
-        a = u.wiener_increments(idx(1), 0, n, 1.0)[:, 0]
-        b = u.wiener_increments(idx(1, "0"), 0, n, 1.0)[:, 0]
+        a = wiener(u, idx(1), 0, n, 1.0)[:, 0]
+        b = wiener(u, idx(1, "0"), 0, n, 1.0)[:, 0]
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 4 / np.sqrt(n)
 
     def test_distinct_seeds_decorrelate(self):
         u1 = NoiseUniverse(1, 1)
         u2 = NoiseUniverse(2, 1)
-        a = u1.wiener_increments(idx(1), 0, 1000, 1.0)
-        b = u2.wiener_increments(idx(1), 0, 1000, 1.0)
+        a = wiener(u1, idx(1), 0, 1000, 1.0)
+        b = wiener(u2, idx(1), 0, 1000, 1.0)
         assert not np.array_equal(a, b)
 
     def test_child_universe_differs_and_replays(self):
         u = NoiseUniverse(77, 1)
         c1 = u.child("replica", 4)
         c2 = u.child("replica", 5)
-        a = c1.wiener_increments(idx(1), 0, 10, 1.0)
-        assert not np.array_equal(a, c2.wiener_increments(idx(1), 0, 10, 1.0))
-        assert np.array_equal(a, u.child("replica", 4).wiener_increments(idx(1), 0, 10, 1.0))
+        a = wiener(c1, idx(1), 0, 10, 1.0)
+        assert not np.array_equal(a, wiener(c2, idx(1), 0, 10, 1.0))
+        again = wiener(u.child("replica", 4), idx(1), 0, 10, 1.0)
+        assert np.array_equal(a, again)
 
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
-            NoiseUniverse(1, 1).wiener_increments(idx(1), 0, 1, 0.0)
+            wiener(NoiseUniverse(1, 1), idx(1), 0, 1, 0.0)
 
 
 class TestPoissonClocks:
     def test_empty_window(self):
         u = NoiseUniverse(5, 1)
-        times, marks = u.clock_arrays(idx(1), 0.0, 2.0)
+        times, marks = clock(u, idx(1), 0.0, 2.0)
         assert len(times) == 0 and len(marks) == 0
-        times, _ = u.clock_arrays(idx(1), 1.0, 2.0)
+        times, _ = clock(u, idx(1), 1.0, 2.0)
         assert not np.any(times >= 1.0)      # the window [1, 1) is empty
 
     def test_restriction_consistency_exact(self):
         u = NoiseUniverse(5, 1)
-        wide_t, wide_m = u.clock_arrays(idx(4, "11"), 3.0, 1.5)
-        narrow_t, narrow_m = u.clock_arrays(idx(4, "11"), 2.1, 1.5)
+        wide_t, wide_m = clock(u, idx(4, "11"), 3.0, 1.5)
+        narrow_t, narrow_m = clock(u, idx(4, "11"), 2.1, 1.5)
         n = len(narrow_t)
         assert 0 < n < len(wide_t)
         assert np.array_equal(narrow_t, wide_t[:n])
@@ -96,26 +120,18 @@ class TestPoissonClocks:
 
     def test_times_strictly_increasing(self):
         u = NoiseUniverse(5, 1)
-        times, _ = u.clock_arrays(idx(2), 50.0, 3.0)
+        times, _ = clock(u, idx(2), 50.0, 3.0)
         assert np.all(np.diff(times) > 0)
 
     def test_mean_count_oracle(self):
         # Poisson mean oracle: lambda_bar * |window| = 2.0, tolerance 0.02
-        u = NoiseUniverse(31, 1)
-        counts = np.empty(10 ** 5)
-        for i in range(10 ** 5):
-            times, _ = u.clock_arrays(idx(i + 1), 1.0, 2.0)
-            counts[i] = len(times)
-        assert abs(counts.mean() - 2.0) < 0.02
+        n = counts(NoiseUniverse(31, 1), 10 ** 5, 1.0, 2.0)
+        assert abs(n.mean() - 2.0) < 0.02
 
     def test_marks_uniform_ks(self):
         # KS oracle against Uniform[0, lambda_bar] at the 1% level
         u = NoiseUniverse(13, 1)
-        marks = []
-        for i in range(4000):
-            _, m = u.clock_arrays(idx(i + 1), 1.0, 2.0)
-            marks.extend(m)
-        marks = np.asarray(marks)
+        _, marks, _ = u.clock_arrays((np.arange(1, 4001), 0, 0), 1.0, 2.0)
         assert len(marks) > 5000
         res = stats.kstest(marks, stats.uniform(loc=0.0, scale=2.0).cdf)
         assert res.pvalue > 0.01
@@ -123,12 +139,10 @@ class TestPoissonClocks:
 
     def test_count_distribution_poisson(self):
         # chi-square against Poisson(1.0) pmf on 0..5+
-        u = NoiseUniverse(99, 1)
         n = 20000
-        counts = np.array([len(u.clock_arrays(idx(i + 1), 1.0, 1.0)[0])
-                           for i in range(n)])
+        got = counts(NoiseUniverse(99, 1), n, 1.0, 1.0)
         kmax = 6
-        obs = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
+        obs = np.bincount(np.minimum(got, kmax), minlength=kmax + 1)
         pmf = stats.poisson(1.0).pmf(np.arange(kmax))
         expected = np.append(pmf, 1.0 - pmf.sum()) * n
         chi2 = np.sum((obs - expected) ** 2 / expected)
@@ -197,45 +211,105 @@ def lineage_indices(draw):
     return LineageIndex(draw(st.integers(1, 10 ** 9)), word_len, bits)
 
 
+@st.composite
+def cell_batches(draw):
+    """0, 1, 2 or 257 cells: batches this small hash their keys per cell in
+    Python ints, and 257 cells hash as uint64 arrays."""
+    size = draw(st.sampled_from([0, 1, 2, 257]))
+    if size <= 2:
+        return draw(st.lists(lineage_indices(), min_size=size, max_size=size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    cells = []
+    for _ in range(size):
+        word_len = int(rng.integers(0, 65))
+        bits = int.from_bytes(rng.bytes(8), "little") >> (64 - word_len)
+        cells.append(LineageIndex(int(rng.integers(1, 10 ** 9)), word_len,
+                                  bits if word_len else 0))
+    return cells
+
+
 seeds = st.integers(0, _MASK)
 
 
 class TestStreamAlgorithmPinned:
-    @settings(max_examples=150, deadline=None)
-    @given(seed=seeds, d=st.sampled_from([1, 2]), index=lineage_indices(),
-           k0=st.integers(0, 300), steps=st.integers(0, 120),
-           dt=st.floats(1e-4, 10.0))
-    @example(seed=7, d=2, index=LineageIndex(3, 2, 1), k0=37, steps=13, dt=0.02)
-    @example(seed=7, d=1, index=LineageIndex(1), k0=50, steps=0, dt=0.02)
-    def test_wiener_increments_match_reference(self, seed, d, index, k0,
-                                               steps, dt):
-        # k0 > 0 is a cell born at step k0: its stream starts mid-block
-        got = NoiseUniverse(seed, d).wiener_increments(index, k0, k0 + steps, dt)
-        assert _same_bits(got, _ref_wiener(seed, d, index, k0, k0 + steps, dt))
+    """Every batched draw equals, row for row and bit for bit, the reference
+    algorithm applied to each cell on its own."""
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=seeds, d=st.sampled_from([1, 2]), index=lineage_indices(),
+    @given(seed=seeds, d=st.sampled_from([1, 2]), cells=cell_batches(),
+           k0=st.integers(0, 300), steps=st.integers(0, 120),
+           dt=st.floats(1e-4, 10.0))
+    @example(seed=7, d=2, cells=[LineageIndex(3, 2, 1)], k0=37, steps=13,
+             dt=0.02)
+    @example(seed=7, d=1, cells=[LineageIndex(1)], k0=50, steps=0, dt=0.02)
+    def test_wiener_increments_match_reference(self, seed, d, cells, k0,
+                                               steps, dt):
+        # k0 > 0 is a cell born at step k0: its stream starts mid-block
+        u = NoiseUniverse(seed, d)
+        got = u.wiener_increments(batch(*cells), k0, k0 + steps, dt)
+        assert got.shape == (len(cells), steps, d)
+        for row, index in zip(got, cells):
+            assert _same_bits(row, _ref_wiener(seed, d, index, k0, k0 + steps,
+                                               dt))
+        # written in place into a window of a wider array, as the engine
+        # fills its increment blocks; the margins stay untouched
+        wide = np.zeros((len(cells), steps + 3, d))
+        u.wiener_increments(batch(*cells), k0, k0 + steps, dt,
+                            out=wide[:, 1:1 + steps])
+        assert _same_bits(wide[:, 1:1 + steps], got)
+        assert not wide[:, 0].any() and not wide[:, 1 + steps:].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=seeds, d=st.sampled_from([1, 2]), cells=cell_batches(),
            t_end=st.floats(-1.0, 8.0), lambda_bar=st.floats(1e-3, 300.0))
-    @example(seed=11, d=1, index=LineageIndex(5), t_end=4.0,
+    @example(seed=11, d=1, cells=[LineageIndex(5)], t_end=4.0,
              lambda_bar=200.0)       # lambda_bar * T = 800: 13 gap blocks
-    @example(seed=11, d=1, index=LineageIndex(5), t_end=1e-9,
+    @example(seed=11, d=1, cells=[LineageIndex(5), LineageIndex(6)],
+             t_end=4.0, lambda_bar=16.0)  # rows that end in different blocks
+    @example(seed=11, d=1, cells=[LineageIndex(5)], t_end=1e-9,
              lambda_bar=0.5)         # no point before t_end
-    @example(seed=11, d=2, index=LineageIndex(2, 1, 1), t_end=0.0,
+    @example(seed=11, d=2, cells=[LineageIndex(2, 1, 1)], t_end=0.0,
              lambda_bar=0.5)         # empty window
-    def test_clock_arrays_match_reference(self, seed, d, index, t_end,
+    def test_clock_arrays_match_reference(self, seed, d, cells, t_end,
                                           lambda_bar):
-        times, marks = NoiseUniverse(seed, d).clock_arrays(index, t_end,
-                                                           lambda_bar)
-        ref_times, ref_marks = _ref_clock(seed, index, t_end, lambda_bar)
-        assert _same_bits(times, ref_times)
-        assert _same_bits(marks, ref_marks)
+        times, marks, offsets = NoiseUniverse(seed, d).clock_arrays(
+            batch(*cells), t_end, lambda_bar)
+        assert offsets[0] == 0 and len(offsets) == len(cells) + 1
+        assert len(times) == len(marks) == offsets[-1]
+        for i, index in enumerate(cells):
+            ref_times, ref_marks = _ref_clock(seed, index, t_end, lambda_bar)
+            cell = slice(offsets[i], offsets[i + 1])
+            assert _same_bits(times[cell], ref_times)
+            assert _same_bits(marks[cell], ref_marks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, d=st.sampled_from([1, 2]), cells=cell_batches(),
+           k0=st.integers(0, 100), steps=st.integers(0, 70))
+    def test_line_streams_match_reference(self, seed, d, cells, k0, steps):
+        # founders' initial positions and the replica-indexed mass streams
+        lines = np.array([index.line for index in cells], dtype=np.int64)
+        u = NoiseUniverse(seed, d)
+        init = u.init_uniforms(lines, d)
+        mass = u.mass_increments(lines, k0, k0 + steps, 0.02)
+        mu0 = InitialMeasureSpec("gaussian", {"center": [1.0] * d, "sd": 0.5})
+        x0 = mu0.sample(u, lines, d, 8.0)
+        assert init.shape == x0.shape == (len(cells), d)
+        assert mass.shape == (len(cells), steps, d)
+        for i, line in enumerate(lines.tolist()):
+            root = LineageIndex(line)
+            ref = _ref_uniforms(_ref_key(seed, root, 4), 0, d)
+            assert _same_bits(init[i], ref)
+            assert _same_bits(x0[i], np.mod(1.0 + 0.5 * ndtri(ref), 8.0))
+            ref = _ref_uniforms(_ref_key(seed, root, 5), k0 * d, steps * d)
+            assert _same_bits(mass[i], ndtri(ref).reshape(steps, d)
+                              * np.sqrt(0.02))
 
     def test_streams_agree_across_threads(self):
         u = NoiseUniverse(21, 2)
 
         def draw(line):
-            return (u.wiener_increments(idx(line, "10"), 3, 40, 0.1),
-                    u.clock_arrays(idx(line), 30.0, 4.0))
+            return (wiener(u, idx(line, "10"), 3, 40, 0.1),
+                    clock(u, idx(line), 30.0, 4.0))
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(draw, range(1, 9)))
