@@ -22,7 +22,7 @@ from .config import ExperimentConfig
 from .errors import ChemobranchError, ConfigInvalid
 from .field import Field, field_to_bytes, field_to_csv_lines
 from .microscopic import simulate_microscopic
-from .population import join_columns, population_to_lines
+from .population import checkpoints_to_lines, join_columns
 from .randomness import NoiseUniverse
 
 EXIT_OK = 0
@@ -85,7 +85,7 @@ def run_micro(cfg, out: Path, seed: int) -> int:
     head = _header(cfg, seed, "micro")
     _write_text(out / "micro_events.csv", head + _events_csv(traj))
     _write_text(out / "micro_snapshots.txt", head,
-                map(population_to_lines, traj.states))
+                checkpoints_to_lines(traj.states))
     _write_text(out / "micro_live_counts.csv", head + ["time,live"]
                 + join_columns((traj.times, traj.live_counts()), sep=","))
     (out / "micro_field_final.bin").write_bytes(field_to_bytes(traj.fields[-1]))
@@ -134,7 +134,7 @@ def run_hybrid(cfg, out: Path, seed: int) -> int:
     head = _header(cfg, seed, "hybrid")
     _write_text(out / "hybrid_events.csv", head + _events_csv(traj))
     _write_text(out / "hybrid_snapshots.txt", head,
-                map(population_to_lines, traj.states))
+                checkpoints_to_lines(traj.states))
     rho_final = Field(params.grid, scf.rho_path.values[-1], params.T)
     (out / "hybrid_rho_final.bin").write_bytes(field_to_bytes(rho_final))
     if scf.picard_gaps:

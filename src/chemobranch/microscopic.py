@@ -185,6 +185,8 @@ def lineage_restriction(traj: MicroTrajectory, line: int) -> MicroTrajectory:
 
 
 _BLOCK = 64  # steps of Wiener increments drawn per refill
+_CELL_KEY = np.dtype([("line", np.int64), ("wlen", np.int64),
+                      ("wbits", np.uint64)])  # compares field by field
 
 
 class _Engine:
@@ -220,13 +222,13 @@ class _Engine:
         self.count = 0
         self.n_live = 0
         self.heap: list[tuple[float, int, int, int, int]] = []
-        # (line, word length, word bits, slot) keys of the live cells and of
-        # every cell, sorted, with their slots in that order: births and
-        # deaths bisect into them, so nothing is sorted again
-        self._live: tuple[list, list] = ([], [])
-        self._every: tuple[list, list] = ([], [])
-        self._canon: np.ndarray | None = None
-        self._canon_every: np.ndarray | None = None
+        # slots of the live cells and of every cell in canonical order, and
+        # the first slot not yet merged into each; births and deaths since
+        # the last merge go in together (``_merge``)
+        self._live = np.empty(0, dtype=np.int64)
+        self._every = np.empty(0, dtype=np.int64)
+        self._live_upto = self._every_upto = 0
+        self._died = False
 
     def _grow(self):
         cap = len(self.lines)
@@ -276,12 +278,11 @@ class _Engine:
         self.clock_marks[new] = split_rows(marks, offsets)
         # a cell's next point is its first one at or after its birth
         points, bounds = times.tolist(), offsets.tolist()
-        cursor, nxt, entries, keys = [], [], [], []
+        cursor, nxt, entries = [], [], []
         for i, key in enumerate(zip(self.lines[new].tolist(),
                                     self.wlens[new].tolist(),
                                     self.wbits[new].tolist(),
                                     range(new.start, new.stop))):
-            keys.append(key)
             lo, hi = bounds[i], bounds[i + 1]
             c = bisect_left(points, birth, lo, hi)
             cursor.append(c - lo)
@@ -292,16 +293,8 @@ class _Engine:
                 nxt.append(math.inf)
         self.cursor[new] = cursor
         self.next_time[new] = nxt
-        # heap keys are unique, so a heapify pops in the same order as pushes
-        if len(entries) > len(self.heap):
-            self.heap.extend(entries)
-            heapq.heapify(self.heap)
-        else:
-            for entry in entries:
-                heapq.heappush(self.heap, entry)
-        _insort(self._live, keys)
-        _insort(self._every, keys)
-        self._canon = self._canon_every = None
+        for entry in entries:
+            heapq.heappush(self.heap, entry)
         return new
 
     def draw_born(self, s0: int, k0: int):
@@ -340,27 +333,44 @@ class _Engine:
         self.alive[s] = False
         self.deaths[s] = t
         self.n_live -= 1
-        order, slots = self._live
-        at = bisect_left(order, (int(self.lines[s]), int(self.wlens[s]),
-                                 int(self.wbits[s]), s))
-        del order[at], slots[at]
-        self._canon = None
+        self._died = True
 
     def index_of(self, s: int) -> LineageIndex:
         return LineageIndex(int(self.lines[s]), int(self.wlens[s]),
                             int(self.wbits[s]))
 
+    def _merge(self, order: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """Slots ``order``, sorted by (line, word length, word bits), with
+        the slots ``new`` sorted in; equal keys stay in slot order."""
+        if not len(new):
+            return order
+        new = new[np.lexsort((self.wbits[new], self.wlens[new],
+                              self.lines[new]))]
+        at = np.searchsorted(self._keys(order), self._keys(new), side="right")
+        return np.insert(order, at, new)
+
+    def _keys(self, slots: np.ndarray) -> np.ndarray:
+        keys = np.empty(len(slots), dtype=_CELL_KEY)
+        keys["line"] = self.lines[slots]
+        keys["wlen"] = self.wlens[slots]
+        keys["wbits"] = self.wbits[slots]
+        return keys
+
     def live_slots(self) -> np.ndarray:
         """Live slots sorted by (line, word length, word bits)."""
-        if self._canon is None:
-            self._canon = np.array(self._live[1], dtype=np.int64)
-        return self._canon
+        if self._died or self._live_upto < self.count:
+            live = self._live[self.alive[self._live]]
+            new = np.arange(self._live_upto, self.count)
+            self._live = self._merge(live, new[self.alive[new]])
+            self._live_upto, self._died = self.count, False
+        return self._live
 
     def snapshot(self, t: float, keep_dead: bool = True) -> PopulationState:
         if keep_dead:
-            if self._canon_every is None:
-                self._canon_every = np.array(self._every[1], dtype=np.int64)
-            rows = self._canon_every
+            self._every = self._merge(self._every,
+                                      np.arange(self._every_upto, self.count))
+            self._every_upto = self.count
+            rows = self._every
         else:
             rows = self.live_slots()
         pos = self.pos[rows]
@@ -368,21 +378,6 @@ class _Engine:
         return PopulationState(t, self.d, self.lines[rows], self.wlens[rows],
                                self.wbits[rows], self.births[rows],
                                self.deaths[rows], pos, _presorted=True)
-
-
-def _insort(order: tuple[list, list], keys: list):
-    """Insert cell keys (line, word length, word bits, slot) into a sorted
-    (keys, slots) pair; a batch larger than the order is sorted in."""
-    ordered, slots = order
-    if len(keys) > len(ordered):
-        ordered.extend(keys)
-        ordered.sort()
-        slots[:] = [key[3] for key in ordered]
-    else:
-        for key in keys:
-            at = bisect_left(ordered, key)
-            ordered.insert(at, key)
-            slots.insert(at, key[3])
 
 
 def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,

@@ -9,7 +9,7 @@ by a NaN position row.  Snapshots are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -235,12 +235,43 @@ def join_columns(columns, sep: str = " ") -> list[str]:
     return list(map(sep.join, zip(*map(_column_text, columns))))
 
 
-def population_to_lines(pop: PopulationState) -> list[str]:
+def _identity_columns(pop: PopulationState) -> list[str]:
+    """Each row's line, word bits, word length and birth, as text."""
+    return join_columns((pop.lines, pop.word_bits, pop.word_lens, pop.births))
+
+
+def population_to_lines(pop: PopulationState,
+                        identity: list[str] | None = None) -> list[str]:
     """A ``# population t= d=`` line, then one row per cell: line, word bits,
-    word length, birth, death, and the position or ``dead``."""
+    word length, birth, death, and the position or ``dead``.
+
+    ``identity``, when given, holds each row's first four fields as text
+    (what ``_identity_columns`` makes of ``pop``).
+    """
     coords = join_columns(pop.positions.T)
     where = [c if live else "dead"
              for c, live in zip(coords, pop.live_mask.tolist())]
+    if identity is None:
+        identity = _identity_columns(pop)
     return [f"# population t={pop.time!r} d={pop.d}"] + join_columns(
-        (pop.lines, pop.word_bits, pop.word_lens, pop.births, pop.deaths,
-         where))
+        (identity, pop.deaths, where))
+
+
+def checkpoints_to_lines(states) -> Iterator[list[str]]:
+    """``population_to_lines`` of each checkpoint of one run, in order.
+
+    A run's checkpoints keep every cell born by their time, dead ones too,
+    so each is the rows of the last one born by then: the line, word and
+    birth of every cell are formatted once, from the last checkpoint.  A
+    checkpoint whose rows do not match that selection is formatted whole.
+    """
+    last = states[-1]
+    identity = _identity_columns(last)
+    for pop in states:
+        rows = np.flatnonzero(last.births <= pop.time)
+        same = len(rows) == len(pop) and all(
+            np.array_equal(whole[rows], part) for whole, part in (
+                (last.lines, pop.lines), (last.word_bits, pop.word_bits),
+                (last.word_lens, pop.word_lens), (last.births, pop.births)))
+        yield population_to_lines(
+            pop, [identity[r] for r in rows.tolist()] if same else None)

@@ -277,6 +277,10 @@ class TestCliRuns:
         # lambda_bar * T = 50000 clock points per cell: over the limit
         ("micro", "run.n0 = 4\nmodel.lambda_bar = 100000\n",
          "model.lambda_bar"),
+        # the limit binds the subcommands that draw no clock points too
+        ("macro", "model.lambda_bar = 100000\n", "model.lambda_bar"),
+        ("mass", "mass.replicas = 5\nmodel.lambda_bar = 100000\n",
+         "model.lambda_bar"),
         ("micro", "run.n0 = 4\nkernel.width = 2.0\n", "kernel.width"),
         ("micro", "run.n0 = 4\nkernel.width = -1\n", "kernel.width"),
         # 1.5 grid cells: below the spectral kernel's 2 dx

@@ -7,7 +7,8 @@ import pytest
 from chemobranch import (ConfigInvalid, DriftSpec, GridSpec, InitialFieldSpec,
                          InitialMeasureSpec, ModelParams, NoiseUniverse,
                          NoSuchLine, PopulationExplosion, RateSpec,
-                         lineage_restriction, simulate_microscopic)
+                         lineage_restriction, population,
+                         simulate_microscopic)
 from chemobranch.microscopic import (EVENT_BRANCH, EVENT_DEATH,
                                      MAX_CLOCK_POINTS)
 
@@ -123,6 +124,19 @@ class TestCouplingDeterminism:
                    for x, y in zip(a.fields, b.fields))
         assert [(e.time, e.idx, e.kind) for e in a.event_log] == \
                [(e.time, e.idx, e.kind) for e in b.event_log]
+
+    def test_checkpoint_writer_formats_identities_once(self, monkeypatch):
+        traj = simulate_microscopic(base_params(T=2.0), 30,
+                                    NoiseUniverse(7, 1))
+        kinds = {ev.kind for ev in traj.event_log}
+        assert kinds == {EVENT_BRANCH, EVENT_DEATH}
+        whole = [population.population_to_lines(s) for s in traj.states]
+        calls = []
+        identity = population._identity_columns
+        monkeypatch.setattr(population, "_identity_columns",
+                            lambda pop: calls.append(pop) or identity(pop))
+        assert list(population.checkpoints_to_lines(traj.states)) == whole
+        assert calls == [traj.states[-1]]
 
     def test_shared_lines_agree_across_n0_when_decoupled(self):
         # the coupling property the convergence theorems rely on

@@ -7,7 +7,8 @@ from chemobranch import (DimensionMismatch, EmpiricalMeasure, LineageIndex,
                          PopulationState, empirical, integrate, mean_se,
                          state_distance)
 from chemobranch.errors import LineageDepthExceeded
-from chemobranch.population import population_to_lines
+from chemobranch.population import (checkpoints_to_lines,
+                                    population_to_lines)
 
 
 def word(bits_str: str) -> tuple[int, int]:
@@ -269,6 +270,34 @@ class TestSerialization:
         pop = PopulationState(time, d, lines, word_lens, word_bits, births,
                               deaths, np.array(positions).reshape(n, d))
         assert population_to_lines(pop) == row_by_row_lines(pop)
+
+    def test_checkpoint_writer_matches_per_state_writer(self):
+        def state(time, rows):
+            # rows: (line, word, birth, death, position or None)
+            return PopulationState(
+                time, 1, [r[0] for r in rows], [word(r[1])[0] for r in rows],
+                [word(r[1])[1] for r in rows], [r[2] for r in rows],
+                [r[3] for r in rows],
+                [[np.nan if r[4] is None else r[4]] for r in rows])
+
+        a, b = (1, "", 0.0), (2, "", 0.0)
+        run = [state(0.0, [(*a, np.inf, 1.0), (*b, np.inf, 2.0)]),
+               state(0.5, [(*a, 0.3, None), (*b, np.inf, 2.5),
+                           (1, "0", 0.3, np.inf, 1.5),
+                           (1, "1", 0.3, np.inf, 0.5)]),
+               state(1.0, [(*a, 0.3, None), (*b, 0.7, None),
+                           (1, "0", 0.3, np.inf, 1.25),
+                           (1, "1", 0.3, np.inf, 0.75),
+                           (1, "10", 0.9, np.inf, 0.0)])]
+        # a cell missing from the last state, and daughters born at the
+        # checkpoint's own time but not in it: formatted whole
+        stray = state(0.2, [(*a, np.inf, 1.0), (3, "", 0.0, np.inf, 4.0)])
+        early = state(0.3, [(*a, np.inf, 1.0), (*b, np.inf, 2.0)])
+        for states in (run, [stray] + run, run[:1] + [early] + run[1:]):
+            assert list(checkpoints_to_lines(states)) == [
+                population_to_lines(pop) for pop in states]
+        assert list(checkpoints_to_lines(run)) == [
+            row_by_row_lines(pop) for pop in run]
 
     def test_compact_drops_dead(self):
         pop = state_from(1, {make_idx(1): [0.5], make_idx(2): None})
