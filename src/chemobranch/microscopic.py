@@ -222,13 +222,11 @@ class _Engine:
         self.count = 0
         self.n_live = 0
         self.heap: list[tuple[float, int, int, int, int]] = []
-        # slots of the live cells and of every cell in canonical order, and
-        # the first slot not yet merged into each; births and deaths since
-        # the last merge go in together (``_merge``)
-        self._live = np.empty(0, dtype=np.int64)
-        self._every = np.empty(0, dtype=np.int64)
-        self._live_upto = self._every_upto = 0
-        self._died = False
+        # every slot below ``_ordered`` in canonical order, dead ones too;
+        # the cells added since are merged in when the order is next read
+        self._order = np.empty(0, dtype=np.int64)
+        self._ordered = 0
+        self._live: np.ndarray | None = None
 
     def _grow(self):
         cap = len(self.lines)
@@ -295,6 +293,7 @@ class _Engine:
         self.next_time[new] = nxt
         for entry in entries:
             heapq.heappush(self.heap, entry)
+        self._live = None
         return new
 
     def draw_born(self, s0: int, k0: int):
@@ -333,21 +332,11 @@ class _Engine:
         self.alive[s] = False
         self.deaths[s] = t
         self.n_live -= 1
-        self._died = True
+        self._live = None
 
     def index_of(self, s: int) -> LineageIndex:
         return LineageIndex(int(self.lines[s]), int(self.wlens[s]),
                             int(self.wbits[s]))
-
-    def _merge(self, order: np.ndarray, new: np.ndarray) -> np.ndarray:
-        """Slots ``order``, sorted by (line, word length, word bits), with
-        the slots ``new`` sorted in; equal keys stay in slot order."""
-        if not len(new):
-            return order
-        new = new[np.lexsort((self.wbits[new], self.wlens[new],
-                              self.lines[new]))]
-        at = np.searchsorted(self._keys(order), self._keys(new), side="right")
-        return np.insert(order, at, new)
 
     def _keys(self, slots: np.ndarray) -> np.ndarray:
         keys = np.empty(len(slots), dtype=_CELL_KEY)
@@ -356,23 +345,29 @@ class _Engine:
         keys["wbits"] = self.wbits[slots]
         return keys
 
+    def ordered_slots(self) -> np.ndarray:
+        """Every slot, dead ones too, sorted by (line, word length, word
+        bits): the cells added since the last call are sorted among
+        themselves and merged in (equal keys stay in slot order)."""
+        if self._ordered < self.count:
+            new = np.arange(self._ordered, self.count)
+            new = new[np.lexsort((self.wbits[new], self.wlens[new],
+                                  self.lines[new]))]
+            at = np.searchsorted(self._keys(self._order), self._keys(new),
+                                 side="right")
+            self._order = np.insert(self._order, at, new)
+            self._ordered = self.count
+        return self._order
+
     def live_slots(self) -> np.ndarray:
         """Live slots sorted by (line, word length, word bits)."""
-        if self._died or self._live_upto < self.count:
-            live = self._live[self.alive[self._live]]
-            new = np.arange(self._live_upto, self.count)
-            self._live = self._merge(live, new[self.alive[new]])
-            self._live_upto, self._died = self.count, False
+        if self._live is None:
+            order = self.ordered_slots()
+            self._live = order[self.alive[order]]
         return self._live
 
     def snapshot(self, t: float, keep_dead: bool = True) -> PopulationState:
-        if keep_dead:
-            self._every = self._merge(self._every,
-                                      np.arange(self._every_upto, self.count))
-            self._every_upto = self.count
-            rows = self._every
-        else:
-            rows = self.live_slots()
+        rows = self.ordered_slots() if keep_dead else self.live_slots()
         pos = self.pos[rows]
         pos[~self.alive[rows]] = np.nan
         return PopulationState(t, self.d, self.lines[rows], self.wlens[rows],
