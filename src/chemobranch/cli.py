@@ -55,17 +55,11 @@ def _write_json(path: Path, cfg: ExperimentConfig, seed: int, payload: dict):
 
 
 def _events_csv(traj) -> list[str]:
-    d = traj.params.grid.d
-    log = traj.event_log
+    ev = traj.events
     cols = "time,line,word_bits,word_len,kind," + ",".join(
-        f"x{i + 1}" for i in range(d))
-    ids = np.array([(ev.idx.line, ev.idx.word_bits, ev.idx.word_len)
-                    for ev in log], dtype=np.uint64).reshape(len(log), 3)
-    positions = np.array([ev.position for ev in log],
-                         dtype=np.float64).reshape(len(log), d)
-    return [cols] + join_columns(
-        (np.array([ev.time for ev in log], dtype=np.float64), *ids.T,
-         [ev.kind for ev in log], *positions.T), sep=",")
+        f"x{i + 1}" for i in range(traj.params.grid.d))
+    return [cols] + join_columns((ev.time, ev.line, ev.word_bits, ev.word_len,
+                                  ev.kinds(), *ev.position.T), sep=",")
 
 
 def _default_phis(params):

@@ -6,15 +6,16 @@ field through the mollified empirical measure.  Within each step of length dt
 the order is fixed: evaluate the gradient, move every live cell, read the
 field quantity the rates consume, in one batch, at the cells whose clock
 rings in the step (end-of-substep positions, field at substep start),
-process clock events in global time order (daughters read their mother's
-value, as they sit at her position), then deposit and advance the field.
-A point's field value does not depend on the batch it is read in, so the
-batch holds only the cells that need it.  This order plus counter-based
-noise makes every trajectory a pure function of (params, universe),
-independent of thread count.
+process the step's clock events in rounds over the ringing cells (daughters
+read their mother's value, as they sit at her position), then deposit and
+advance the field.  A point's field value and rates do not depend on the
+batch they are read in, and no decision reads another event of the step, so
+batches hold only the cells that need them and the rounds find the events
+of global time order.  This order plus counter-based noise makes every
+trajectory a pure function of (params, universe), independent of threads.
 
-Cells enter the engine in batches, all founders at once and the two
-daughters of a branch together, and each batch draws its clock points in one
+Cells enter the engine in batches, all founders at once and all daughters
+of a step's round together, and each batch draws its clock points in one
 call.  Wiener increments are held one 64-step block per cell: every live
 cell draws the next block when it starts, and the cells born during a step
 draw the rest of its block together at the step's end.  Counter-indexed
@@ -27,17 +28,18 @@ coupled when their inputs coincide.
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigInvalid, NonFiniteState, NoSuchLine, PopulationExplosion
+from .errors import (ConfigInvalid, LineageDepthExceeded, NonFiniteState,
+                     NoSuchLine, PopulationExplosion)
 from .field import Field, FieldPath, GridSpec, Kernel, deposit, semigroup_step
-from .population import EmpiricalMeasure, LineageIndex, PopulationState, empirical
-from .randomness import NoiseUniverse, split_rows
+from .population import (MAX_WORD_LEN, EmpiricalMeasure, LineageIndex,
+                         PopulationState, empirical)
+from .randomness import NoiseUniverse
 from .registry import DriftSpec, InitialFieldSpec, InitialMeasureSpec, RateSpec
 
 EVENT_BRANCH = "branch"
@@ -141,9 +143,26 @@ class EventRecord:
     position: np.ndarray
 
 
+@dataclass(frozen=True)
+class EventColumns:
+    """A run's clock events in the order they happen: time, the cell's line,
+    word length and word bits, whether it branched (else it died), and its
+    position (n, d)."""
+
+    time: np.ndarray
+    line: np.ndarray
+    word_len: np.ndarray
+    word_bits: np.ndarray
+    branch: np.ndarray
+    position: np.ndarray
+
+    def kinds(self) -> np.ndarray:
+        return np.where(self.branch, EVENT_BRANCH, EVENT_DEATH)
+
+
 @dataclass
 class MicroTrajectory:
-    """Simulation output: checkpoint snapshots, field path, and event log."""
+    """Simulation output: checkpoint snapshots, field path, and events."""
 
     params: ModelParams
     n0: int
@@ -151,7 +170,16 @@ class MicroTrajectory:
     times: np.ndarray
     states: list[PopulationState]
     fields: list[Field]
-    event_log: list[EventRecord]
+    events: EventColumns
+
+    @cached_property
+    def event_log(self) -> list[EventRecord]:
+        """The events as records, built from ``events`` on first use."""
+        ev = self.events
+        return [EventRecord(t, LineageIndex(line, n, bits), kind, x)
+                for t, line, n, bits, kind, x in zip(
+                    ev.time.tolist(), ev.line.tolist(), ev.word_len.tolist(),
+                    ev.word_bits.tolist(), ev.kinds().tolist(), ev.position)]
 
     def measure_at(self, k: int) -> EmpiricalMeasure:
         return empirical(self.states[k], self.n0)
@@ -160,13 +188,9 @@ class MicroTrajectory:
         return np.array([s.live_count for s in self.states])
 
     def sup_live_over_n0(self) -> float:
-        """sup over continuous time of live count / n0, exact from the event log."""
-        live = len(self.founder_lines)
-        peak = live
-        for ev in self.event_log:
-            live += 1 if ev.kind == EVENT_BRANCH else -1
-            peak = max(peak, live)
-        return peak / self.n0
+        """sup over continuous time of live count / n0, exact from the events."""
+        net = np.cumsum(np.where(self.events.branch, 1, -1))
+        return (len(self.founder_lines) + int(net.max(initial=0))) / self.n0
 
 
 def lineage_restriction(traj: MicroTrajectory, line: int) -> MicroTrajectory:
@@ -180,17 +204,26 @@ def lineage_restriction(traj: MicroTrajectory, line: int) -> MicroTrajectory:
         times=traj.times,
         states=[s.restrict_to_line(line) for s in traj.states],
         fields=traj.fields,
-        event_log=[ev for ev in traj.event_log if ev.idx.line == line],
+        events=EventColumns(*(column[traj.events.line == line]
+                              for column in vars(traj.events).values())),
     )
 
 
 _BLOCK = 64  # steps of Wiener increments drawn per refill
 _CELL_KEY = np.dtype([("line", np.int64), ("wlen", np.int64),
                       ("wbits", np.uint64)])  # compares field by field
+_PER_CELL = ("lines", "wlens", "wbits", "births", "deaths", "alive", "pos",
+             "cursor", "rate_arg", "inc")
+
+
+def _explosion(cap: int) -> PopulationExplosion:
+    return PopulationExplosion(f"live count {cap + 1} exceeds cap {cap}")
 
 
 class _Engine:
-    """Growable arrays of per-cell state plus the global event heap.
+    """Growable arrays of per-cell state plus the flat store of clock points:
+    a cell's points sit in ``clock_times``/``clock_marks`` followed by one
+    +inf, and ``clock_times[cursor]`` is its next point (inf when none is).
 
     ``inc`` holds one block of Wiener increments per cell, (cap, 64, d):
     step k reads column k % 64.  A cell draws its increments of a block
@@ -210,91 +243,74 @@ class _Engine:
         self.wlens = np.zeros(cap, dtype=np.int64)
         self.wbits = np.zeros(cap, dtype=np.uint64)
         self.births = np.zeros(cap)
-        self.deaths = np.full(cap, np.inf)
+        self.deaths = np.zeros(cap)
         self.alive = np.zeros(cap, dtype=bool)
         self.pos = np.zeros((cap, self.d))
-        self.next_time = np.full(cap, np.inf)  # the cell's next clock point
+        self.cursor = np.zeros(cap, dtype=np.int64)
         self.rate_arg = np.zeros(cap)  # what its rates read in this step
         self.inc = np.zeros((cap, min(_BLOCK, self.n_steps), self.d))
-        self.clock_times: list[np.ndarray | None] = [None] * cap
-        self.clock_marks: list[np.ndarray | None] = [None] * cap
-        self.cursor = np.zeros(cap, dtype=np.int64)
         self.count = 0
         self.n_live = 0
-        self.heap: list[tuple[float, int, int, int, int]] = []
+        self.clock_times = np.zeros(cap)
+        self.clock_marks = np.zeros(cap)
+        self.n_points = 0  # entries of the clock store in use
+        # (times, slots, branched) of the events, a batch per round
+        self.events = [(np.empty(0), np.empty(0, dtype=np.int64),
+                        np.empty(0, dtype=bool))]
         # every slot below ``_ordered`` in canonical order, dead ones too;
         # the cells added since are merged in when the order is next read
         self._order = np.empty(0, dtype=np.int64)
         self._ordered = 0
         self._live: np.ndarray | None = None
 
-    def _grow(self):
-        cap = len(self.lines)
-        new = cap * 2
-        for name in ("lines", "wlens", "wbits", "births", "deaths", "alive",
-                     "cursor", "next_time", "rate_arg"):
+    def _resize(self, names, size: int):
+        for name in names:
             arr = getattr(self, name)
-            grown = np.zeros(new, dtype=arr.dtype)
-            if name in ("deaths", "next_time"):
-                grown[:] = np.inf
-            grown[:cap] = arr
+            grown = np.zeros((size,) + arr.shape[1:], dtype=arr.dtype)
+            grown[:len(arr)] = arr
             setattr(self, name, grown)
-        for name in ("pos", "inc"):
-            arr = getattr(self, name)
-            grown = np.zeros((new,) + arr.shape[1:], dtype=arr.dtype)
-            grown[:cap] = arr
-            setattr(self, name, grown)
-        self.clock_times.extend([None] * cap)
-        self.clock_marks.extend([None] * cap)
 
     def add_cells(self, lines, wlens, wbits, positions: np.ndarray,
-                  birth: float) -> slice:
-        """Insert a batch of cells born at ``birth`` into consecutive slots
+                  births) -> slice:
+        """Insert a batch of cells born at ``births`` into consecutive slots
         and draw their clock points up to T in one batch (``draw_born``
         draws their Wiener increments)."""
         m = len(lines)
-        if self.n_live + m > self.p.population_cap:
-            raise PopulationExplosion(
-                f"live count {self.p.population_cap + 1} exceeds cap "
-                f"{self.p.population_cap}")
-        while self.count + m > len(self.lines):
-            self._grow()
+        if self.count + m > len(self.lines):  # to the next power of two
+            self._resize(_PER_CELL, 1 << (self.count + m - 1).bit_length())
         new = slice(self.count, self.count + m)
         self.count += m
         self.n_live += m
         self.lines[new] = lines
         self.wlens[new] = wlens
         self.wbits[new] = wbits
-        self.births[new] = birth
+        self.births[new] = births
         self.deaths[new] = np.inf
         self.alive[new] = True
         self.pos[new] = positions
         times, marks, offsets = self.u.clock_arrays(
             (self.lines[new], self.wlens[new], self.wbits[new]), self.p.T,
             self.p.lambda_bar)
-        self.clock_times[new] = split_rows(times, offsets)
-        self.clock_marks[new] = split_rows(marks, offsets)
-        # a cell's next point is its first one at or after its birth
-        points, bounds = times.tolist(), offsets.tolist()
-        cursor, nxt, entries = [], [], []
-        for i, key in enumerate(zip(self.lines[new].tolist(),
-                                    self.wlens[new].tolist(),
-                                    self.wbits[new].tolist(),
-                                    range(new.start, new.stop))):
-            lo, hi = bounds[i], bounds[i + 1]
-            c = bisect_left(points, birth, lo, hi)
-            cursor.append(c - lo)
-            if c < hi:
-                nxt.append(points[c])
-                entries.append((points[c], *key))
-            else:
-                nxt.append(math.inf)
-        self.cursor[new] = cursor
-        self.next_time[new] = nxt
-        for entry in entries:
-            heapq.heappush(self.heap, entry)
+        # each cell's points and a closing +inf go to the clock store; its
+        # next point is its first one at or after its birth
+        counts = offsets[1:] - offsets[:-1]
+        cells = np.arange(self.n_points, self.n_points + m)
+        self.n_points += len(times) + m
+        if self.n_points > len(self.clock_times):
+            self._resize(("clock_times", "clock_marks"),
+                         max(2 * len(self.clock_times), self.n_points))
+        at = np.arange(len(times)) + np.repeat(cells, counts)
+        self.clock_times[at], self.clock_marks[at] = times, marks
+        self.clock_times[offsets[1:] + cells] = np.inf
+        early = np.zeros(len(times) + 1, dtype=np.int64)
+        np.cumsum(times < np.repeat(self.births[new], counts), out=early[1:])
+        self.cursor[new] = (offsets[:-1] + cells + early[offsets[1:]]
+                            - early[offsets[:-1]])
         self._live = None
         return new
+
+    def next_times(self, slots: np.ndarray) -> np.ndarray:
+        return self.clock_times[self.cursor[slots]]
 
     def draw_born(self, s0: int, k0: int):
         """Draw the Wiener increments of the cells in slots s0.., first
@@ -318,25 +334,90 @@ class _Engine:
             (self.lines[ls], self.wlens[ls], self.wbits[ls]), k, end,
             self.p.dt)
 
-    def _push_next(self, s: int):
-        c = int(self.cursor[s])
-        times = self.clock_times[s]
-        if c < len(times):
-            self.next_time[s] = times[c]
-            heapq.heappush(self.heap, (float(times[c]), int(self.lines[s]),
-                                       int(self.wlens[s]), int(self.wbits[s]), s))
-        else:
-            self.next_time[s] = np.inf
+    def process_clocks(self, slots: np.ndarray, t_next: float, birth_fn,
+                       death_fn):
+        """Process the clock points before ``t_next`` of the live cells
+        ``slots`` in rounds: each reads its cells' next points and marks,
+        evaluates the rates once, kills the cells that branch or die and
+        adds all their daughters in one batch; the next round holds the
+        daughters and rejected cells whose next point is before ``t_next``.
+        ``_check`` holds the cap and depth limit in time order; near the cap
+        a round takes only its earliest cells, as many as can branch without
+        the live count passing the cap by more than one.
+        """
+        cap = self.p.population_cap
+        n_start, branches, deep = self.n_live, 0, False
+        found = []
+        while len(slots):
+            room = max(1, cap + 1 - self.n_live)
+            rest = slots[:0]
+            if len(slots) > room:
+                first = np.argsort(self.next_times(slots), kind="stable")
+                slots, rest = slots[first[:room]], slots[first[room:]]
+            c = self.cursor[slots]
+            t, z = self.clock_times[c], self.clock_marks[c]
+            self.cursor[slots] = c + 1
+            x, arg = self.pos[slots], self.rate_arg[slots]
+            lb = birth_fn(x, arg)
+            branch = z <= lb
+            end = branch | (z <= lb + death_fn(x, arg))
+            ended = slots[end]
+            if len(ended):
+                self.alive[ended] = False
+                self.deaths[ended] = t[end]
+                self.n_live -= len(ended)
+                self._live = None
+                found.append((t[end], ended, branch[end]))
+            kept = slots[~end]
+            pending = [kept[self.next_times(kept) < t_next], rest]
+            mothers = slots[branch]
+            if len(mothers):
+                branches += len(mothers)
+                deep = deep or self.wlens[mothers].max() >= MAX_WORD_LEN
+                words = np.repeat(self.wbits[mothers] << 1, 2)
+                words[1::2] |= 1
+                new = self.add_cells(
+                    np.repeat(self.lines[mothers], 2),
+                    np.repeat(self.wlens[mothers] + 1, 2), words,
+                    np.repeat(self.pos[mothers], 2, axis=0),
+                    np.repeat(t[branch], 2))
+                self.rate_arg[new] = np.repeat(self.rate_arg[mothers], 2)
+                born = np.arange(new.start, new.stop)
+                pending.append(born[self.next_times(born) < t_next])
+            slots = np.concatenate(pending)
+            if self.n_live > cap and len(slots):
+                self._check(found, n_start, self.next_times(slots).min())
+        if deep or n_start + branches > cap:
+            self._check(found, n_start, np.inf)
+        self.events.extend(found)
 
-    def kill(self, s: int, t: float):
-        self.alive[s] = False
-        self.deaths[s] = t
-        self.n_live -= 1
-        self._live = None
+    def _in_order(self, events):
+        """Batches of (times, slots, branched) as one, sorted by (time,
+        line, word length, word bits): the order in which they happen."""
+        t, s, b = (np.concatenate(col) for col in zip(*events))
+        order = np.lexsort((self.wbits[s], self.wlens[s], self.lines[s], t))
+        return t[order], s[order], b[order]
 
-    def index_of(self, s: int) -> LineageIndex:
-        return LineageIndex(int(self.lines[s]), int(self.wlens[s]),
-                            int(self.wbits[s]))
+    def _check(self, found, n_start: int, horizon: float):
+        """Raise the first error, in time order, of the events ``found`` in
+        a step before ``horizon`` (which are all its events before it): the
+        live count passing the cap, or a branch at the depth limit, which
+        wins a tie."""
+        t, s, b = self._in_order(found)
+        deep = b & (self.wlens[s] >= MAX_WORD_LEN)
+        live = n_start + np.cumsum(np.where(b, 1, -1))
+        bad = np.flatnonzero(((live > self.p.population_cap) | deep)
+                             & (t < horizon))
+        if len(bad) and deep[bad[0]]:
+            raise LineageDepthExceeded(
+                f"genealogy deeper than {MAX_WORD_LEN} generations")
+        if len(bad):
+            raise _explosion(self.p.population_cap)
+
+    def event_columns(self) -> EventColumns:
+        t, s, b = self._in_order(self.events)
+        return EventColumns(t, self.lines[s], self.wlens[s], self.wbits[s],
+                            b, self.pos[s])
 
     def _keys(self, slots: np.ndarray) -> np.ndarray:
         keys = np.empty(len(slots), dtype=_CELL_KEY)
@@ -353,9 +434,15 @@ class _Engine:
             new = np.arange(self._ordered, self.count)
             new = new[np.lexsort((self.wbits[new], self.wlens[new],
                                   self.lines[new]))]
+            # the i-th new slot lands after the old slots not above it and
+            # the i new slots before it; the old slots fill the rest in order
             at = np.searchsorted(self._keys(self._order), self._keys(new),
-                                 side="right")
-            self._order = np.insert(self._order, at, new)
+                                 side="right") + np.arange(len(new))
+            order = np.empty(self.count, dtype=np.int64)
+            old = np.ones(self.count, dtype=bool)
+            old[at] = False
+            order[at], order[old] = new, self._order
+            self._order = order
             self._ordered = self.count
         return self._order
 
@@ -404,6 +491,8 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
             raise ValueError("field path does not cover [0, T]")
         rho = rho_path.field_at(0.0)
 
+    if n0 > p.population_cap:
+        raise _explosion(p.population_cap)
     eng = _Engine(p, universe)
     lines = np.array(founder_lines, dtype=np.int64)
     eng.add_cells(lines, 0, 0, p.mu0.sample(universe, lines, d, L), 0.0)
@@ -411,13 +500,13 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
 
     states = [eng.snapshot(0.0, keep_dead)]
     fields = [rho]
-    event_log: list[EventRecord] = []
 
     for k in range(n_steps):
         t_next = (k + 1) * dt
         if k and k % _BLOCK == 0:
             eng.refill(k)
         ls = eng.live_slots()
+        born = eng.count
         if len(ls):
             x = eng.pos[ls]
             if drift_fn is not None:
@@ -429,39 +518,10 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
             if not np.all(np.isfinite(x)):
                 raise NonFiniteState(f"non-finite position at t={t_next}")
             eng.pos[ls] = x
-            if needs_rho:  # one batch: the cells whose clock rings in the step
-                ring = eng.next_time[ls] < t_next
-                if ring.any():
-                    eng.rate_arg[ls[ring]] = p.rate_argument(rho, x[ring])
-
-        born = eng.count
-        while eng.heap and eng.heap[0][0] < t_next:
-            t_e, _, _, _, s = heapq.heappop(eng.heap)
-            if not eng.alive[s]:
-                continue
-            xs = eng.pos[s].reshape(1, d)
-            rho_val = eng.rate_arg[s:s + 1]
-            z = float(eng.clock_marks[s][eng.cursor[s]])
-            eng.cursor[s] += 1
-            lb = float(birth_fn(xs, rho_val)[0])
-            if z <= lb:
-                idx = eng.index_of(s)
-                eng.kill(s, t_e)
-                pos_here = eng.pos[s].copy()
-                kids = idx.children()
-                c = eng.add_cells([kid.line for kid in kids],
-                                  [kid.word_len for kid in kids],
-                                  [kid.word_bits for kid in kids],
-                                  pos_here, t_e)
-                eng.rate_arg[c] = eng.rate_arg[s]  # born where s sits
-                event_log.append(EventRecord(t_e, idx, EVENT_BRANCH, pos_here))
-            elif z <= lb + float(death_fn(xs, rho_val)[0]):
-                idx = eng.index_of(s)
-                eng.kill(s, t_e)
-                event_log.append(EventRecord(t_e, idx, EVENT_DEATH,
-                                             eng.pos[s].copy()))
-            else:
-                eng._push_next(s)
+            ring = ls[eng.next_times(ls) < t_next]
+            if needs_rho and len(ring):  # one batch: the ringing cells
+                eng.rate_arg[ring] = p.rate_argument(rho, eng.pos[ring])
+            eng.process_clocks(ring, t_next, birth_fn, death_fn)
         eng.draw_born(born, k + 1)
 
         if coupled:
@@ -482,7 +542,7 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
 
     return MicroTrajectory(params=p, n0=n0, founder_lines=founder_lines,
                            times=p.times(), states=states, fields=fields,
-                           event_log=event_log)
+                           events=eng.event_columns())
 
 
 def simulate_microscopic(params: ModelParams, n0: int, universe: NoiseUniverse,

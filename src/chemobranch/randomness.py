@@ -112,13 +112,6 @@ def _ints(column, m: int) -> list[int]:
     return column.tolist() if column.ndim else [int(column)] * m
 
 
-def split_rows(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    """Views of ``flat`` between consecutive offsets, e.g. the per-cell
-    points of ``NoiseUniverse.clock_arrays``."""
-    bounds = offsets.tolist()
-    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 @dataclass(frozen=True)
 class NoiseUniverse:
     """Addressable source of all Wiener and Poisson-clock randomness.
@@ -253,7 +246,9 @@ class NoiseUniverse:
                 times[dest[below]] = block[below]
         marks = np.empty(len(times))
         if len(marks):
-            _fill_uniform(mkeys, 0, split_rows(marks, offsets))
+            bounds = offsets.tolist()
+            _fill_uniform(mkeys, 0, [marks[a:b] for a, b in
+                                     zip(bounds[:-1], bounds[1:])])
             marks += 2.0 ** -54
             marks *= lambda_bar
         return times, marks, offsets

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from chemobranch import (ConfigInvalid, DriftSpec, GridSpec, InitialFieldSpec,
-                         InitialMeasureSpec, ModelParams, NoiseUniverse,
-                         NoSuchLine, PopulationExplosion, RateSpec,
-                         lineage_restriction, population,
-                         simulate_microscopic)
+                         InitialMeasureSpec, LineageDepthExceeded,
+                         ModelParams, NoiseUniverse, NoSuchLine,
+                         PopulationExplosion, RateSpec, lineage_restriction,
+                         population, simulate_microscopic)
 from chemobranch.microscopic import (EVENT_BRANCH, EVENT_DEATH,
-                                     MAX_CLOCK_POINTS)
+                                     MAX_CLOCK_POINTS, _Engine)
 
 
 def base_params(**over):
@@ -224,6 +224,51 @@ class TestEventBookkeeping:
                 assert np.array_equal(getattr(a, name), getattr(b, name)[keep])
 
 
+class TestEngine:
+    @pytest.mark.parametrize("spec", [
+        RateSpec("zero"), RateSpec("constant", {"c": 0.3}),
+        RateSpec("indicator", {"c": 0.8}),
+        RateSpec("logistic", {"c": 0.3, "slope": 2.0, "center": 0.2})])
+    def test_rates_do_not_depend_on_the_batch(self, spec):
+        # a step's rates are read in one batch per round; each point's rate
+        # must equal its rate read alone, bit for bit
+        L = 8.0
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, L, (5000, 1))
+        rho = rng.normal(0.0, 10.0, 5000)
+        rate = spec.build(L)
+        batch = np.asarray(rate(x, rho), dtype=np.float64)
+        alone = np.array([rate(x[i:i + 1], rho[i:i + 1])[0]
+                          for i in range(5000)])
+        assert batch.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+
+    def test_ordered_slots_equal_a_full_sort(self):
+        # merged batch by batch (sometimes several at once), the order is
+        # a stable sort of every slot by (line, word length, word bits)
+        eng = _Engine(decoupled(), NoiseUniverse(3, 1))
+        rng = np.random.default_rng(8)
+        for batch in range(12):
+            m = int(rng.integers(1, 40))
+            eng.add_cells(rng.integers(1, 6, m), rng.integers(0, 4, m),
+                          rng.integers(0, 4, m).astype(np.uint64),
+                          rng.uniform(0.0, 8.0, (m, 1)), 0.0)
+            if batch % 3:
+                n = eng.count
+                full = np.lexsort((eng.wbits[:n], eng.wlens[:n],
+                                   eng.lines[:n]))
+                assert np.array_equal(eng.ordered_slots(), full)
+
+    def test_sup_live_equals_event_replay(self):
+        traj = simulate_microscopic(base_params(dt=0.05, T=2.0), 30,
+                                    NoiseUniverse(29, 1))
+        live = peak = 30
+        for ev in traj.event_log:
+            live += 1 if ev.kind == EVENT_BRANCH else -1
+            peak = max(peak, live)
+        assert peak > 30
+        assert traj.sup_live_over_n0() == peak / 30
+
+
 class TestLineageRestriction:
     def test_single_line_restriction_is_identity(self):
         params = base_params()
@@ -263,6 +308,51 @@ class TestGuards:
                              dt=0.05, T=2.0, population_cap=40)
         with pytest.raises(PopulationExplosion):
             simulate_microscopic(params, 20, NoiseUniverse(10, 1))
+
+    @pytest.mark.parametrize("seed", [2, 18])
+    def test_population_cap_at_the_exact_peak(self, seed):
+        # the cap holds for the live count in time order over each step's
+        # events: a cap at the run's peak lets it finish unchanged, one
+        # below raises.  With seed 18 the events found by a step's rounds,
+        # counted regardless of their order, pass the peak
+        params = base_params(birth=RateSpec("constant", {"c": 6.0}),
+                             death=RateSpec("constant", {"c": 4.0}),
+                             lambda_bar=10.0, alpha=0.0,
+                             drift=DriftSpec("zero"), dt=0.1, T=1.0)
+        u = NoiseUniverse(seed, 1)
+        free = simulate_microscopic(params, 10, u)
+        live = 10 + np.cumsum([1 if ev.kind == EVENT_BRANCH else -1
+                               for ev in free.event_log])
+        peak = int(live.max())
+        assert peak > 10
+        if seed == 2:
+            # the count first reaches the peak when a cell born earlier in
+            # the same step branches
+            first = free.event_log[int(np.argmax(live))]
+            final = free.states[-1]
+            born = final.births[row_of(final, first.idx)]
+            step = np.searchsorted(free.times, [born, first.time],
+                                   side="right") - 1
+            assert first.kind == EVENT_BRANCH and born > 0
+            assert step[0] == step[1]
+        at_peak = simulate_microscopic(
+            dataclasses.replace(params, population_cap=peak), 10, u)
+        assert [(e.time, e.idx, e.kind) for e in at_peak.event_log] == \
+               [(e.time, e.idx, e.kind) for e in free.event_log]
+        with pytest.raises(PopulationExplosion):
+            simulate_microscopic(
+                dataclasses.replace(params, population_cap=peak - 1), 10, u)
+
+    def test_lineage_depth_limit(self):
+        # a critical branching run with many founders grows a genealogy
+        # past the 64 generations that a cell's word holds
+        params = base_params(birth=RateSpec("constant", {"c": 50.0}),
+                             death=RateSpec("constant", {"c": 50.0}),
+                             lambda_bar=100.0, alpha=0.0,
+                             drift=DriftSpec("zero"), dt=0.25, T=2.0)
+        with pytest.raises(LineageDepthExceeded):
+            simulate_microscopic(params, 30, NoiseUniverse(0, 1),
+                                 keep_dead=False)
 
     def test_time_grid_validated(self):
         with pytest.raises(ValueError):
