@@ -220,6 +220,59 @@ def _explosion(cap: int) -> PopulationExplosion:
     return PopulationExplosion(f"live count {cap + 1} exceeds cap {cap}")
 
 
+class _Tally:
+    """The live count over one step's events in time order, checked against
+    the population cap and the depth limit as the events become final.
+
+    It starts from the events found so far, sorted; later events are passed
+    to ``add`` in time order, each once every event before it is found, and
+    the sorted events before it are checked first.  The first error in time
+    order is raised, the depth limit first when one event meets both.
+    """
+
+    def __init__(self, eng: "_Engine", found, n_start: int):
+        self.eng = eng
+        self.t, self.s, b = eng.in_order(found)
+        self.live = n_start + np.cumsum(np.where(b, 1, -1))
+        self.deep = b & (eng.wlens[self.s] >= MAX_WORD_LEN)
+        self.n_start = n_start
+        self.done = 0  # sorted events checked so far
+        self.added = 0  # net births of the events added since, all earlier
+
+    def check_before(self, horizon: float):
+        """Check the sorted events before ``horizon``."""
+        self._check_to(int(np.searchsorted(self.t, horizon)))
+
+    def _check_to(self, j: int):
+        live = self.live[self.done:j] + self.added
+        deep = self.deep[self.done:j]
+        bad = np.flatnonzero((live > self.eng.p.population_cap) | deep)
+        if len(bad):
+            self._raise(deep[bad[0]])
+        self.done = max(self.done, j)
+
+    def add(self, t: float, s: int, branched: bool):
+        eng = self.eng
+        key = (eng.lines[s], eng.wlens[s], eng.wbits[s])
+        j = int(np.searchsorted(self.t, t))
+        while j < len(self.t) and self.t[j] == t and (
+                eng.lines[self.s[j]], eng.wlens[self.s[j]],
+                eng.wbits[self.s[j]]) < key:
+            j += 1
+        self._check_to(j)
+        self.added += 1 if branched else -1
+        live = (self.live[j - 1] if j else self.n_start) + self.added
+        deep = branched and eng.wlens[s] >= MAX_WORD_LEN
+        if deep or live > eng.p.population_cap:
+            self._raise(deep)
+
+    def _raise(self, deep: bool):
+        if deep:
+            raise LineageDepthExceeded(
+                f"genealogy deeper than {MAX_WORD_LEN} generations")
+        raise _explosion(self.eng.p.population_cap)
+
+
 class _Engine:
     """Growable arrays of per-cell state plus the flat store of clock points:
     a cell's points sit in ``clock_times``/``clock_marks`` followed by one
@@ -341,19 +394,24 @@ class _Engine:
         evaluates the rates once, kills the cells that branch or die and
         adds all their daughters in one batch; the next round holds the
         daughters and rejected cells whose next point is before ``t_next``.
-        ``_check`` holds the cap and depth limit in time order; near the cap
-        a round takes only its earliest cells, as many as can branch without
-        the live count passing the cap by more than one.
+
+        The cap and the depth limit hold in time order (``_Tally``).  A
+        round at most doubles the live count; once it passes the cap, the
+        rounds take one cell at a time in time order, so that every event is
+        final when found and the run stops at the first one past the cap.
         """
         cap = self.p.population_cap
         n_start, branches, deep = self.n_live, 0, False
-        found = []
+        found, tally = [], None
         while len(slots):
-            room = max(1, cap + 1 - self.n_live)
             rest = slots[:0]
-            if len(slots) > room:
-                first = np.argsort(self.next_times(slots), kind="stable")
-                slots, rest = slots[first[:room]], slots[first[room:]]
+            if tally is not None:  # the earliest cell alone
+                times = self.next_times(slots)
+                tied = np.flatnonzero(times == times.min())
+                i = tied[np.lexsort((self.wbits[slots[tied]],
+                                     self.wlens[slots[tied]],
+                                     self.lines[slots[tied]]))[0]]
+                slots, rest = slots[i:i + 1], np.delete(slots, i)
             c = self.cursor[slots]
             t, z = self.clock_times[c], self.clock_marks[c]
             self.cursor[slots] = c + 1
@@ -368,6 +426,8 @@ class _Engine:
                 self.n_live -= len(ended)
                 self._live = None
                 found.append((t[end], ended, branch[end]))
+                if tally is not None:
+                    tally.add(float(t[0]), int(slots[0]), bool(branch[0]))
             kept = slots[~end]
             pending = [kept[self.next_times(kept) < t_next], rest]
             mothers = slots[branch]
@@ -385,37 +445,24 @@ class _Engine:
                 born = np.arange(new.start, new.stop)
                 pending.append(born[self.next_times(born) < t_next])
             slots = np.concatenate(pending)
-            if self.n_live > cap and len(slots):
-                self._check(found, n_start, self.next_times(slots).min())
-        if deep or n_start + branches > cap:
-            self._check(found, n_start, np.inf)
+            if tally is None and self.n_live > cap and len(slots):
+                tally = _Tally(self, found, n_start)
+                tally.check_before(self.next_times(slots).min())
+        if tally is None and (deep or n_start + branches > cap):
+            tally = _Tally(self, found, n_start)
+        if tally is not None:
+            tally.check_before(np.inf)
         self.events.extend(found)
 
-    def _in_order(self, events):
+    def in_order(self, events):
         """Batches of (times, slots, branched) as one, sorted by (time,
         line, word length, word bits): the order in which they happen."""
         t, s, b = (np.concatenate(col) for col in zip(*events))
         order = np.lexsort((self.wbits[s], self.wlens[s], self.lines[s], t))
         return t[order], s[order], b[order]
 
-    def _check(self, found, n_start: int, horizon: float):
-        """Raise the first error, in time order, of the events ``found`` in
-        a step before ``horizon`` (which are all its events before it): the
-        live count passing the cap, or a branch at the depth limit, which
-        wins a tie."""
-        t, s, b = self._in_order(found)
-        deep = b & (self.wlens[s] >= MAX_WORD_LEN)
-        live = n_start + np.cumsum(np.where(b, 1, -1))
-        bad = np.flatnonzero(((live > self.p.population_cap) | deep)
-                             & (t < horizon))
-        if len(bad) and deep[bad[0]]:
-            raise LineageDepthExceeded(
-                f"genealogy deeper than {MAX_WORD_LEN} generations")
-        if len(bad):
-            raise _explosion(self.p.population_cap)
-
     def event_columns(self) -> EventColumns:
-        t, s, b = self._in_order(self.events)
+        t, s, b = self.in_order(self.events)
         return EventColumns(t, self.lines[s], self.wlens[s], self.wbits[s],
                             b, self.pos[s])
 
