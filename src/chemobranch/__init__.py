@@ -10,12 +10,10 @@ the stochastic models converge to the deterministic one.
 from .errors import (CFLViolation, ChemobranchError, ConfigInvalid,
                      DimensionMismatch, EmptyEnsemble, GridMismatch,
                      LineageDepthExceeded, NonFiniteAtom, NonFiniteQuery,
-                     NonFiniteState, NoSuchLine, PicardStalled,
-                     PopulationExplosion)
+                     NonFiniteState, PicardStalled, PopulationExplosion)
 from .field import Field, FieldPath, GridSpec, Kernel, deposit, semigroup_step
 from .microscopic import (EventRecord, MicroTrajectory, ModelParams,
-                          lineage_restriction, simulate_lines,
-                          simulate_microscopic)
+                          simulate_lines, simulate_microscopic)
 from .meanfield import (MassEnsemble, SelfConsistentField, simulate_hybrid,
                         simulate_mass_ensemble, solve_selfconsistent_field)
 from .macroscopic import PksSolution, observed_order, solve_pks

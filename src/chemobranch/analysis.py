@@ -18,9 +18,9 @@ import numpy as np
 from .field import Field
 from .meanfield import (rebuild_field_path, simulate_hybrid,
                         solve_selfconsistent_field)
-from .microscopic import (MicroTrajectory, ModelParams, lineage_restriction,
-                          simulate_lines, simulate_microscopic)
-from .population import EmpiricalMeasure, integrate, mean_se, state_distance
+from .microscopic import ModelParams, simulate_lines, simulate_microscopic
+from .population import (EmpiricalMeasure, empirical, integrate, mean_se,
+                         state_distance)
 from .randomness import NoiseUniverse
 
 
@@ -269,18 +269,20 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
         u_r = universe.child("replica", r)
         out = {}
         for n0 in n0_list:
-            traj = simulate_microscopic(p, n0, u_r)
-            sup_dm = 0.0
-            sup_field = 0.0
-            for k in range(n_checks):
-                dm = vague_distance(traj.measure_at(k), ref_density[k], bank)
+            sup_dm = sup_field = 0.0
+
+            def observe(k, state, rho):
+                nonlocal sup_dm, sup_field
+                dm = vague_distance(empirical(state, n0), ref_density[k], bank)
                 sup_dm = max(sup_dm, dm)
-                err_val = float(np.max(np.abs(traj.fields[k].values
+                err_val = float(np.max(np.abs(rho.values
                                               - scf.rho_path.values[k])))
-                grads = traj.fields[k].gradient_grid()
+                grads = rho.gradient_grid()
                 gerr = np.sqrt(sum((g - rg) ** 2
                                for g, rg in zip(grads, ref_grad[k])))
                 sup_field = max(sup_field, err_val + float(np.max(gerr)))
+
+            simulate_microscopic(p, n0, u_r, observe=observe)
             out[n0] = (sup_dm, sup_field)
         return out
 
@@ -304,11 +306,6 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
     return ConvergenceReport(rows, summary)
 
 
-def _event_signature(traj: MicroTrajectory) -> list[tuple]:
-    return [(ev.time, ev.idx.line, ev.idx.word_len, ev.idx.word_bits, ev.kind)
-            for ev in traj.event_log]
-
-
 def coupling_experiment(params: ModelParams, n0_list, replicas: int,
                         epsilon_list, universe: NoiseUniverse
                         ) -> ConvergenceReport:
@@ -323,20 +320,29 @@ def coupling_experiment(params: ModelParams, n0_list, replicas: int,
     n0_list = [int(n) for n in n0_list]
     epsilon_list = [float(e) for e in epsilon_list]
     scf = solve_selfconsistent_field(p, "macroscopic")
-    n_checks = p.n_steps + 1
     L = p.grid.extent
 
     def one_replica(r: int):
         u_r = universe.child("replica", r)
-        hybrid = simulate_hybrid(p, scf.rho_path, u_r)
-        hybrid_sig = _event_signature(hybrid)
+        single = []  # the hybrid's states, one line each
+        hybrid = simulate_hybrid(p, scf.rho_path, u_r,
+                                 observe=lambda k, state, rho:
+                                 single.append(state))
         out = {}
         for n0 in n0_list:
-            micro = simulate_microscopic(p, n0, u_r)
-            line1 = lineage_restriction(micro, 1)
-            sup_dx = max(state_distance(line1.states[k], hybrid.states[k],
-                                        extent=L) for k in range(n_checks))
-            mismatch = _event_signature(line1) != hybrid_sig
+            sup_dx = 0.0
+
+            def observe(k, state, rho):
+                nonlocal sup_dx
+                sup_dx = max(sup_dx, state_distance(
+                    state.restrict_to_line(1), single[k], extent=L))
+
+            ev = simulate_microscopic(p, n0, u_r, observe=observe).events
+            line1 = ev.line == 1
+            mismatch = not all(
+                np.array_equal(getattr(ev, name)[line1],
+                               getattr(hybrid.events, name))
+                for name in ("time", "word_len", "word_bits", "branch"))
             out[n0] = (sup_dx, mismatch)
         return out
 
@@ -396,8 +402,7 @@ def yule_bound_check(params: ModelParams, n0: int, replicas: int,
 
     def one_replica(r: int) -> float:
         u_r = universe.child("replica", r)
-        traj = simulate_lines(p, range(1, n0 + 1), u_r, rho_path=rho_path,
-                              keep_dead=False)
+        traj = simulate_lines(p, range(1, n0 + 1), u_r, rho_path=rho_path)
         return traj.sup_live_over_n0()
 
     values = np.array([one_replica(r) for r in range(replicas)])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .config import ExperimentConfig
 from .errors import ChemobranchError, ConfigInvalid
 from .field import Field, field_to_bytes, field_to_csv_lines
 from .microscopic import simulate_microscopic
-from .population import checkpoints_to_lines, join_columns
+from .population import SnapshotWriter, join_columns
 from .randomness import NoiseUniverse
 
 EXIT_OK = 0
@@ -46,6 +47,16 @@ def _write_text(path: Path, lines: list[str], blocks=()):
     with path.open("w", encoding="utf-8") as f:
         for block in chain([lines], blocks):
             f.write("\n".join(block) + "\n")
+
+
+@contextmanager
+def _snapshot_observer(path: Path, head: list[str]):
+    """An observer that writes each checkpoint's population to ``path``
+    during the run, so a run that stops leaves the checkpoints before it."""
+    with path.open("w", encoding="utf-8") as f:
+        f.write("\n".join(head) + "\n")
+        writer = SnapshotWriter(f)
+        yield lambda k, state, rho: writer.write(state)
 
 
 def _write_json(path: Path, cfg: ExperimentConfig, seed: int, payload: dict):
@@ -75,16 +86,15 @@ def run_micro(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     n0 = cfg.get_count("run.n0")
     universe = NoiseUniverse(seed, params.grid.d)
-    traj = simulate_microscopic(params, n0, universe)
     head = _header(cfg, seed, "micro")
+    with _snapshot_observer(out / "micro_snapshots.txt", head) as observe:
+        traj = simulate_microscopic(params, n0, universe, observe=observe)
     _write_text(out / "micro_events.csv", head + _events_csv(traj))
-    _write_text(out / "micro_snapshots.txt", head,
-                checkpoints_to_lines(traj.states))
     _write_text(out / "micro_live_counts.csv", head + ["time,live"]
-                + join_columns((traj.times, traj.live_counts()), sep=","))
-    (out / "micro_field_final.bin").write_bytes(field_to_bytes(traj.fields[-1]))
+                + join_columns((params.times(), traj.live_counts()), sep=","))
+    (out / "micro_field_final.bin").write_bytes(field_to_bytes(traj.field))
     _write_text(out / "micro_field_final.csv",
-                head + field_to_csv_lines(traj.fields[-1]))
+                head + field_to_csv_lines(traj.field))
     return EXIT_OK
 
 
@@ -124,11 +134,11 @@ def run_hybrid(cfg, out: Path, seed: int) -> int:
         params, mode, universe=universe,
         n_replicas=cfg.get_count("meanfield.picard_replicas", 2000),
         tol=cfg.get_float("meanfield.picard_tol", 1e-4))
-    traj = meanfield.simulate_hybrid(params, scf.rho_path, universe)
     head = _header(cfg, seed, "hybrid")
+    with _snapshot_observer(out / "hybrid_snapshots.txt", head) as observe:
+        traj = meanfield.simulate_hybrid(params, scf.rho_path, universe,
+                                         observe=observe)
     _write_text(out / "hybrid_events.csv", head + _events_csv(traj))
-    _write_text(out / "hybrid_snapshots.txt", head,
-                checkpoints_to_lines(traj.states))
     rho_final = Field(params.grid, scf.rho_path.values[-1], params.T)
     (out / "hybrid_rho_final.bin").write_bytes(field_to_bytes(rho_final))
     if scf.picard_gaps:

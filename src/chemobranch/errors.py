@@ -33,10 +33,6 @@ class PopulationExplosion(ChemobranchError):
     """Raised when the live-cell count exceeds the configured cap."""
 
 
-class NoSuchLine(ChemobranchError):
-    """Raised when restricting a trajectory to a line that was never simulated."""
-
-
 class EmptyEnsemble(ChemobranchError):
     """Raised when estimating a mean measure from zero replicas."""
 

@@ -343,11 +343,7 @@ def semigroup_step(rho: Field, source: np.ndarray | None, dt: float, D: float,
 
 
 class FieldPath:
-    """Field trajectory stored at a uniform time grid.
-
-    Queries at stored times return the stored arrays bitwise; intermediate
-    times are linear interpolations (the field is continuous in time).
-    """
+    """Field trajectory stored at a uniform time grid, one slice per step."""
 
     def __init__(self, grid: GridSpec, times: np.ndarray, values: np.ndarray):
         self.grid = grid
@@ -355,7 +351,6 @@ class FieldPath:
         self.values = np.asarray(values, dtype=np.float64)
         if self.values.shape[0] != len(self.times):
             raise ValueError("one value slice per time required")
-        self._dt = float(self.times[1] - self.times[0]) if len(self.times) > 1 else 1.0
 
     @classmethod
     def from_fields(cls, fields: list[Field]) -> "FieldPath":
@@ -363,22 +358,16 @@ class FieldPath:
         values = np.stack([f.values for f in fields])
         return cls(fields[0].grid, times, values)
 
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
+    def check_steps(self, dt: float, n_steps: int):
+        """Raise ValueError unless slice k is at k·dt for k = 0..n_steps."""
+        if len(self.times) <= n_steps or not np.allclose(
+                self.times[:n_steps + 1], np.arange(n_steps + 1) * dt):
+            raise ValueError(f"field path is not stored at the {n_steps} "
+                             f"steps of length {dt}")
 
-    def field_at(self, t: float) -> Field:
-        k = int(round((t - self.times[0]) / self._dt))
-        if 0 <= k < len(self.times) and abs(self.times[k] - t) <= 1e-9 * max(1.0, abs(t)):
-            return Field(self.grid, self.values[k], t)
-        if t <= self.times[0]:
-            return Field(self.grid, self.values[0], t)
-        if t >= self.times[-1]:
-            return Field(self.grid, self.values[-1], t)
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        w = (t - self.times[j]) / (self.times[j + 1] - self.times[j])
-        vals = (1.0 - w) * self.values[j] + w * self.values[j + 1]
-        return Field(self.grid, vals, t)
+    def field_at(self, k: int) -> Field:
+        """The stored slice k, bitwise."""
+        return Field(self.grid, self.values[k], self.times[k])
 
 
 # ---------------------------------------------------------------------------

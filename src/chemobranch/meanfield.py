@@ -26,14 +26,15 @@ MODES = ("macroscopic", "picard")  # how solve_selfconsistent_field finds the fi
 
 
 def simulate_hybrid(params: ModelParams, rho_path: FieldPath,
-                    universe: NoiseUniverse) -> MicroTrajectory:
+                    universe: NoiseUniverse, *, observe=None) -> MicroTrajectory:
     """Single-line branching diffusion against a frozen deterministic field.
 
     Uses exactly the Wiener and clock streams of line 1 in ``universe``, so
     with the field path of a coupled run substituted verbatim this reproduces
-    that run's first line bitwise.
+    that run's first line bitwise.  ``observe`` as in ``simulate_lines``.
     """
-    return simulate_lines(params, [1], universe, rho_path=rho_path)
+    return simulate_lines(params, [1], universe, rho_path=rho_path,
+                          observe=observe)
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,7 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
     p = params
     d, dt, L = p.grid.d, p.dt, p.grid.extent
     n_steps = p.n_steps
-    if rho_path.t_end + 1e-9 < p.T:
-        raise ValueError("field path does not cover [0, T]")
+    rho_path.check_steps(dt, n_steps)
 
     birth_fn = p.birth.build(L)
     death_fn = p.death.build(L)
@@ -98,7 +98,7 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
             hi = min(k + _BLOCK, n_steps)
             inc_block = universe.mass_increments(replica_ids, k, hi, dt)
         t = k * dt
-        rho = rho_path.field_at(t)
+        rho = rho_path.field_at(k)
         if drift_fn is not None:
             X = X + drift_fn(X, rho.gradient_at(X)) * dt
         X = np.mod(X + p.sigma * inc_block[:, k % _BLOCK], L)

@@ -24,6 +24,11 @@ streams make every draw bit-identical to a per-cell draw of the whole run.
 The same engine drives the single-line mean-field process by swapping the
 coupled field for a frozen field path, which keeps the two models bitwise
 coupled when their inputs coincide.
+
+A run keeps no trajectory.  At each checkpoint k·dt, k = 0..n_steps, it
+hands the population (dead cells kept) and the field to the caller's
+observer, if there is one, and keeps only the live count, so its memory
+follows the live population, not the number of steps.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConfigInvalid, LineageDepthExceeded, NonFiniteState,
-                     NoSuchLine, PopulationExplosion)
+                     PopulationExplosion)
 from .field import Field, FieldPath, GridSpec, Kernel, deposit, semigroup_step
 from .population import (MAX_WORD_LEN, EmpiricalMeasure, LineageIndex,
-                         PopulationState, empirical)
+                         PopulationState, cell_keys)
 from .randomness import NoiseUniverse
 from .registry import DriftSpec, InitialFieldSpec, InitialMeasureSpec, RateSpec
 
@@ -162,14 +167,15 @@ class EventColumns:
 
 @dataclass
 class MicroTrajectory:
-    """Simulation output: checkpoint snapshots, field path, and events."""
+    """What a run keeps once it ends: the live count at each checkpoint, the
+    final field and the clock events.  The checkpoint states go to the run's
+    observer (``simulate_lines``)."""
 
     params: ModelParams
     n0: int
     founder_lines: tuple[int, ...]
-    times: np.ndarray
-    states: list[PopulationState]
-    fields: list[Field]
+    live: np.ndarray
+    field: Field
     events: EventColumns
 
     @cached_property
@@ -181,11 +187,8 @@ class MicroTrajectory:
                     ev.time.tolist(), ev.line.tolist(), ev.word_len.tolist(),
                     ev.word_bits.tolist(), ev.kinds().tolist(), ev.position)]
 
-    def measure_at(self, k: int) -> EmpiricalMeasure:
-        return empirical(self.states[k], self.n0)
-
     def live_counts(self) -> np.ndarray:
-        return np.array([s.live_count for s in self.states])
+        return self.live
 
     def sup_live_over_n0(self) -> float:
         """sup over continuous time of live count / n0, exact from the events."""
@@ -193,25 +196,7 @@ class MicroTrajectory:
         return (len(self.founder_lines) + int(net.max(initial=0))) / self.n0
 
 
-def lineage_restriction(traj: MicroTrajectory, line: int) -> MicroTrajectory:
-    """The sub-population of one founder line, as its own trajectory."""
-    if line not in traj.founder_lines:
-        raise NoSuchLine(f"line {line} not among founders {traj.founder_lines}")
-    return MicroTrajectory(
-        params=traj.params,
-        n0=traj.n0,
-        founder_lines=(line,),
-        times=traj.times,
-        states=[s.restrict_to_line(line) for s in traj.states],
-        fields=traj.fields,
-        events=EventColumns(*(column[traj.events.line == line]
-                              for column in vars(traj.events).values())),
-    )
-
-
 _BLOCK = 64  # steps of Wiener increments drawn per refill
-_CELL_KEY = np.dtype([("line", np.int64), ("wlen", np.int64),
-                      ("wbits", np.uint64)])  # compares field by field
 _PER_CELL = ("lines", "wlens", "wbits", "births", "deaths", "alive", "pos",
              "cursor", "rate_arg", "inc")
 
@@ -466,13 +451,6 @@ class _Engine:
         return EventColumns(t, self.lines[s], self.wlens[s], self.wbits[s],
                             b, self.pos[s])
 
-    def _keys(self, slots: np.ndarray) -> np.ndarray:
-        keys = np.empty(len(slots), dtype=_CELL_KEY)
-        keys["line"] = self.lines[slots]
-        keys["wlen"] = self.wlens[slots]
-        keys["wbits"] = self.wbits[slots]
-        return keys
-
     def ordered_slots(self) -> np.ndarray:
         """Every slot, dead ones too, sorted by (line, word length, word
         bits): the cells added since the last call are sorted among
@@ -483,7 +461,9 @@ class _Engine:
                                   self.lines[new]))]
             # the i-th new slot lands after the old slots not above it and
             # the i new slots before it; the old slots fill the rest in order
-            at = np.searchsorted(self._keys(self._order), self._keys(new),
+            n = self.count
+            keys = cell_keys(self.lines[:n], self.wlens[:n], self.wbits[:n])
+            at = np.searchsorted(keys[self._order], keys[new],
                                  side="right") + np.arange(len(new))
             order = np.empty(self.count, dtype=np.int64)
             old = np.ones(self.count, dtype=bool)
@@ -500,8 +480,9 @@ class _Engine:
             self._live = order[self.alive[order]]
         return self._live
 
-    def snapshot(self, t: float, keep_dead: bool = True) -> PopulationState:
-        rows = self.ordered_slots() if keep_dead else self.live_slots()
+    def snapshot(self, t: float) -> PopulationState:
+        """Every cell born so far, dead ones too, in canonical order."""
+        rows = self.ordered_slots()
         pos = self.pos[rows]
         pos[~self.alive[rows]] = np.nan
         return PopulationState(t, self.d, self.lines[rows], self.wlens[rows],
@@ -511,12 +492,18 @@ class _Engine:
 
 def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
                    *, rho_path: FieldPath | None = None,
-                   keep_dead: bool = True) -> MicroTrajectory:
+                   observe=None) -> MicroTrajectory:
     """Shared engine behind the microscopic and single-line hybrid models.
 
     ``rho_path`` None runs the coupled model (field sourced by the mollified
     empirical measure); a FieldPath runs against that frozen deterministic
-    field instead, consuming exactly the same noise streams.
+    field instead, slice k at checkpoint k, consuming exactly the same noise
+    streams.
+
+    ``observe(k, state, rho)`` is called at each checkpoint k = 0..n_steps
+    in order: ``state`` is the population at k·dt, every cell born by then
+    with the dead ones kept, built only when ``observe`` is given, and
+    ``rho`` the field then.  Neither changes afterwards.
     """
     founder_lines = tuple(int(i) for i in founder_lines)
     p = params
@@ -534,9 +521,8 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
     if coupled:
         rho = p.make_rho0()
     else:
-        if rho_path.t_end + 1e-9 < p.T:
-            raise ValueError("field path does not cover [0, T]")
-        rho = rho_path.field_at(0.0)
+        rho_path.check_steps(dt, n_steps)
+        rho = rho_path.field_at(0)
 
     if n0 > p.population_cap:
         raise _explosion(p.population_cap)
@@ -545,8 +531,10 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
     eng.add_cells(lines, 0, 0, p.mu0.sample(universe, lines, d, L), 0.0)
     eng.draw_born(0, 0)
 
-    states = [eng.snapshot(0.0, keep_dead)]
-    fields = [rho]
+    live = np.empty(n_steps + 1, dtype=np.int64)
+    live[0] = eng.n_live
+    if observe is not None:
+        observe(0, eng.snapshot(0.0), rho)
 
     for k in range(n_steps):
         t_next = (k + 1) * dt
@@ -582,20 +570,20 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
             if not np.all(np.isfinite(rho.values)):
                 raise NonFiniteState(f"non-finite field at t={t_next}")
         else:
-            rho = rho_path.field_at(t_next)
+            rho = rho_path.field_at(k + 1)
 
-        states.append(eng.snapshot(t_next, keep_dead))
-        fields.append(rho)
+        live[k + 1] = eng.n_live
+        if observe is not None:
+            observe(k + 1, eng.snapshot(t_next), rho)
 
     return MicroTrajectory(params=p, n0=n0, founder_lines=founder_lines,
-                           times=p.times(), states=states, fields=fields,
-                           events=eng.event_columns())
+                           live=live, field=rho, events=eng.event_columns())
 
 
 def simulate_microscopic(params: ModelParams, n0: int, universe: NoiseUniverse,
-                         *, keep_dead: bool = True) -> MicroTrajectory:
-    """Run the coupled individual-based model with founder lines 1..n0."""
+                         *, observe=None) -> MicroTrajectory:
+    """Run the coupled individual-based model with founder lines 1..n0;
+    ``observe`` as in ``simulate_lines``."""
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
-    return simulate_lines(params, range(1, n0 + 1), universe,
-                          keep_dead=keep_dead)
+    return simulate_lines(params, range(1, n0 + 1), universe, observe=observe)

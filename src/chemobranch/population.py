@@ -9,13 +9,14 @@ by a NaN position row.  Snapshots are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, LineageDepthExceeded, NonFiniteAtom
 
 MAX_WORD_LEN = 64
+_SIGN = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True, order=False)
@@ -40,16 +41,6 @@ class LineageIndex:
         if self.word_bits >> max(self.word_len, 0):
             raise ValueError("word_bits has bits beyond word_len")
 
-    def children(self) -> tuple["LineageIndex", "LineageIndex"]:
-        """Indices of the two daughters (word + 0, word + 1)."""
-        if self.word_len >= MAX_WORD_LEN:
-            raise LineageDepthExceeded(
-                f"genealogy deeper than {MAX_WORD_LEN} generations")
-        return (
-            LineageIndex(self.line, self.word_len + 1, self.word_bits << 1),
-            LineageIndex(self.line, self.word_len + 1, (self.word_bits << 1) | 1),
-        )
-
     def sort_key(self) -> tuple[int, int, int]:
         # line, then generation, then lexicographic within a generation
         return (self.line, self.word_len, self.word_bits)
@@ -62,6 +53,18 @@ class LineageIndex:
 
     def __repr__(self):
         return f"LineageIndex({self.line}, {self.word_str()!r})"
+
+
+def cell_keys(lines, word_lens, word_bits) -> np.ndarray:
+    """One key per cell that sorts as (line, word length, word bits), the
+    canonical cell order: the three as big-endian 64-bit words in 24 bytes,
+    the line's sign bit flipped, which compare bytewise (a tenth of the time
+    of a structured key)."""
+    words = np.empty((len(lines), 3), dtype=">u8")
+    words[:, 0] = np.asarray(lines, dtype=np.int64).view(np.uint64) ^ _SIGN
+    words[:, 1] = word_lens
+    words[:, 2] = word_bits
+    return words.view("S24").ravel()
 
 
 class PopulationState:
@@ -235,9 +238,11 @@ def join_columns(columns, sep: str = " ") -> list[str]:
     return list(map(sep.join, zip(*map(_column_text, columns))))
 
 
-def _identity_columns(pop: PopulationState) -> list[str]:
-    """Each row's line, word bits, word length and birth, as text."""
-    return join_columns((pop.lines, pop.word_bits, pop.word_lens, pop.births))
+def _identity_columns(pop: PopulationState, rows=slice(None)) -> list[str]:
+    """The line, word bits, word length and birth of ``pop``'s ``rows``, as
+    text."""
+    return join_columns((pop.lines[rows], pop.word_bits[rows],
+                         pop.word_lens[rows], pop.births[rows]))
 
 
 def population_to_lines(pop: PopulationState,
@@ -257,21 +262,29 @@ def population_to_lines(pop: PopulationState,
         (identity, pop.deaths, where))
 
 
-def checkpoints_to_lines(states) -> Iterator[list[str]]:
-    """``population_to_lines`` of each checkpoint of one run, in order.
+class SnapshotWriter:
+    """Writes the checkpoints of one run to an open text file as they come,
+    each as ``population_to_lines`` makes it.
 
-    A run's checkpoints keep every cell born by their time, dead ones too,
-    so each is the rows of the last one born by then: the line, word and
-    birth of every cell are formatted once, from the last checkpoint.  A
-    checkpoint whose rows do not match that selection is formatted whole.
+    A checkpoint holds every row of the one before it, since a run never
+    drops a cell, so each cell's line, word and birth are formatted once, at
+    the first checkpoint that holds it: one ``searchsorted`` over the cell
+    keys finds the rows formatted before.
     """
-    last = states[-1]
-    identity = _identity_columns(last)
-    for pop in states:
-        rows = np.flatnonzero(last.births <= pop.time)
-        same = len(rows) == len(pop) and all(
-            np.array_equal(whole[rows], part) for whole, part in (
-                (last.lines, pop.lines), (last.word_bits, pop.word_bits),
-                (last.word_lens, pop.word_lens), (last.births, pop.births)))
-        yield population_to_lines(
-            pop, [identity[r] for r in rows.tolist()] if same else None)
+
+    def __init__(self, file):
+        self.file = file
+        self.keys = cell_keys([], [], [])
+        self.identity = np.empty(0, dtype=object)
+
+    def write(self, pop: PopulationState):
+        keys = cell_keys(pop.lines, pop.word_lens, pop.word_bits)
+        seen = np.searchsorted(keys, self.keys)
+        fresh = np.ones(len(pop), dtype=bool)
+        fresh[seen] = False
+        identity = np.empty(len(pop), dtype=object)
+        identity[seen] = self.identity
+        identity[fresh] = _identity_columns(pop, fresh)
+        self.keys, self.identity = keys, identity
+        self.file.write(
+            "\n".join(population_to_lines(pop, identity.tolist())) + "\n")

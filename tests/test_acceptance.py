@@ -10,11 +10,12 @@ import time
 
 import numpy as np
 import pytest
+from conftest import record
 
 from chemobranch import (DriftSpec, Field, GridSpec, InitialFieldSpec,
                          InitialMeasureSpec, ModelParams, NoiseUniverse,
-                         RateSpec, coupling_experiment, integrate, mean_se,
-                         semigroup_step, simulate_hybrid,
+                         RateSpec, coupling_experiment, empirical, integrate,
+                         mean_se, semigroup_step, simulate_hybrid,
                          simulate_mass_ensemble, solve_pks,
                          solve_selfconsistent_field)
 from chemobranch.analysis import TestFunctionBank
@@ -186,8 +187,8 @@ def test_05_mean_field_equality(acc):
     times = [0.2, 0.5, 1.0]
     ens = simulate_mass_ensemble(params, scf.rho_path, universe.child("mass"),
                                  10_000)
-    trajs = [simulate_hybrid(params, scf.rho_path, universe.child("hybrid", r))
-             for r in range(1000)]
+    runs = [record(simulate_hybrid, params, scf.rho_path,
+                   universe.child("hybrid", r)) for r in range(1000)]
     bank = TestFunctionBank.default_for_grid(params.grid)
     phis = [("bump_wide", bank.functions[1]), ("bump_narrow", bank.functions[5]),
             ("one", lambda x: np.ones(len(np.atleast_2d(x))))]
@@ -197,8 +198,9 @@ def test_05_mean_field_equality(acc):
         k = int(round(t / params.dt))
         for name, phi in phis:
             m_mean, m_se = ens.pairing_stats(phi, k)
-            h_mean, h_se = mean_se([integrate(traj.measure_at(k), phi)
-                                    for traj in trajs])
+            h_mean, h_se = mean_se([
+                integrate(empirical(states[k], traj.n0), phi)
+                for traj, states, _ in runs])
             z = abs(m_mean - h_mean) / np.hypot(m_se, h_se)
             worst = max(worst, z)
             ok = ok and z <= 3.0

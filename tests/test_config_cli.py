@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import record
 from hypothesis import given, settings, strategies as st
 from test_population import read_population
 
@@ -366,12 +368,37 @@ class TestCliRuns:
         counts = (out / "micro_live_counts.csv").read_text().splitlines()
         assert counts[2] == "time,live"
         params = ExperimentConfig.from_file(cfg).model_params()
-        traj = simulate_microscopic(params, 40, NoiseUniverse(42, 1))
-        assert len(traj.states) == params.n_steps + 1
+        _, states, _ = record(simulate_microscopic, params, 40,
+                              NoiseUniverse(42, 1))
+        assert len(states) == params.n_steps + 1
         # the run has daughters and dead rows for the file to carry
-        final = traj.states[-1]
+        final = states[-1]
         assert final.word_lens.any() and not final.live_mask.all()
-        assert_snapshots_equal(out / "micro_snapshots.txt", traj.states)
+        assert_snapshots_equal(out / "micro_snapshots.txt", states)
+
+    def test_micro_explosion_exits_3_leaving_partial_snapshots(
+            self, tmp_path, capsys):
+        # the run stops past run.population_cap: one runtime error line, and
+        # --out holds the snapshot blocks written before the stop
+        cfg = write_config(tmp_path, "run.n0 = 40\nrun.population_cap = 40\n")
+        out = tmp_path / "out"
+        code = main(["micro", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["micro_snapshots.txt"]
+        # below the cap the run is the uncapped one: the file holds its
+        # first checkpoints
+        params = ExperimentConfig.from_file(cfg).model_params()
+        _, states, _ = record(
+            simulate_microscopic,
+            dataclasses.replace(params, population_cap=10 ** 6), 40,
+            NoiseUniverse(42, 1))
+        blocks = sum(line.startswith("# population ") for line in
+                     data_lines(out / "micro_snapshots.txt"))
+        assert 0 < blocks < len(states)
+        assert_snapshots_equal(out / "micro_snapshots.txt", states[:blocks])
 
     def test_yule_pass_and_reports(self, tmp_path):
         cfg = write_config(tmp_path, "run.n0 = 30\nrun.replicas = 30\n")
@@ -444,9 +471,10 @@ class TestCliRuns:
         params = ExperimentConfig.from_file(cfg).model_params()
         universe = NoiseUniverse(42, 1)
         scf = meanfield.solve_selfconsistent_field(params, universe=universe)
-        traj = meanfield.simulate_hybrid(params, scf.rho_path, universe)
-        assert len(traj.states) == params.n_steps + 1
-        assert_snapshots_equal(out / "hybrid_snapshots.txt", traj.states)
+        _, states, _ = record(meanfield.simulate_hybrid, params,
+                              scf.rho_path, universe)
+        assert len(states) == params.n_steps + 1
+        assert_snapshots_equal(out / "hybrid_snapshots.txt", states)
 
     def test_mass_paths_are_the_ensemble(self, tmp_path):
         cfg = write_config(tmp_path, "mass.replicas = 3\n"

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import record
 
 from chemobranch import (ConfigInvalid, EmpiricalMeasure, Field, FieldPath,
                          GridMismatch, GridSpec, Kernel, NonFiniteQuery,
@@ -363,13 +364,16 @@ class TestFieldPath:
         vals = rng.normal(size=(4, grid1.n))
         path = FieldPath(grid1, np.arange(4) * 0.1, vals)
         for k in range(4):
-            f = path.field_at(0.1 * k)
+            f = path.field_at(k)
             assert f.values is vals[k] or np.array_equal(f.values, vals[k])
+            assert f.time == path.times[k]
 
-    def test_linear_interpolation_between(self, grid1):
-        vals = np.stack([np.zeros(grid1.n), np.ones(grid1.n)])
-        path = FieldPath(grid1, np.array([0.0, 1.0]), vals)
-        assert np.allclose(path.field_at(0.25).values, 0.25)
+    def test_steps_checked_against_the_run(self, grid1):
+        path = FieldPath(grid1, np.arange(4) * 0.1, np.zeros((4, grid1.n)))
+        path.check_steps(0.1, 3)
+        for dt, n_steps in ((0.1, 4), (0.05, 3), (0.2, 2)):
+            with pytest.raises(ValueError):
+                path.check_steps(dt, n_steps)
 
 
 def read_field(blob):
@@ -414,44 +418,45 @@ class TestFieldAlongRuns:
             rho0=InitialFieldSpec("bump", {"amp": 1.0, "center": [4.0],
                                            "width": 1.0}),
             dt=0.02, T=1.0)
-        traj = simulate_microscopic(params, 60, NoiseUniverse(12, 1))
-        return params, traj
+        traj, states, fields = record(simulate_microscopic, params, 60,
+                                      NoiseUniverse(12, 1))
+        return params, traj, states, fields
 
     def test_gradient_budget_along_microscopic_run(self):
         # sup|grad rho_t| <= sup|grad rho_0| + t sup|grad kernel| sup_s<1,xi_s>
         # with 10% discretization slack
-        params, traj = self.make_run()
+        params, traj, states, fields = self.make_run()
         kern = params.make_kernel()
         # sup |kernel'| by finite differences on a fine 1-D sampling
         xs = np.linspace(-params.grid.extent / 2, params.grid.extent / 2, 8192)
         profile = reference_periodized_gaussian(xs, kern.width,
                                                 params.grid.extent)
         grad_sup_kernel = np.max(np.abs(np.gradient(profile, xs)))
-        sup_mass = max(s.live_count / traj.n0 for s in traj.states)
-        grad0 = np.max(np.abs(traj.fields[0].gradient_grid()[0]))
-        for k, t in enumerate(traj.times):
-            grad_t = np.max(np.abs(traj.fields[k].gradient_grid()[0]))
+        sup_mass = max(s.live_count / traj.n0 for s in states)
+        grad0 = np.max(np.abs(fields[0].gradient_grid()[0]))
+        for k, t in enumerate(params.times()):
+            grad_t = np.max(np.abs(fields[k].gradient_grid()[0]))
             budget = grad0 + t * grad_sup_kernel * sup_mass
             assert grad_t <= 1.1 * budget + 1e-12
 
     def test_field_stays_nonnegative_for_nonnegative_data(self):
         # nonnegative initial field, kernel, and weights keep the field
         # nonnegative up to spectral round-off
-        _, traj = self.make_run()
-        for f in traj.fields:
+        fields = self.make_run()[3]
+        for f in fields:
             assert np.min(f.values) >= -1e-12
 
     def test_zero_mode_balance_along_microscopic_run(self):
-        # replay each step's mean-field balance from the stored snapshots:
+        # replay each step's mean-field balance from the recorded snapshots:
         # the deposit is recomputed from the end-of-step population exactly
         from chemobranch import deposit, empirical
-        params, traj = self.make_run()
+        params, traj, states, fields = self.make_run()
         kern = params.make_kernel()
         r, alpha, dt = params.r, params.alpha, params.dt
         for k in range(params.n_steps):
-            src = deposit(empirical(traj.states[k + 1], traj.n0), kern,
+            src = deposit(empirical(states[k + 1], traj.n0), kern,
                           params.grid)
-            expected = (np.mean(traj.fields[k].values) * np.exp(-r * dt)
+            expected = (np.mean(fields[k].values) * np.exp(-r * dt)
                         + alpha * np.mean(src) * (1 - np.exp(-r * dt)) / r)
-            assert np.mean(traj.fields[k + 1].values) == pytest.approx(
+            assert np.mean(fields[k + 1].values) == pytest.approx(
                 expected, rel=1e-12)

@@ -2,13 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import record
 
 from chemobranch import (DriftSpec, EmptyEnsemble, FieldPath, GridSpec,
                          InitialFieldSpec, InitialMeasureSpec, ModelParams,
-                         NoiseUniverse, PicardStalled, RateSpec, integrate,
-                         lineage_restriction, mean_se, semigroup_step,
-                         simulate_hybrid, simulate_mass_ensemble,
-                         simulate_microscopic, solve_selfconsistent_field)
+                         NoiseUniverse, PicardStalled, RateSpec, empirical,
+                         integrate, mean_se, semigroup_step, simulate_hybrid,
+                         simulate_mass_ensemble, simulate_microscopic,
+                         solve_selfconsistent_field)
 
 
 def base_params(**over):
@@ -47,13 +48,30 @@ class TestHybrid:
     def test_verbatim_field_reproduces_micro_line_bitwise(self):
         params = base_params()
         u = NoiseUniverse(7, 1)
-        micro = simulate_microscopic(params, 20, u)
-        hybrid = simulate_hybrid(params, FieldPath.from_fields(micro.fields), u)
-        line1 = lineage_restriction(micro, 1)
-        assert all(states_equal(a, b)
-                   for a, b in zip(line1.states, hybrid.states))
-        assert [(e.time, e.idx, e.kind) for e in line1.event_log] == \
-               [(e.time, e.idx, e.kind) for e in hybrid.event_log]
+        micro, micro_states, fields = record(simulate_microscopic, params,
+                                             20, u)
+        hybrid, hybrid_states, _ = record(
+            simulate_hybrid, params, FieldPath.from_fields(fields), u)
+        assert len(hybrid_states) == len(micro_states) == params.n_steps + 1
+        assert all(states_equal(a.restrict_to_line(1), b)
+                   for a, b in zip(micro_states, hybrid_states))
+        line1 = micro.events.line == 1
+        assert np.all(hybrid.events.line == 1)
+        for name in ("time", "word_len", "word_bits", "branch", "position"):
+            assert np.array_equal(getattr(micro.events, name)[line1],
+                                  getattr(hybrid.events, name))
+
+    def test_field_path_must_hold_the_run_steps(self):
+        # slice k of a path is read at step k: a path of another step
+        # length, or too short, is refused
+        params = base_params()
+        for other in (dataclasses.replace(params, dt=params.dt / 2),
+                      dataclasses.replace(params, T=params.T / 2)):
+            path = free_field_path(other)
+            with pytest.raises(ValueError):
+                simulate_hybrid(params, path, NoiseUniverse(3, 1))
+            with pytest.raises(ValueError):
+                simulate_mass_ensemble(params, path, NoiseUniverse(3, 1), 4)
 
     @pytest.mark.parametrize("T", [1.0, 3.0])  # 3.0: two 64-step refills
     def test_zero_rates_single_diffusing_particle(self, T):
@@ -62,15 +80,15 @@ class TestHybrid:
                              drift=DriftSpec("zero"), T=T)
         u = NoiseUniverse(3, 1)
         path = free_field_path(params)
-        traj = simulate_hybrid(params, path, u)
+        traj, states, _ = record(simulate_hybrid, params, path, u)
         assert len(traj.event_log) == 0
-        assert all(s.live_count == 1 for s in traj.states)
+        assert all(s.live_count == 1 for s in states)
 
         x = params.mu0.sample(u, [1], 1, 8.0)[0]
         inc = u.wiener_increments(([1], 0, 0), 0, params.n_steps, params.dt)[0]
         for k in range(params.n_steps):
             x = np.mod(x + params.sigma * inc[k], 8.0)
-            got = traj.states[k + 1].live_positions()[0]
+            got = states[k + 1].live_positions()[0]
             assert np.array_equal(got, x)
 
     def test_first_event_survival_law(self):
@@ -91,14 +109,14 @@ class TestHybrid:
         diffs = {k: [] for k in checkpoints}
         for rep in range(reps):
             u_r = u.child("surv", rep)
-            free = simulate_hybrid(params=silent, rho_path=path,
-                                   universe=u_r)
+            _, free, _ = record(simulate_hybrid, params=silent,
+                                rho_path=path, universe=u_r)
             real = simulate_hybrid(params, path, u_r)
             first = real.event_log[0].time if real.event_log else np.inf
             lam_seq = []
             for k in range(params.n_steps):
-                pos = free.states[k + 1].live_positions()
-                rho_val = path.field_at(k * params.dt).value_at(pos)
+                pos = free[k + 1].live_positions()
+                rho_val = path.field_at(k).value_at(pos)
                 lam_seq.append(float(death_fn(pos, rho_val)[0]))
             cum = np.cumsum(np.array(lam_seq) * params.dt)
             for k in checkpoints:
@@ -196,15 +214,16 @@ class TestEstimateMu:
         scf = solve_selfconsistent_field(params, "macroscopic")
         u = NoiseUniverse(77, 1)
         ens = simulate_mass_ensemble(params, scf.rho_path, u.child("mass"), 4000)
-        trajs = [simulate_hybrid(params, scf.rho_path, u.child("hyb", r))
-                 for r in range(500)]
+        runs = [record(simulate_hybrid, params, scf.rho_path,
+                       u.child("hyb", r)) for r in range(500)]
         from chemobranch.analysis import TestFunctionBank
         bank = TestFunctionBank.default_for_grid(params.grid)
         k = params.n_steps  # compare at final time
         for phi in [bank.functions[1], bank.functions[5], one]:
             m_mean, m_se = ens.pairing_stats(phi, k)
-            h_mean, h_se = mean_se([integrate(traj.measure_at(k), phi)
-                                    for traj in trajs])
+            h_mean, h_se = mean_se([
+                integrate(empirical(states[k], traj.n0), phi)
+                for traj, states, _ in runs])
             assert abs(m_mean - h_mean) < 3 * np.hypot(m_se, h_se) + 1e-12
 
 
@@ -283,7 +302,7 @@ class TestSelfConsistentField:
         for k in range(params.n_steps):
             X = ens.X[:, k]
             M = ens.M[:, k]
-            rho = scf.rho_path.field_at(k * params.dt)
+            rho = scf.rho_path.field_at(k)
             grad = rho.gradient_at(X)
             rho_val = rho.value_at(X)
             bphi = (np.sum(drift_fn(X, grad) * phi.gradient(X), axis=1)

@@ -1,14 +1,16 @@
 import dataclasses
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import record
 
 from chemobranch import (ConfigInvalid, DriftSpec, GridSpec, InitialFieldSpec,
                          InitialMeasureSpec, LineageDepthExceeded,
-                         ModelParams, NoiseUniverse, NoSuchLine,
-                         PopulationExplosion, RateSpec, lineage_restriction,
-                         population, simulate_microscopic)
+                         LineageIndex, ModelParams, NoiseUniverse,
+                         PopulationExplosion, RateSpec, population,
+                         simulate_microscopic)
 from chemobranch.microscopic import (EVENT_BRANCH, EVENT_DEATH,
                                      MAX_CLOCK_POINTS, _Engine)
 
@@ -63,9 +65,10 @@ class TestBrownianOracle:
         params = decoupled(sigma=sigma, dt=0.1, T=T,
                            mu0=InitialMeasureSpec("point", {"at": [4.0]}))
         n = 10_000
-        traj = simulate_microscopic(params, n, NoiseUniverse(11, 1))
-        start = traj.states[0].live_positions()[:, 0]
-        end = traj.states[-1].live_positions()[:, 0]
+        _, states, _ = record(simulate_microscopic, params, n,
+                              NoiseUniverse(11, 1))
+        start = states[0].live_positions()[:, 0]
+        end = states[-1].live_positions()[:, 0]
         disp = (end - start + 4.0) % 8.0 - 4.0
         var = disp.var(ddof=1)
         assert abs(var - sigma ** 2 * T) < 0.05 * sigma ** 2 * T
@@ -117,37 +120,55 @@ class TestCouplingDeterminism:
     def test_bitwise_identical_reruns(self):
         params = base_params()
         u = NoiseUniverse(7, 1)
-        a = simulate_microscopic(params, 30, u)
-        b = simulate_microscopic(params, 30, u)
-        assert all(states_equal(x, y) for x, y in zip(a.states, b.states))
+        a, a_states, a_fields = record(simulate_microscopic, params, 30, u)
+        b, b_states, b_fields = record(simulate_microscopic, params, 30, u)
+        assert all(states_equal(x, y) for x, y in zip(a_states, b_states))
         assert all(np.array_equal(x.values, y.values)
-                   for x, y in zip(a.fields, b.fields))
+                   for x, y in zip(a_fields, b_fields))
         assert [(e.time, e.idx, e.kind) for e in a.event_log] == \
                [(e.time, e.idx, e.kind) for e in b.event_log]
 
-    def test_checkpoint_writer_formats_identities_once(self, monkeypatch):
-        traj = simulate_microscopic(base_params(T=2.0), 30,
-                                    NoiseUniverse(7, 1))
+    def test_snapshot_writer_formats_identities_once(self, monkeypatch):
+        # the streamed writer gives the per-state text of every checkpoint
+        # and formats each cell's line, word and birth at one checkpoint
+        traj, states, _ = record(simulate_microscopic, base_params(T=2.0),
+                                 30, NoiseUniverse(7, 1))
         kinds = {ev.kind for ev in traj.event_log}
         assert kinds == {EVENT_BRANCH, EVENT_DEATH}
-        whole = [population.population_to_lines(s) for s in traj.states]
-        calls = []
+        whole = [population.population_to_lines(s) for s in states]
+        formatted = []
         identity = population._identity_columns
-        monkeypatch.setattr(population, "_identity_columns",
-                            lambda pop: calls.append(pop) or identity(pop))
-        assert list(population.checkpoints_to_lines(traj.states)) == whole
-        assert calls == [traj.states[-1]]
+
+        def counted(pop, rows=slice(None)):
+            text = identity(pop, rows)
+            formatted.extend(text)
+            return text
+
+        monkeypatch.setattr(population, "_identity_columns", counted)
+        out = io.StringIO()
+        writer = population.SnapshotWriter(out)
+        for state in states:
+            writer.write(state)
+        assert out.getvalue() == "".join("\n".join(b) + "\n" for b in whole)
+        assert sorted(formatted) == sorted(identity(states[-1]))
 
     def test_shared_lines_agree_across_n0_when_decoupled(self):
-        # the coupling property the convergence theorems rely on
+        # the coupling property the convergence theorems rely on: the states
+        # and the events of every shared line agree bit for bit
         params = base_params(alpha=0.0)
         u = NoiseUniverse(17, 1)
-        small = simulate_microscopic(params, 6, u)
-        large = simulate_microscopic(params, 9, u)
+        small, small_states, _ = record(simulate_microscopic, params, 6, u)
+        large, large_states, _ = record(simulate_microscopic, params, 9, u)
+        assert len(small.event_log) > 0
+        a, b = small.events, large.events
         for line in range(1, 7):
-            ra = lineage_restriction(small, line)
-            rb = lineage_restriction(large, line)
-            assert all(states_equal(x, y) for x, y in zip(ra.states, rb.states))
+            assert all(states_equal(x.restrict_to_line(line),
+                                    y.restrict_to_line(line))
+                       for x, y in zip(small_states, large_states))
+            for name in ("time", "word_len", "word_bits", "branch",
+                         "position"):
+                assert np.array_equal(getattr(a, name)[a.line == line],
+                                      getattr(b, name)[b.line == line])
 
 
 def row_of(state, idx):
@@ -164,20 +185,25 @@ class TestEventBookkeeping:
         params = base_params(birth=RateSpec("constant", {"c": 0.5}),
                              death=RateSpec("zero"), lambda_bar=0.5,
                              dt=0.05, T=2.0)
-        traj = simulate_microscopic(params, 20, NoiseUniverse(5, 1))
+        traj, states, _ = record(simulate_microscopic, params, 20,
+                                 NoiseUniverse(5, 1))
+        times = params.times()
         branches = [ev for ev in traj.event_log if ev.kind == EVENT_BRANCH]
         assert len(branches) == 50
         ended = {ev.idx for ev in traj.event_log}
         ended_in_birth_step = 0
         for ev in branches:
             # the checkpoint closing the step that holds the event
-            k = int(np.searchsorted(traj.times, ev.time, side="right")) - 1
-            assert traj.times[k] <= ev.time < traj.times[k + 1]
-            snap = traj.states[k + 1]
+            k = int(np.searchsorted(times, ev.time, side="right")) - 1
+            assert times[k] <= ev.time < times[k + 1]
+            snap = states[k + 1]
             mother = row_of(snap, ev.idx)
             assert np.isnan(snap.positions[mother, 0])
             assert snap.deaths[mother] == ev.time
-            for child in ev.idx.children():
+            idx = ev.idx
+            for b in (0, 1):  # the daughters append 0 and 1 to the word
+                child = LineageIndex(idx.line, idx.word_len + 1,
+                                     idx.word_bits << 1 | b)
                 row = row_of(snap, child)
                 assert snap.births[row] == ev.time
                 if not np.isnan(snap.positions[row, 0]):
@@ -185,7 +211,7 @@ class TestEventBookkeeping:
                     assert np.array_equal(snap.positions[row], ev.position)
                 else:
                     assert child in ended
-                    assert ev.time < snap.deaths[row] < traj.times[k + 1]
+                    assert ev.time < snap.deaths[row] < times[k + 1]
                     ended_in_birth_step += 1
         assert ended_in_birth_step == 2
 
@@ -202,26 +228,23 @@ class TestEventBookkeeping:
             assert key not in seen  # one terminal event per cell
             seen[key] = ev.time
 
-    def test_keep_dead_false_compacts_snapshots(self):
+    def test_observed_states_keep_dead_rows(self):
+        # each checkpoint state holds every cell born by then, the dead with
+        # a NaN position and their death time; the live counts the run
+        # keeps are those of the states
         params = base_params(birth=RateSpec("zero"),
                              death=RateSpec("constant", {"c": 0.5}),
                              lambda_bar=0.5, dt=0.05, T=2.0)
-        traj = simulate_microscopic(params, 50, NoiseUniverse(2, 1),
-                                    keep_dead=False)
-        final = traj.states[-1]
-        assert len(final) == final.live_count < 50
-        # with branching too, the compact snapshots are the live rows of the
-        # full ones, in the same order, bit for bit
-        params = base_params(dt=0.05, T=2.0)
-        live = simulate_microscopic(params, 30, NoiseUniverse(3, 1),
-                                    keep_dead=False)
-        full = simulate_microscopic(params, 30, NoiseUniverse(3, 1))
-        assert any(ev.kind == EVENT_BRANCH for ev in full.event_log)
-        for a, b in zip(live.states, full.states):
-            keep = b.live_mask
-            for name in ("positions", "lines", "word_lens", "word_bits",
-                         "births", "deaths"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)[keep])
+        traj, states, _ = record(simulate_microscopic, params, 50,
+                                 NoiseUniverse(2, 1))
+        final = states[-1]
+        assert len(final) == 50 and final.live_count < 50
+        dead = ~final.live_mask
+        assert np.all(np.isnan(final.positions[dead]))
+        assert np.all(final.deaths[dead] <= params.T)
+        assert np.all(final.deaths[~dead] == np.inf)
+        assert traj.live_counts().tolist() == [s.live_count for s in states]
+        assert [s.time for s in states] == params.times().tolist()
 
 
 class TestEngine:
@@ -258,6 +281,23 @@ class TestEngine:
                                    eng.lines[:n]))
                 assert np.array_equal(eng.ordered_slots(), full)
 
+    def test_states_are_built_only_for_an_observer(self, monkeypatch):
+        # without an observer a run builds no checkpoint state; with one it
+        # builds one per checkpoint, and the final field is the last seen
+        built = []
+        snapshot = _Engine.snapshot
+        monkeypatch.setattr(_Engine, "snapshot",
+                            lambda eng, t: built.append(t) or snapshot(eng, t))
+        params = base_params(dt=0.05, T=1.0)
+        bare = simulate_microscopic(params, 10, NoiseUniverse(3, 1))
+        assert built == []
+        traj, states, fields = record(simulate_microscopic, params, 10,
+                                      NoiseUniverse(3, 1))
+        assert built == params.times().tolist()
+        assert traj.field is fields[-1]
+        assert np.array_equal(bare.field.values, traj.field.values)
+        assert np.array_equal(bare.live_counts(), traj.live_counts())
+
     def test_sup_live_equals_event_replay(self):
         traj = simulate_microscopic(base_params(dt=0.05, T=2.0), 30,
                                     NoiseUniverse(29, 1))
@@ -272,32 +312,19 @@ class TestEngine:
 class TestLineageRestriction:
     def test_single_line_restriction_is_identity(self):
         params = base_params()
-        traj = simulate_microscopic(params, 1, NoiseUniverse(4, 1))
-        res = lineage_restriction(traj, 1)
-        assert all(states_equal(a, b) for a, b in zip(res.states, traj.states))
-        assert res.event_log == traj.event_log
+        _, states, _ = record(simulate_microscopic, params, 1,
+                              NoiseUniverse(4, 1))
+        assert all(states_equal(s.restrict_to_line(1), s) for s in states)
 
     def test_restrictions_partition_population(self):
         params = base_params(dt=0.05, T=1.0)
         n0 = 12
-        traj = simulate_microscopic(params, n0, NoiseUniverse(6, 1))
-        for k in (0, len(traj.states) // 2, len(traj.states) - 1):
-            total = sum(lineage_restriction(traj, i).states[k].live_count
+        traj, states, _ = record(simulate_microscopic, params, n0,
+                                 NoiseUniverse(6, 1))
+        for k in (0, len(states) // 2, len(states) - 1):
+            total = sum(states[k].restrict_to_line(i).live_count
                         for i in range(1, n0 + 1))
-            assert total == traj.states[k].live_count
-
-    def test_restriction_filters_event_log(self):
-        params = base_params(dt=0.05, T=2.0)
-        traj = simulate_microscopic(params, 10, NoiseUniverse(16, 1))
-        res = lineage_restriction(traj, 3)
-        assert all(ev.idx.line == 3 for ev in res.event_log)
-        expected = [ev for ev in traj.event_log if ev.idx.line == 3]
-        assert res.event_log == expected
-
-    def test_no_such_line(self):
-        traj = simulate_microscopic(base_params(), 2, NoiseUniverse(1, 1))
-        with pytest.raises(NoSuchLine):
-            lineage_restriction(traj, 5)
+            assert total == states[k].live_count == traj.live_counts()[k]
 
 
 class TestGuards:
@@ -320,7 +347,7 @@ class TestGuards:
                              lambda_bar=10.0, alpha=0.0,
                              drift=DriftSpec("zero"), dt=0.1, T=1.0)
         u = NoiseUniverse(seed, 1)
-        free = simulate_microscopic(params, 10, u)
+        free, free_states, _ = record(simulate_microscopic, params, 10, u)
         live = 10 + np.cumsum([1 if ev.kind == EVENT_BRANCH else -1
                                for ev in free.event_log])
         peak = int(live.max())
@@ -329,9 +356,9 @@ class TestGuards:
             # the count first reaches the peak when a cell born earlier in
             # the same step branches
             first = free.event_log[int(np.argmax(live))]
-            final = free.states[-1]
+            final = free_states[-1]
             born = final.births[row_of(final, first.idx)]
-            step = np.searchsorted(free.times, [born, first.time],
+            step = np.searchsorted(params.times(), [born, first.time],
                                    side="right") - 1
             assert first.kind == EVENT_BRANCH and born > 0
             assert step[0] == step[1]
@@ -361,8 +388,7 @@ class TestGuards:
 
         monkeypatch.setattr(_Engine, "add_cells", counted)
         with pytest.raises(PopulationExplosion):
-            simulate_microscopic(params, 10, NoiseUniverse(1, 1),
-                                 keep_dead=False)
+            simulate_microscopic(params, 10, NoiseUniverse(1, 1))
         assert 2000 < max(held) <= 3 * 2000
 
     def test_lineage_depth_limit(self):
@@ -373,8 +399,7 @@ class TestGuards:
                              lambda_bar=100.0, alpha=0.0,
                              drift=DriftSpec("zero"), dt=0.25, T=2.0)
         with pytest.raises(LineageDepthExceeded):
-            simulate_microscopic(params, 30, NoiseUniverse(0, 1),
-                                 keep_dead=False)
+            simulate_microscopic(params, 30, NoiseUniverse(0, 1))
 
     def test_time_grid_validated(self):
         with pytest.raises(ValueError):
@@ -396,8 +421,7 @@ class TestGuards:
             params = decoupled(lambda_bar=0.05, dt=0.25, T=T)
             tracemalloc.start()
             try:
-                traj = simulate_microscopic(params, 256, NoiseUniverse(1, 1),
-                                            keep_dead=False)
+                traj = simulate_microscopic(params, 256, NoiseUniverse(1, 1))
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -405,6 +429,22 @@ class TestGuards:
             return peak - current
 
         assert working(64.0) < 1.1 * working(16.0)
+
+    def test_peak_memory_does_not_grow_with_run_length(self):
+        # without an observer a run keeps no checkpoint: at a fixed
+        # population its peak memory is the same at 64 and at 512 steps
+        def peak(n_steps):
+            params = decoupled(lambda_bar=0.05, dt=0.01, T=0.01 * n_steps)
+            tracemalloc.start()
+            try:
+                traj = simulate_microscopic(params, 2000, NoiseUniverse(1, 1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert traj.live_counts().tolist() == [2000] * (n_steps + 1)
+            return peak
+
+        assert peak(512) < 1.5 * peak(64)
 
 
 class TestWeakFormResidual:
@@ -424,22 +464,22 @@ class TestWeakFormResidual:
         reps = 80
         residuals = []
         for rep in range(reps):
-            traj = simulate_microscopic(params, 40, u.child("wf", rep))
+            traj, states, fields = record(simulate_microscopic, params, 40,
+                                          u.child("wf", rep))
             acc = 0.0
             for k in range(params.n_steps):
-                state = traj.states[k]
-                pos = state.live_positions()
+                pos = states[k].live_positions()
                 if len(pos) == 0:
                     continue
-                rho = traj.fields[k]
+                rho = fields[k]
                 grad = rho.gradient_at(pos)
                 rho_val = rho.value_at(pos)
                 bphi = (np.sum(drift_fn(pos, grad) * phi.gradient(pos), axis=1)
                         + 0.5 * params.sigma ** 2 * phi.laplacian(pos))
                 lam = birth_fn(pos, rho_val) - death_fn(pos, rho_val)
                 acc += params.dt * np.sum(bphi + lam * phi(pos)) / traj.n0
-            pair_T = np.sum(phi(traj.states[-1].live_positions())) / traj.n0
-            pair_0 = np.sum(phi(traj.states[0].live_positions())) / traj.n0
+            pair_T = np.sum(phi(states[-1].live_positions())) / traj.n0
+            pair_0 = np.sum(phi(states[0].live_positions())) / traj.n0
             residuals.append(pair_T - pair_0 - acc)
         residuals = np.asarray(residuals)
         se = residuals.std(ddof=1) / np.sqrt(reps)

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from chemobranch import (DimensionMismatch, EmpiricalMeasure, LineageIndex,
                          PopulationState, empirical, integrate, mean_se,
                          state_distance)
 from chemobranch.errors import LineageDepthExceeded
-from chemobranch.population import (checkpoints_to_lines,
+from chemobranch.population import (SnapshotWriter, cell_keys,
                                     population_to_lines)
 
 
@@ -38,29 +40,25 @@ class TestLineageIndex:
         with pytest.raises(LineageDepthExceeded):
             parent(make_idx(1))
 
-    def test_children_of_root(self):
-        assert make_idx(1).children() == (make_idx(1, "0"), make_idx(1, "1"))
-
-    def test_children_append(self):
-        assert make_idx(2, "10").children() == (make_idx(2, "100"),
-                                                 make_idx(2, "101"))
-
-    @given(line=st.integers(1, 10 ** 6), word_len=st.integers(0, 63),
-           bits=st.integers(0, 2 ** 63 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_parent_children_round_trip(self, line, word_len, bits):
-        idx = LineageIndex(line, word_len, bits & ((1 << word_len) - 1))
-        c0, c1 = idx.children()
-        assert parent(c0) == idx
-        assert parent(c1) == idx
-        assert c0 < c1
-
     def test_depth_cap(self):
-        deep = LineageIndex(1, 64, 0)
-        with pytest.raises(LineageDepthExceeded):
-            deep.children()
         with pytest.raises(LineageDepthExceeded):
             LineageIndex(1, 65, 0)
+
+    @given(cells=st.lists(st.tuples(
+        st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(0, 64)).flatmap(
+            lambda lw: st.tuples(st.just(lw[0]), st.just(lw[1]),
+                                 st.integers(0, 2 ** lw[1] - 1))),
+        min_size=2, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_cell_keys_sort_as_the_index_tuples(self, cells):
+        keys = cell_keys(*(np.array(c, dtype=t) for c, t in zip(
+            zip(*cells), (np.int64, np.int64, np.uint64))))
+        for a in range(len(cells)):
+            for b in range(len(cells)):
+                assert (keys[a] < keys[b]) == (cells[a] < cells[b])
+                assert (keys[a] == keys[b]) == (cells[a] == cells[b])
+        assert np.array_equal(np.argsort(keys, kind="stable"),
+                              sorted(range(len(cells)), key=cells.__getitem__))
 
     def test_total_ordering(self):
         idxs = [make_idx(2), make_idx(1, "1"), make_idx(1), make_idx(1, "01"),
@@ -289,15 +287,41 @@ class TestSerialization:
                            (1, "0", 0.3, np.inf, 1.25),
                            (1, "1", 0.3, np.inf, 0.75),
                            (1, "10", 0.9, np.inf, 0.0)])]
-        # a cell missing from the last state, and daughters born at the
-        # checkpoint's own time but not in it: formatted whole
-        stray = state(0.2, [(*a, np.inf, 1.0), (3, "", 0.0, np.inf, 4.0)])
-        early = state(0.3, [(*a, np.inf, 1.0), (*b, np.inf, 2.0)])
-        for states in (run, [stray] + run, run[:1] + [early] + run[1:]):
-            assert list(checkpoints_to_lines(states)) == [
-                population_to_lines(pop) for pop in states]
-        assert list(checkpoints_to_lines(run)) == [
-            row_by_row_lines(pop) for pop in run]
+        out = io.StringIO()
+        writer = SnapshotWriter(out)
+        for pop in run:
+            writer.write(pop)
+        for lines in (population_to_lines, row_by_row_lines):
+            assert out.getvalue() == "".join(
+                "\n".join(lines(pop)) + "\n" for pop in run)
+
+    @given(data=st.data(), d=st.sampled_from([1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_snapshot_writer_over_a_growing_population(self, data, d):
+        # cells born, moved and killed at random checkpoints, every cell
+        # kept once born: the streamed writer gives the per-state text
+        keys = data.draw(st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 64)).flatmap(
+                lambda lw: st.tuples(st.just(lw[0]), st.just(lw[1]),
+                                     st.integers(0, 2 ** lw[1] - 1))),
+            unique=True, max_size=12))
+        births = [data.draw(st.integers(0, 3)) for _ in keys]
+        deaths = [b + data.draw(st.sampled_from([1, 2, np.inf]))
+                  for b in births]
+        out = io.StringIO()
+        writer = SnapshotWriter(out)
+        expected = []
+        for t in range(4):
+            rows = [i for i, b in enumerate(births) if b <= t]
+            pop = PopulationState(
+                float(t), d, [keys[i][0] for i in rows],
+                [keys[i][1] for i in rows], [keys[i][2] for i in rows],
+                [births[i] for i in rows], [deaths[i] for i in rows],
+                [[np.nan] * d if deaths[i] <= t else
+                 [data.draw(_floats) for _ in range(d)] for i in rows])
+            writer.write(pop)
+            expected.append("\n".join(row_by_row_lines(pop)) + "\n")
+        assert out.getvalue() == "".join(expected)
 
     def test_compact_drops_dead(self):
         pop = state_from(1, {make_idx(1): [0.5], make_idx(2): None})

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import record
 
 from chemobranch import (DriftSpec, FieldPath, GridSpec, InitialFieldSpec,
                          InitialMeasureSpec, ModelParams, NoiseUniverse,
-                         RateSpec, lineage_restriction,
-                         measure_convergence_experiment, simulate_hybrid,
+                         RateSpec, measure_convergence_experiment,
+                         simulate_hybrid,
                          simulate_mass_ensemble, simulate_microscopic,
                          solve_pks, solve_selfconsistent_field)
 
@@ -27,10 +28,12 @@ def params2d():
 
 def test_micro_and_hybrid_couple_bitwise(params2d):
     u = NoiseUniverse(7, 2)
-    micro = simulate_microscopic(params2d, 30, u)
-    hybrid = simulate_hybrid(params2d, FieldPath.from_fields(micro.fields), u)
-    line1 = lineage_restriction(micro, 1)
-    for a, b in zip(line1.states, hybrid.states):
+    _, micro, fields = record(simulate_microscopic, params2d, 30, u)
+    _, hybrid, _ = record(simulate_hybrid, params2d,
+                          FieldPath.from_fields(fields), u)
+    assert len(micro) == len(hybrid) == params2d.n_steps + 1
+    for a, b in zip(micro, hybrid):
+        a = a.restrict_to_line(1)
         assert np.array_equal(a.positions, b.positions, equal_nan=True)
         assert np.array_equal(a.word_bits, b.word_bits)
 
@@ -58,9 +61,10 @@ def test_brownian_variance_2d(params2d):
         params2d, alpha=0.0, birth=RateSpec("zero"), death=RateSpec("zero"),
         drift=DriftSpec("zero"), dt=0.1, T=1.0,
         mu0=InitialMeasureSpec("point", {"at": [4.0, 4.0]}))
-    traj = simulate_microscopic(params, 4000, NoiseUniverse(9, 2))
-    start = traj.states[0].live_positions()
-    end = traj.states[-1].live_positions()
+    _, states, _ = record(simulate_microscopic, params, 4000,
+                          NoiseUniverse(9, 2))
+    start = states[0].live_positions()
+    end = states[-1].live_positions()
     disp = (end - start + 4.0) % 8.0 - 4.0
     cov = np.cov(disp.T)
     target = params.sigma ** 2 * params.T
