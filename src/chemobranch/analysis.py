@@ -11,6 +11,7 @@ byte-identical on rerun.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -201,10 +202,10 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float, float]:
     if n == 0:
         return 0.0, 0.0, 1.0
     z = 1.96
-    phat = successes / n
+    phat = float(successes) / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
     return phat, max(0.0, center - half), min(1.0, center + half)
 
 

@@ -83,7 +83,7 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
     birth_fn = p.birth.build(L)
     death_fn = p.death.build(L)
     drift_fn = None if p.drift.is_zero else p.drift.build(d)
-    needs_rho = "logistic" in (p.birth.kind, p.death.kind)
+    needs_rho = p.birth.reads_field or p.death.reads_field
 
     X = p.mu0.sample(universe, replica_ids, d, L)
     M = np.ones(K)

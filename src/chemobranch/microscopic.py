@@ -197,8 +197,8 @@ class MicroTrajectory:
 
 
 _BLOCK = 64  # steps of Wiener increments drawn per refill
-_PER_CELL = ("lines", "wlens", "wbits", "births", "deaths", "alive", "pos",
-             "cursor", "rate_arg", "inc")
+_PER_CELL = ("lines", "wlens", "wbits", "keys", "births", "deaths", "alive",
+             "pos", "cursor", "rate_arg", "inc")
 
 
 def _explosion(cap: int) -> PopulationExplosion:
@@ -238,12 +238,9 @@ class _Tally:
 
     def add(self, t: float, s: int, branched: bool):
         eng = self.eng
-        key = (eng.lines[s], eng.wlens[s], eng.wbits[s])
-        j = int(np.searchsorted(self.t, t))
-        while j < len(self.t) and self.t[j] == t and (
-                eng.lines[self.s[j]], eng.wlens[self.s[j]],
-                eng.wbits[self.s[j]]) < key:
-            j += 1
+        # after the sorted events before t and those at t with smaller keys
+        lo, hi = np.searchsorted(self.t, t), np.searchsorted(self.t, t, "right")
+        j = int(lo + np.searchsorted(eng.keys[self.s[lo:hi]], eng.keys[s]))
         self._check_to(j)
         self.added += 1 if branched else -1
         live = (self.live[j - 1] if j else self.n_start) + self.added
@@ -263,6 +260,10 @@ class _Engine:
     a cell's points sit in ``clock_times``/``clock_marks`` followed by one
     +inf, and ``clock_times[cursor]`` is its next point (inf when none is).
 
+    ``keys`` holds each cell's ``cell_keys`` key, set once at its birth
+    (``add_cells``); every ordering of cells, of slots and of tied events
+    alike, sorts or searches that column.
+
     ``inc`` holds one block of Wiener increments per cell, (cap, 64, d):
     step k reads column k % 64.  A cell draws its increments of a block
     when the block starts, together with every live cell (``refill``), or,
@@ -280,6 +281,7 @@ class _Engine:
         self.lines = np.zeros(cap, dtype=np.int64)
         self.wlens = np.zeros(cap, dtype=np.int64)
         self.wbits = np.zeros(cap, dtype=np.uint64)
+        self.keys = cell_keys(self.lines, self.wlens, self.wbits)
         self.births = np.zeros(cap)
         self.deaths = np.zeros(cap)
         self.alive = np.zeros(cap, dtype=bool)
@@ -322,6 +324,8 @@ class _Engine:
         self.lines[new] = lines
         self.wlens[new] = wlens
         self.wbits[new] = wbits
+        self.keys[new] = cell_keys(self.lines[new], self.wlens[new],
+                                   self.wbits[new])
         self.births[new] = births
         self.deaths[new] = np.inf
         self.alive[new] = True
@@ -393,9 +397,7 @@ class _Engine:
             if tally is not None:  # the earliest cell alone
                 times = self.next_times(slots)
                 tied = np.flatnonzero(times == times.min())
-                i = tied[np.lexsort((self.wbits[slots[tied]],
-                                     self.wlens[slots[tied]],
-                                     self.lines[slots[tied]]))[0]]
+                i = tied[np.argmin(self.keys[slots[tied]])]
                 slots, rest = slots[i:i + 1], np.delete(slots, i)
             c = self.cursor[slots]
             t, z = self.clock_times[c], self.clock_marks[c]
@@ -443,7 +445,7 @@ class _Engine:
         """Batches of (times, slots, branched) as one, sorted by (time,
         line, word length, word bits): the order in which they happen."""
         t, s, b = (np.concatenate(col) for col in zip(*events))
-        order = np.lexsort((self.wbits[s], self.wlens[s], self.lines[s], t))
+        order = np.lexsort((self.keys[s], t))
         return t[order], s[order], b[order]
 
     def event_columns(self) -> EventColumns:
@@ -457,13 +459,10 @@ class _Engine:
         themselves and merged in (equal keys stay in slot order)."""
         if self._ordered < self.count:
             new = np.arange(self._ordered, self.count)
-            new = new[np.lexsort((self.wbits[new], self.wlens[new],
-                                  self.lines[new]))]
+            new = new[np.argsort(self.keys[new], kind="stable")]
             # the i-th new slot lands after the old slots not above it and
             # the i new slots before it; the old slots fill the rest in order
-            n = self.count
-            keys = cell_keys(self.lines[:n], self.wlens[:n], self.wbits[:n])
-            at = np.searchsorted(keys[self._order], keys[new],
+            at = np.searchsorted(self.keys[self._order], self.keys[new],
                                  side="right") + np.arange(len(new))
             order = np.empty(self.count, dtype=np.int64)
             old = np.ones(self.count, dtype=bool)
@@ -487,7 +486,7 @@ class _Engine:
         pos[~self.alive[rows]] = np.nan
         return PopulationState(t, self.d, self.lines[rows], self.wlens[rows],
                                self.wbits[rows], self.births[rows],
-                               self.deaths[rows], pos, _presorted=True)
+                               self.deaths[rows], pos, self.keys[rows])
 
 
 def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
@@ -515,7 +514,7 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
     birth_fn = p.birth.build(L)
     death_fn = p.death.build(L)
     drift_fn = None if p.drift.is_zero else p.drift.build(d)
-    needs_rho = "logistic" in (p.birth.kind, p.death.kind)
+    needs_rho = p.birth.reads_field or p.death.reads_field
     kernel = p.make_kernel() if coupled and p.alpha != 0.0 else None
 
     if coupled:

@@ -4,6 +4,9 @@ Cells are identified by a cell-line number plus a binary ancestry word
 (daughters append 0 and 1 to the mother's word).  A population snapshot maps
 those identities to a position-or-dead record; the dead marker is represented
 by a NaN position row.  Snapshots are immutable once built.
+
+``cell_keys`` gives each identity one bytes key in the canonical cell
+order; every ordering and lookup of cells sorts or searches these keys.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ MAX_WORD_LEN = 64
 _SIGN = np.uint64(1 << 63)
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class LineageIndex:
     """Identity of a cell: line number `line` and packed ancestry word.
 
     The word is stored MSB-first in ``word_bits`` with explicit length, so
     appending a symbol is ``bits << 1 | b``.  The empty word (length 0) is the
-    founder of its line.
+    founder of its line.  Indices compare as their fields in order, line,
+    word length, word bits: the order of ``cell_keys``.
     """
 
     line: int
@@ -41,15 +45,8 @@ class LineageIndex:
         if self.word_bits >> max(self.word_len, 0):
             raise ValueError("word_bits has bits beyond word_len")
 
-    def sort_key(self) -> tuple[int, int, int]:
-        # line, then generation, then lexicographic within a generation
-        return (self.line, self.word_len, self.word_bits)
-
     def word_str(self) -> str:
         return "@" + format(self.word_bits, "b").zfill(self.word_len) if self.word_len else "@"
-
-    def __lt__(self, other: "LineageIndex") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self):
         return f"LineageIndex({self.line}, {self.word_str()!r})"
@@ -71,17 +68,20 @@ class PopulationState:
     """Finite map LineageIndex -> (birth, death, position) at a fixed time,
     array-backed.
 
-    Rows are kept sorted by (line, word length, word bits) so that every
-    iteration order, dump, and deposit is deterministic.  Dead cells keep
-    their row (genealogy retained) with a NaN position; ``live_mask`` selects
-    the live ones.
+    Rows are kept in ``cell_keys`` order, (line, word length, word bits),
+    so that every iteration order, dump, and deposit is deterministic;
+    ``keys`` holds each row's key.  A caller that has the keys of rows
+    already in that order passes them as ``keys``; otherwise they are
+    computed once and the rows sorted by them.  Dead cells keep their row
+    (genealogy retained) with a NaN position; ``live_mask`` selects the
+    live ones.
     """
 
     __slots__ = ("time", "d", "lines", "word_lens", "word_bits", "births",
-                 "deaths", "positions", "_key_to_row")
+                 "deaths", "positions", "keys")
 
     def __init__(self, time, d, lines, word_lens, word_bits, births, deaths,
-                 positions, _presorted=False):
+                 positions, keys=None):
         self.time = float(time)
         self.d = int(d)
         lines = np.asarray(lines, dtype=np.int64)
@@ -90,25 +90,19 @@ class PopulationState:
         births = np.asarray(births, dtype=np.float64)
         deaths = np.asarray(deaths, dtype=np.float64)
         positions = np.asarray(positions, dtype=np.float64).reshape(len(lines), self.d)
-        if not _presorted:
-            order = np.lexsort((word_bits, word_lens, lines))
+        if keys is None:
+            keys = cell_keys(lines, word_lens, word_bits)
+            order = np.argsort(keys, kind="stable")
             lines, word_lens, word_bits = lines[order], word_lens[order], word_bits[order]
             births, deaths, positions = births[order], deaths[order], positions[order]
+            keys = keys[order]
         self.lines = lines
         self.word_lens = word_lens
         self.word_bits = word_bits
         self.births = births
         self.deaths = deaths
         self.positions = positions
-        self._key_to_row = None
-
-    def _rows(self):
-        if self._key_to_row is None:
-            self._key_to_row = {
-                (int(l), int(wl), int(wb)): r
-                for r, (l, wl, wb) in enumerate(zip(self.lines, self.word_lens, self.word_bits))
-            }
-        return self._key_to_row
+        self.keys = keys
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -125,11 +119,13 @@ class PopulationState:
         return self.positions[self.live_mask]
 
     def restrict_to_line(self, line: int) -> "PopulationState":
-        keep = self.lines == line
+        # the line leads the key, so its rows are one run of the sorted lines
+        keep = slice(np.searchsorted(self.lines, line),
+                     np.searchsorted(self.lines, line, side="right"))
         return PopulationState(self.time, self.d, self.lines[keep],
                                self.word_lens[keep], self.word_bits[keep],
                                self.births[keep], self.deaths[keep],
-                               self.positions[keep], _presorted=True)
+                               self.positions[keep], self.keys[keep])
 
 
 def state_distance(a: PopulationState, b: PopulationState,
@@ -142,28 +138,18 @@ def state_distance(a: PopulationState, b: PopulationState,
     """
     if a.d != b.d:
         raise DimensionMismatch(f"states have d={a.d} and d={b.d}")
-    rows_a, rows_b = a._rows(), b._rows()
-    best = 0.0
-    for key, ra in rows_a.items():
-        pa = a.positions[ra]
-        if key in rows_b:
-            pb = b.positions[rows_b[key]]
-            dead_a, dead_b = np.isnan(pa[0]), np.isnan(pb[0])
-            if dead_a and dead_b:
-                continue
-            if dead_a != dead_b:
-                best = max(best, 1.0)
-                continue
-            diff = pa - pb
-            if extent is not None:
-                diff = (diff + 0.5 * extent) % extent - 0.5 * extent
-            best = max(best, float(np.sqrt(np.sum(diff * diff))))
-        elif not np.isnan(pa[0]):
-            best = max(best, 1.0)
-    for key, rb in rows_b.items():
-        if key not in rows_a and not np.isnan(b.positions[rb][0]):
-            best = max(best, 1.0)
-    return best
+    # rows ra of a and rb of b hold the same cells
+    at = np.minimum(np.searchsorted(b.keys, a.keys), max(len(b) - 1, 0))
+    match = b.keys[at] == a.keys if len(b) else np.zeros(len(a), dtype=bool)
+    ra, rb = np.flatnonzero(match), at[match]
+    both = a.live_mask[ra] & b.live_mask[rb]
+    # some live cell is dead or missing in the other state
+    alone = a.live_count + b.live_count > 2 * np.count_nonzero(both)
+    diff = a.positions[ra[both]] - b.positions[rb[both]]
+    if extent is not None:
+        diff = (diff + 0.5 * extent) % extent - 0.5 * extent
+    dist = np.sqrt(np.sum(diff * diff, axis=1)).max(initial=0.0)
+    return max(float(dist), 1.0 if alone else 0.0)
 
 
 @dataclass(frozen=True)
@@ -269,7 +255,7 @@ class SnapshotWriter:
     A checkpoint holds every row of the one before it, since a run never
     drops a cell, so each cell's line, word and birth are formatted once, at
     the first checkpoint that holds it: one ``searchsorted`` over the cell
-    keys finds the rows formatted before.
+    keys (``pop.keys``) finds the rows formatted before.
     """
 
     def __init__(self, file):
@@ -278,13 +264,12 @@ class SnapshotWriter:
         self.identity = np.empty(0, dtype=object)
 
     def write(self, pop: PopulationState):
-        keys = cell_keys(pop.lines, pop.word_lens, pop.word_bits)
-        seen = np.searchsorted(keys, self.keys)
+        seen = np.searchsorted(pop.keys, self.keys)
         fresh = np.ones(len(pop), dtype=bool)
         fresh[seen] = False
         identity = np.empty(len(pop), dtype=object)
         identity[seen] = self.identity
         identity[fresh] = _identity_columns(pop, fresh)
-        self.keys, self.identity = keys, identity
+        self.keys, self.identity = pop.keys, identity
         self.file.write(
             "\n".join(population_to_lines(pop, identity.tolist())) + "\n")

@@ -96,6 +96,10 @@ class RateSpec(RegistrySpec):
             return 0.0
         return float(self.params["c"])
 
+    @property
+    def reads_field(self) -> bool:  # whether lambda depends on rho
+        return self.kind == "logistic"
+
     def build(self, extent: float):
         kind, p = self.kind, self.params
         if kind == "zero":

@@ -156,6 +156,16 @@ class TestHelpers:
         assert 0.4 < lo < 0.8 < hi <= 1.0
         assert wilson_interval(0, 0) == (0.0, 0.0, 1.0)
 
+    def test_wilson_interval_gives_python_floats(self):
+        # a numpy scalar would be written as np.float64(...) in the report
+        for hits, n in ((8, 10), (0, 6), (6, 6), (np.int64(3), 7)):
+            assert [type(v) for v in wilson_interval(hits, n)] == [float] * 3
+        report = coupling_experiment(base_params(dt=0.05, T=0.5), [4, 16], 3,
+                                     [0.05], NoiseUniverse(9, 1))
+        lines = report.to_csv_lines()
+        assert any(",wilson," in line for line in lines)
+        assert not any("np." in line for line in lines)
+
     def test_slope_fit(self):
         ns = [16, 64, 256]
         means = [1.0 / np.sqrt(n) for n in ns]

@@ -370,6 +370,41 @@ class TestGuards:
             simulate_microscopic(
                 dataclasses.replace(params, population_cap=peak - 1), 10, u)
 
+    @pytest.mark.parametrize("seed", [4, 7, 12])
+    def test_tied_event_times(self, seed, monkeypatch):
+        # clock times floored to multiples of dt/2 make most events tie: the
+        # events still come in (time, line, word length, word bits) order,
+        # and the cap still holds in that order, one tied event at a time
+        params = base_params(birth=RateSpec("constant", {"c": 6.0}),
+                             death=RateSpec("constant", {"c": 4.0}),
+                             lambda_bar=10.0, alpha=0.0,
+                             drift=DriftSpec("zero"), dt=0.1, T=1.0)
+        h = params.dt / 2
+        clock_arrays = NoiseUniverse.clock_arrays
+
+        def floored(self, cells, t_end, lambda_bar):
+            times, marks, offsets = clock_arrays(self, cells, t_end, lambda_bar)
+            return np.floor(times / h) * h, marks, offsets
+
+        monkeypatch.setattr(NoiseUniverse, "clock_arrays", floored)
+        u = NoiseUniverse(seed, 1)
+        ev = simulate_microscopic(params, 10, u).events
+        _, count = np.unique(ev.time, return_counts=True)
+        assert np.sum(count[count > 1]) > len(ev.time) // 2
+        order = np.lexsort((ev.word_bits, ev.word_len, ev.line, ev.time))
+        assert np.array_equal(order, np.arange(len(order)))
+        live = 10 + np.cumsum(np.where(ev.branch, 1, -1))
+        peak = int(live.max())
+        assert peak > 10
+        at_peak = simulate_microscopic(
+            dataclasses.replace(params, population_cap=peak), 10, u).events
+        for name in ("time", "line", "word_len", "word_bits", "branch",
+                     "position"):
+            assert np.array_equal(getattr(at_peak, name), getattr(ev, name))
+        with pytest.raises(PopulationExplosion):
+            simulate_microscopic(
+                dataclasses.replace(params, population_cap=peak - 1), 10, u)
+
     def test_explosive_step_stops_near_the_cap(self, monkeypatch):
         # every cell branches hundreds of times within the first step: the
         # run stops at the cap, and once past it the step's events are taken

@@ -188,6 +188,90 @@ class TestStateDistance:
             assert state_distance(a, b) == state_distance(b, a)
 
 
+def reference_distance(a, b, extent=None):
+    """state_distance as a loop over a dict from each cell to its row."""
+    def rows(state):
+        return {(int(l), int(wl), int(wb)): r for r, (l, wl, wb) in enumerate(
+            zip(state.lines, state.word_lens, state.word_bits))}
+
+    rows_a, rows_b = rows(a), rows(b)
+    best = 0.0
+    for key, ra in rows_a.items():
+        pa = a.positions[ra]
+        if key in rows_b:
+            pb = b.positions[rows_b[key]]
+            dead_a, dead_b = np.isnan(pa[0]), np.isnan(pb[0])
+            if dead_a and dead_b:
+                continue
+            if dead_a != dead_b:
+                best = max(best, 1.0)
+                continue
+            diff = pa - pb
+            if extent is not None:
+                diff = (diff + 0.5 * extent) % extent - 0.5 * extent
+            best = max(best, float(np.sqrt(np.sum(diff * diff))))
+        elif not np.isnan(pa[0]):
+            best = max(best, 1.0)
+    for key, rb in rows_b.items():
+        if key not in rows_a and not np.isnan(b.positions[rb][0]):
+            best = max(best, 1.0)
+    return best
+
+
+def random_state(rng, d, cells, spread=8.0):
+    """Some of ``cells``, in random row order, each dead or at a random
+    position; the rest are missing."""
+    rows = [c for c in cells if rng.uniform() < 0.6]
+    rng.shuffle(rows)
+    dead = rng.uniform(size=len(rows)) < 0.3
+    positions = rng.uniform(0.0, spread, (len(rows), d))
+    positions[dead] = np.nan
+    return PopulationState(0.0, d, [c[0] for c in rows],
+                           [c[1] for c in rows], [c[2] for c in rows],
+                           np.zeros(len(rows)),
+                           np.where(dead, 0.5, np.inf), positions)
+
+
+class TestStateMatching:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_distance_equals_a_per_cell_loop(self, d):
+        # missing, dead and live rows of two random states, matched by cell
+        rng = np.random.default_rng(40 + d)
+        for case in range(1500):
+            n = int(rng.integers(0, 10))
+            wlens = rng.integers(0, 4, n)
+            cells = {(int(line), int(wl), int(rng.integers(0, 2 ** wl)))
+                     for line, wl in zip(rng.integers(1, 5, n), wlens)}
+            cells = sorted(cells)
+            a, b = (random_state(rng, d, cells) for _ in range(2))
+            for extent in (None, 8.0):
+                for x, y in ((a, b), (b, a), (a, a)):
+                    assert state_distance(x, y, extent) == \
+                        reference_distance(x, y, extent)
+        empty = random_state(rng, d, [])
+        full = random_state(rng, d, [(1, 0, 0), (2, 1, 1)])
+        assert state_distance(empty, empty) == 0.0
+        assert state_distance(empty, full) == reference_distance(empty, full)
+
+    def test_restrict_to_line_selects_the_lines_rows(self):
+        rng = np.random.default_rng(7)
+        cells = [(line, wl, bits) for line in (1, 2, 4)
+                 for wl in range(3) for bits in range(2 ** wl)]
+        state = random_state(rng, 2, cells)
+        for line in range(6):
+            part = state.restrict_to_line(line)
+            keep = state.lines == line
+            for name in ("lines", "word_lens", "word_bits", "births",
+                         "deaths", "keys"):
+                assert np.array_equal(getattr(part, name),
+                                      getattr(state, name)[keep])
+            assert np.array_equal(part.positions, state.positions[keep],
+                                  equal_nan=True)
+            assert len(part) == int(keep.sum())
+            if line not in state.lines:
+                assert len(part) == 0 and part.d == 2
+
+
 class TestEmpiricalMeasure:
     def test_count_with_unit_normalization(self):
         pop = state_from(2, {make_idx(i): [0.1 * i, 0.0] for i in (1, 2, 3)})
