@@ -11,7 +11,8 @@ from .errors import (CFLViolation, ChemobranchError, ConfigInvalid,
                      DimensionMismatch, EmptyEnsemble, GridMismatch,
                      LineageDepthExceeded, NonFiniteAtom, NonFiniteQuery,
                      NonFiniteState, PicardStalled, PopulationExplosion)
-from .field import Field, FieldPath, GridSpec, Kernel, deposit, semigroup_step
+from .field import (Field, GridSpec, Kernel, check_path, deposit,
+                    semigroup_step)
 from .microscopic import (EventRecord, MicroTrajectory, ModelParams,
                           simulate_lines, simulate_microscopic)
 from .meanfield import (MassEnsemble, SelfConsistentField, simulate_hybrid,

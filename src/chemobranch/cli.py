@@ -65,6 +65,16 @@ def _write_json(path: Path, cfg: ExperimentConfig, seed: int, payload: dict):
                     encoding="utf-8")
 
 
+def _write_report(out: Path, cfg: ExperimentConfig, seed: int, name: str,
+                  report) -> int:
+    """Write ``<name>_report.csv`` and ``<name>_summary.json``; the exit
+    code follows the verdict the experiment put in ``summary["pass"]``."""
+    _write_text(out / f"{name}_report.csv",
+                _header(cfg, seed, name) + report.to_csv_lines())
+    _write_json(out / f"{name}_summary.json", cfg, seed, report.summary)
+    return EXIT_OK if report.summary["pass"] else EXIT_CHECK_FAILED
+
+
 def _events_csv(traj) -> list[str]:
     ev = traj.events
     cols = "time,line,word_bits,word_len,kind," + ",".join(
@@ -103,8 +113,7 @@ def run_macro(cfg, out: Path, seed: int) -> int:
     order_check = cfg.get_bool("macro.order_check", False)
     sol = macroscopic.solve_pks(params)
     head = _header(cfg, seed, "macro")
-    p_final = Field(params.grid, sol.p_path.values[-1], sol.times[-1])
-    rho_final = Field(params.grid, sol.rho_path.values[-1], sol.times[-1])
+    p_final, rho_final = sol.p_path[-1], sol.rho_path[-1]
     (out / "macro_p_final.bin").write_bytes(field_to_bytes(p_final))
     (out / "macro_rho_final.bin").write_bytes(field_to_bytes(rho_final))
     _write_text(out / "macro_p_final.csv", head + field_to_csv_lines(p_final))
@@ -139,7 +148,7 @@ def run_hybrid(cfg, out: Path, seed: int) -> int:
         traj = meanfield.simulate_hybrid(params, scf.rho_path, universe,
                                          observe=observe)
     _write_text(out / "hybrid_events.csv", head + _events_csv(traj))
-    rho_final = Field(params.grid, scf.rho_path.values[-1], params.T)
+    rho_final = Field(params.grid, scf.rho_path[-1].values, params.T)
     (out / "hybrid_rho_final.bin").write_bytes(field_to_bytes(rho_final))
     if scf.picard_gaps:
         _write_json(out / "hybrid_picard.json", cfg, seed,
@@ -181,16 +190,7 @@ def run_converge(cfg, out: Path, seed: int) -> int:
     universe = NoiseUniverse(seed, params.grid.d)
     report = analysis.measure_convergence_experiment(
         params, n0_list, replicas, universe)
-    head = _header(cfg, seed, "converge")
-    _write_text(out / "converge_report.csv", head + report.to_csv_lines())
-    dm = report.summary["d_M"]
-    fl = report.summary["field"]
-    passed = (dm["strictly_decreasing"]
-              and -0.7 <= dm["slope"] <= -0.3
-              and fl["strictly_decreasing"])
-    report.summary["pass"] = bool(passed)
-    _write_json(out / "converge_summary.json", cfg, seed, report.summary)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return _write_report(out, cfg, seed, "converge", report)
 
 
 def run_couple(cfg, out: Path, seed: int) -> int:
@@ -201,13 +201,7 @@ def run_couple(cfg, out: Path, seed: int) -> int:
     universe = NoiseUniverse(seed, params.grid.d)
     report = analysis.coupling_experiment(params, n0_list, replicas, eps_list,
                                           universe)
-    head = _header(cfg, seed, "couple")
-    _write_text(out / "couple_report.csv", head + report.to_csv_lines())
-    passed = all(report.summary[f"exceed_{eps:g}"]["non_increasing_overlap"]
-                 for eps in eps_list)
-    report.summary["pass"] = bool(passed)
-    _write_json(out / "couple_summary.json", cfg, seed, report.summary)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return _write_report(out, cfg, seed, "couple", report)
 
 
 def run_yule(cfg, out: Path, seed: int) -> int:
@@ -216,10 +210,7 @@ def run_yule(cfg, out: Path, seed: int) -> int:
     replicas = cfg.get_count("run.replicas")
     universe = NoiseUniverse(seed, params.grid.d)
     report = analysis.yule_bound_check(params, n0, replicas, universe)
-    head = _header(cfg, seed, "yule")
-    _write_text(out / "yule_report.csv", head + report.to_csv_lines())
-    _write_json(out / "yule_summary.json", cfg, seed, report.summary)
-    return EXIT_OK if report.summary["pass"] else EXIT_CHECK_FAILED
+    return _write_report(out, cfg, seed, "yule", report)
 
 
 _RUNNERS = {

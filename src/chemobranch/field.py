@@ -342,32 +342,13 @@ def semigroup_step(rho: Field, source: np.ndarray | None, dt: float, D: float,
     return Field(grid, values, rho.time + dt)
 
 
-class FieldPath:
-    """Field trajectory stored at a uniform time grid, one slice per step."""
-
-    def __init__(self, grid: GridSpec, times: np.ndarray, values: np.ndarray):
-        self.grid = grid
-        self.times = np.asarray(times, dtype=np.float64)
-        self.values = np.asarray(values, dtype=np.float64)
-        if self.values.shape[0] != len(self.times):
-            raise ValueError("one value slice per time required")
-
-    @classmethod
-    def from_fields(cls, fields: list[Field]) -> "FieldPath":
-        times = np.array([f.time for f in fields])
-        values = np.stack([f.values for f in fields])
-        return cls(fields[0].grid, times, values)
-
-    def check_steps(self, dt: float, n_steps: int):
-        """Raise ValueError unless slice k is at k·dt for k = 0..n_steps."""
-        if len(self.times) <= n_steps or not np.allclose(
-                self.times[:n_steps + 1], np.arange(n_steps + 1) * dt):
-            raise ValueError(f"field path is not stored at the {n_steps} "
-                             f"steps of length {dt}")
-
-    def field_at(self, k: int) -> Field:
-        """The stored slice k, bitwise."""
-        return Field(self.grid, self.values[k], self.times[k])
+def check_path(path: tuple[Field, ...], dt: float, n_steps: int):
+    """Raise ValueError unless field k of ``path`` is at k·dt for
+    k = 0..n_steps."""
+    if len(path) <= n_steps or not np.allclose(
+            [f.time for f in path[:n_steps + 1]], np.arange(n_steps + 1) * dt):
+        raise ValueError(f"field path is not stored at the {n_steps} "
+                         f"steps of length {dt}")
 
 
 # ---------------------------------------------------------------------------

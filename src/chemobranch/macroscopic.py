@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CFLViolation
-from .field import Field, FieldPath, semigroup_step
+from .field import Field, semigroup_step
 from .microscopic import ModelParams
 
 
@@ -94,16 +94,15 @@ def _advect(grid, values, vel, dt, scheme: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PksSolution:
-    """Density and field paths on the step grid, plus run metadata."""
+    """Density and field paths on the step grid, field k at ``times[k]``."""
 
     times: np.ndarray
-    p_path: FieldPath
-    rho_path: FieldPath
+    p_path: tuple[Field, ...]
+    rho_path: tuple[Field, ...]
 
     def mass(self) -> np.ndarray:
-        vol = self.p_path.grid.cell_volume
-        return np.sum(self.p_path.values.reshape(len(self.times), -1),
-                      axis=1) * vol
+        return np.array([np.sum(f.values) * f.grid.cell_volume
+                         for f in self.p_path])
 
 
 def solve_pks(params: ModelParams) -> PksSolution:
@@ -153,16 +152,16 @@ def solve_pks(params: ModelParams) -> PksSolution:
         rho_slices.append(rho.values)
 
     times = p.times()
-    return PksSolution(times,
-                       FieldPath(grid, times, np.stack(p_slices)),
-                       FieldPath(grid, times, np.stack(rho_slices)))
+    return PksSolution(
+        times, tuple(Field(grid, v, t) for v, t in zip(p_slices, times)),
+        tuple(Field(grid, v, t) for v, t in zip(rho_slices, times)))
 
 
 def observed_order(params: ModelParams) -> float:
     """Strang order via a dt-halving triplet on the configured problem."""
     sols = [solve_pks(dataclasses.replace(params, dt=params.dt / 2 ** j))
             for j in range(3)]
-    finals = [s.p_path.values[-1] for s in sols]
+    finals = [s.p_path[-1].values for s in sols]
     e1 = np.max(np.abs(finals[0] - finals[1]))
     e2 = np.max(np.abs(finals[1] - finals[2]))
     return float(np.log2(e1 / e2))

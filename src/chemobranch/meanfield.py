@@ -6,8 +6,9 @@ driven by a deterministic field (``simulate_hybrid``), and the mass-weighted
 law of one particle (X, M) whose mass grows at the net rate
 lambda = lambda_b - lambda_d, simulated as a replica ensemble
 (``simulate_mass_ensemble``).  Both consume the same deterministic field
-path, which is produced either by the macroscopic solver (default, cheap) or
-by fixed-point iteration on the mild field equation with mass ensembles.
+path, a tuple of ``Field`` with field k at checkpoint k, which is produced
+either by the macroscopic solver (default, cheap) or by fixed-point
+iteration on the mild field equation with mass ensembles.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyEnsemble, NonFiniteState, PicardStalled
-from .field import Field, FieldPath, deposit, semigroup_step
+from .field import Field, check_path, deposit, semigroup_step
 from .microscopic import MicroTrajectory, ModelParams, simulate_lines
 from .population import EmpiricalMeasure, mean_se
 from .randomness import NoiseUniverse
@@ -25,9 +26,10 @@ from .randomness import NoiseUniverse
 MODES = ("macroscopic", "picard")  # how solve_selfconsistent_field finds the field
 
 
-def simulate_hybrid(params: ModelParams, rho_path: FieldPath,
+def simulate_hybrid(params: ModelParams, rho_path: tuple[Field, ...],
                     universe: NoiseUniverse, *, observe=None) -> MicroTrajectory:
-    """Single-line branching diffusion against a frozen deterministic field.
+    """Single-line branching diffusion against a deterministic field path,
+    field k at checkpoint k.
 
     Uses exactly the Wiener and clock streams of line 1 in ``universe``, so
     with the field path of a coupled run substituted verbatim this reproduces
@@ -59,13 +61,13 @@ class MassEnsemble:
 _BLOCK = 64  # steps of Wiener increments prefetched per refill
 
 
-def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
+def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
                            universe: NoiseUniverse, replicas: int) -> MassEnsemble:
     """Vectorized (X, M) replicas: Euler-Maruyama for X, exponential Euler for M.
 
-    Replicas 1..``replicas`` are kept at every step of ``params.times()``.
-    Their initial positions, and each 64-step block of their increments,
-    are drawn in one batch.
+    Field k of ``rho_path`` drives step k.  Replicas 1..``replicas`` are
+    kept at every step of ``params.times()``.  Their initial positions, and
+    each 64-step block of their increments, are drawn in one batch.
     The mass update M <- M * exp(lambda(X, rho) dt) is exact for constant
     rates; lambda is evaluated where the branching models evaluate their
     clock-event rates, so the two mean-measure estimators share discretization
@@ -78,7 +80,7 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
     p = params
     d, dt, L = p.grid.d, p.dt, p.grid.extent
     n_steps = p.n_steps
-    rho_path.check_steps(dt, n_steps)
+    check_path(rho_path, dt, n_steps)
 
     birth_fn = p.birth.build(L)
     death_fn = p.death.build(L)
@@ -98,7 +100,7 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
             hi = min(k + _BLOCK, n_steps)
             inc_block = universe.mass_increments(replica_ids, k, hi, dt)
         t = k * dt
-        rho = rho_path.field_at(k)
+        rho = rho_path[k]
         if drift_fn is not None:
             X = X + drift_fn(X, rho.gradient_at(X)) * dt
         X = np.mod(X + p.sigma * inc_block[:, k % _BLOCK], L)
@@ -117,15 +119,15 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: FieldPath,
 
 @dataclass(frozen=True)
 class SelfConsistentField:
-    """Deterministic field path with provenance for the two solve modes."""
+    """Deterministic field path, field k at checkpoint k; the density path
+    of the macroscopic mode, or the gaps of the Picard mode."""
 
-    rho_path: FieldPath
-    p_path: FieldPath | None
-    mode: str
+    rho_path: tuple[Field, ...]
+    p_path: tuple[Field, ...] | None
     picard_gaps: tuple[float, ...] = ()
 
 
-def rebuild_field_path(params: ModelParams, source_at) -> FieldPath:
+def rebuild_field_path(params: ModelParams, source_at) -> tuple[Field, ...]:
     """Advance the field one full step at a time with frozen sources.
 
     ``source_at(k)`` returns the grid source for the step ending at step k;
@@ -134,12 +136,12 @@ def rebuild_field_path(params: ModelParams, source_at) -> FieldPath:
     """
     p = params
     rho = p.make_rho0()
-    slices = [rho]
+    path = [rho]
     for k in range(1, p.n_steps + 1):
         src = source_at(k) if p.alpha != 0.0 else None
         rho = semigroup_step(rho, src, p.dt, p.D, p.r, p.alpha)
-        slices.append(rho)
-    return FieldPath.from_fields(slices)
+        path.append(rho)
+    return tuple(path)
 
 
 def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
@@ -164,8 +166,8 @@ def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
 
         sol = solve_pks(p)
         rho_path = rebuild_field_path(
-            p, lambda k: kernel.convolve_density(sol.p_path.values[k]))
-        return SelfConsistentField(rho_path, sol.p_path, mode)
+            p, lambda k: kernel.convolve_density(sol.p_path[k].values))
+        return SelfConsistentField(rho_path, sol.p_path)
 
     if universe is None:
         raise ValueError("picard mode needs a universe for its ensembles")
@@ -181,9 +183,7 @@ def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
             sources.append(deposit(mu, kernel, p.grid))
         new_path = rebuild_field_path(p, lambda k: sources[k])
         gap = 0.0
-        for k in range(p.n_steps + 1):
-            a = Field(p.grid, rho_path.values[k])
-            b = Field(p.grid, new_path.values[k])
+        for a, b in zip(rho_path, new_path):
             dv = float(np.max(np.abs(a.values - b.values)))
             dg = float(max(np.max(np.abs(ga - gb)) for ga, gb in
                            zip(a.gradient_grid(), b.gradient_grid())))
@@ -194,7 +194,7 @@ def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
                 f"field iteration gap grew to {gap:.3e}", gaps + [gap])
         gaps.append(gap)
         if gap < tol:
-            return SelfConsistentField(rho_path, None, mode, tuple(gaps))
+            return SelfConsistentField(rho_path, None, tuple(gaps))
     raise PicardStalled(
         f"no contraction below {tol:.1e} after {max_iters} iterations "
         f"(last gap {gaps[-1]:.3e})", gaps)

@@ -22,8 +22,9 @@ draw the rest of its block together at the step's end.  Counter-indexed
 streams make every draw bit-identical to a per-cell draw of the whole run.
 
 The same engine drives the single-line mean-field process by swapping the
-coupled field for a frozen field path, which keeps the two models bitwise
-coupled when their inputs coincide.
+coupled field for a given field path, a tuple of ``Field`` with field k at
+checkpoint k, which keeps the two models bitwise coupled when their inputs
+coincide.
 
 A run keeps no trajectory.  At each checkpoint k·dt, k = 0..n_steps, it
 hands the population (dead cells kept) and the field to the caller's
@@ -41,7 +42,8 @@ import numpy as np
 
 from .errors import (ConfigInvalid, LineageDepthExceeded, NonFiniteState,
                      PopulationExplosion)
-from .field import Field, FieldPath, GridSpec, Kernel, deposit, semigroup_step
+from .field import (Field, GridSpec, Kernel, check_path, deposit,
+                    semigroup_step)
 from .population import (MAX_WORD_LEN, EmpiricalMeasure, LineageIndex,
                          PopulationState, cell_keys)
 from .randomness import NoiseUniverse
@@ -266,10 +268,10 @@ class _Engine:
 
     ``inc`` holds one block of Wiener increments per cell, (cap, 64, d):
     step k reads column k % 64.  A cell draws its increments of a block
-    when the block starts, together with every live cell (``refill``), or,
-    if it first moves inside the block, from that step to the block's end
-    together with the cells born in the same step (``draw_born``; founders
-    first move at step 0).
+    when the block starts, together with every live cell, or, if it first
+    moves inside the block, from that step to the block's end together with
+    the cells born in the same step (founders first move at step 0); both
+    go through ``draw_increments``.
     """
 
     def __init__(self, params: ModelParams, universe: NoiseUniverse):
@@ -313,8 +315,8 @@ class _Engine:
     def add_cells(self, lines, wlens, wbits, positions: np.ndarray,
                   births) -> slice:
         """Insert a batch of cells born at ``births`` into consecutive slots
-        and draw their clock points up to T in one batch (``draw_born``
-        draws their Wiener increments)."""
+        and draw their clock points up to T in one batch
+        (``draw_increments`` draws their Wiener increments)."""
         m = len(lines)
         if self.count + m > len(self.lines):  # to the next power of two
             self._resize(_PER_CELL, 1 << (self.count + m - 1).bit_length())
@@ -354,27 +356,18 @@ class _Engine:
     def next_times(self, slots: np.ndarray) -> np.ndarray:
         return self.clock_times[self.cursor[slots]]
 
-    def draw_born(self, s0: int, k0: int):
-        """Draw the Wiener increments of the cells in slots s0.., first
-        moved at step k0, up to the end of that step's block.  At a block
-        boundary k0 > 0 ``refill`` draws them with every live cell."""
-        j0 = k0 % _BLOCK
-        if s0 == self.count or k0 >= self.n_steps or (k0 and not j0):
-            return
-        end = min(k0 - j0 + _BLOCK, self.n_steps)
-        born = slice(s0, self.count)
-        self.u.wiener_increments(
-            (self.lines[born], self.wlens[born], self.wbits[born]), k0, end,
-            self.p.dt, out=self.inc[born, j0:j0 + end - k0])
-
-    def refill(self, k: int):
-        """Draw the increments of the block starting at step k for every
-        live cell."""
-        ls = self.live_slots()
-        end = min(k + _BLOCK, self.n_steps)
-        self.inc[ls, :end - k] = self.u.wiener_increments(
-            (self.lines[ls], self.wlens[ls], self.wbits[ls]), k, end,
-            self.p.dt)
+    def draw_increments(self, slots, k: int):
+        """Draw in one call the Wiener increments of the cells ``slots``
+        (an index array or a slice) from step k to the end of its block."""
+        j = k % _BLOCK
+        end = min(k - j + _BLOCK, self.n_steps)
+        cols = slice(j, j + end - k)
+        # a slice of slots selects a view, drawn into in place (its write
+        # back copies nothing); an index array selects a copy, written back
+        block = self.inc[slots, cols]
+        self.inc[slots, cols] = self.u.wiener_increments(
+            (self.lines[slots], self.wlens[slots], self.wbits[slots]), k, end,
+            self.p.dt, out=block)
 
     def process_clocks(self, slots: np.ndarray, t_next: float, birth_fn,
                        death_fn):
@@ -490,14 +483,14 @@ class _Engine:
 
 
 def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
-                   *, rho_path: FieldPath | None = None,
+                   *, rho_path: tuple[Field, ...] | None = None,
                    observe=None) -> MicroTrajectory:
     """Shared engine behind the microscopic and single-line hybrid models.
 
     ``rho_path`` None runs the coupled model (field sourced by the mollified
-    empirical measure); a FieldPath runs against that frozen deterministic
-    field instead, slice k at checkpoint k, consuming exactly the same noise
-    streams.
+    empirical measure); a tuple of Fields runs against that deterministic
+    field path instead, field k at checkpoint k, consuming exactly the same
+    noise streams.
 
     ``observe(k, state, rho)`` is called at each checkpoint k = 0..n_steps
     in order: ``state`` is the population at k·dt, every cell born by then
@@ -520,15 +513,16 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
     if coupled:
         rho = p.make_rho0()
     else:
-        rho_path.check_steps(dt, n_steps)
-        rho = rho_path.field_at(0)
+        check_path(rho_path, dt, n_steps)
+        rho = rho_path[0]
 
     if n0 > p.population_cap:
         raise _explosion(p.population_cap)
     eng = _Engine(p, universe)
     lines = np.array(founder_lines, dtype=np.int64)
-    eng.add_cells(lines, 0, 0, p.mu0.sample(universe, lines, d, L), 0.0)
-    eng.draw_born(0, 0)
+    founders = eng.add_cells(lines, 0, 0, p.mu0.sample(universe, lines, d, L),
+                             0.0)
+    eng.draw_increments(founders, 0)
 
     live = np.empty(n_steps + 1, dtype=np.int64)
     live[0] = eng.n_live
@@ -537,8 +531,8 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
 
     for k in range(n_steps):
         t_next = (k + 1) * dt
-        if k and k % _BLOCK == 0:
-            eng.refill(k)
+        if k and k % _BLOCK == 0:  # every live cell draws the new block
+            eng.draw_increments(eng.live_slots(), k)
         ls = eng.live_slots()
         born = eng.count
         if len(ls):
@@ -556,7 +550,10 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
             if needs_rho and len(ring):  # one batch: the ringing cells
                 eng.rate_arg[ring] = p.rate_argument(rho, eng.pos[ring])
             eng.process_clocks(ring, t_next, birth_fn, death_fn)
-        eng.draw_born(born, k + 1)
+        # the cells born in the step draw the rest of its block from the
+        # next step, unless the next step starts a block or the run ends
+        if born < eng.count and (k + 1) % _BLOCK and k + 1 < n_steps:
+            eng.draw_increments(slice(born, eng.count), k + 1)
 
         if coupled:
             source = None
@@ -569,7 +566,7 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
             if not np.all(np.isfinite(rho.values)):
                 raise NonFiniteState(f"non-finite field at t={t_next}")
         else:
-            rho = rho_path.field_at(k + 1)
+            rho = rho_path[k + 1]
 
         live[k + 1] = eng.n_live
         if observe is not None:

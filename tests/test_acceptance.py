@@ -230,7 +230,7 @@ def test_06_monte_carlo_pde_cross_validation(acc):
         phi_nodes = np.asarray(phi(grid.node_coords())).reshape(grid.shape)
         for t in (0.2, 0.5, 1.0):
             k = int(round(t / params.dt))
-            pde = float(np.sum(sol.p_path.values[k] * phi_nodes)
+            pde = float(np.sum(sol.p_path[k].values * phi_nodes)
                         * grid.cell_volume)
             mc, se = ens.pairing_stats(phi, k)
             diff = abs(pde - mc)

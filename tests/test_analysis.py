@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from chemobranch import (DriftSpec, EmpiricalMeasure, Field, FieldPath,
+from chemobranch import (DriftSpec, EmpiricalMeasure, Field,
                          GridSpec, InitialFieldSpec, InitialMeasureSpec,
                          ModelParams, NoiseUniverse, RateSpec,
                          TestFunctionBank, coupling_experiment,
@@ -212,6 +212,9 @@ class TestMeasureConvergence:
         dm = report.summary["d_M"]
         assert -0.7 <= dm["slope"] <= -0.3
         assert dm["strictly_decreasing"]
+        # the verdict also needs the field error to fall strictly with n0
+        assert (report.summary["pass"]
+                is report.summary["field"]["strictly_decreasing"])
 
     def test_deterministic_across_reruns(self):
         params = base_params(dt=0.05, T=0.25)
@@ -245,6 +248,7 @@ class TestCouplingExperiment:
         for eps in (0.05, 0.2):
             assert report.summary[f"exceed_{eps:g}"]["phat"] == [0.0, 0.0]
         assert report.summary["event_mismatch"]["phat"] == [0.0, 0.0]
+        assert report.summary["pass"] is True
 
     def test_coupled_runs_report_and_are_deterministic(self):
         params = base_params(dt=0.05, T=0.5)
@@ -273,7 +277,8 @@ class TestCouplingExperiment:
             u_r = universe.child("replica", r)
             base = events(path, u_r)
             for j, delta in enumerate(deltas):
-                shifted = FieldPath(path.grid, path.times, path.values + delta)
+                shifted = tuple(Field(f.grid, f.values + delta, f.time)
+                                for f in path)
                 hits[j] += events(shifted, u_r) != base
         probs = hits / 400
         slope, intercept = np.polyfit(deltas, probs, 1)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from conftest import record
 
-from chemobranch import (ConfigInvalid, EmpiricalMeasure, Field, FieldPath,
-                         GridMismatch, GridSpec, Kernel, NonFiniteQuery,
+from chemobranch import (ConfigInvalid, EmpiricalMeasure, Field, GridMismatch,
+                         GridSpec, Kernel, NonFiniteQuery, check_path,
                          deposit, semigroup_step)
 from chemobranch.field import field_to_bytes, field_to_csv_lines
 
@@ -358,22 +358,18 @@ class TestModeMajorKernel:
         assert peak < 2048 * 1025 * 16 / 8
 
 
-class TestFieldPath:
-    def test_stored_slices_bitwise(self, grid1):
-        rng = np.random.default_rng(8)
-        vals = rng.normal(size=(4, grid1.n))
-        path = FieldPath(grid1, np.arange(4) * 0.1, vals)
-        for k in range(4):
-            f = path.field_at(k)
-            assert f.values is vals[k] or np.array_equal(f.values, vals[k])
-            assert f.time == path.times[k]
-
-    def test_steps_checked_against_the_run(self, grid1):
-        path = FieldPath(grid1, np.arange(4) * 0.1, np.zeros((4, grid1.n)))
-        path.check_steps(0.1, 3)
+def test_check_path_against_the_run_steps(grid1):
+    # a path at k·dt passes, also with the times semigroup_step accumulates,
+    # which differ from k·dt at round-off; another step or count is refused
+    exact = tuple(Field(grid1, np.zeros(grid1.n), k * 0.1) for k in range(4))
+    stepped = [exact[0]]
+    for _ in range(3):
+        stepped.append(semigroup_step(stepped[-1], None, 0.1, 1.0, 0.5, 0.0))
+    for path in (exact, tuple(stepped)):
+        check_path(path, 0.1, 3)
         for dt, n_steps in ((0.1, 4), (0.05, 3), (0.2, 2)):
-            with pytest.raises(ValueError):
-                path.check_steps(dt, n_steps)
+            with pytest.raises(ValueError, match="not stored at the"):
+                check_path(path, dt, n_steps)
 
 
 def read_field(blob):

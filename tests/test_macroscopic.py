@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chemobranch import (CFLViolation, DriftSpec, Field, GridSpec,
+from chemobranch import (CFLViolation, DriftSpec, GridSpec,
                          InitialFieldSpec, InitialMeasureSpec, ModelParams,
                          NoiseUniverse, RateSpec, observed_order,
                          semigroup_step, simulate_mass_ensemble, solve_pks)
@@ -34,9 +34,9 @@ class TestDegenerateDynamics:
                              drift=DriftSpec("zero"))
         grid = params.grid
         sol = solve_pks(params)
-        start = np.fft.rfft(sol.p_path.values[0])
-        end = np.fft.rfft(sol.p_path.values[-1])
-        assert np.array_equal(sol.p_path.values[0], params.mu0.density(grid))
+        start = np.fft.rfft(sol.p_path[0].values)
+        end = np.fft.rfft(sol.p_path[-1].values)
+        assert np.array_equal(sol.p_path[0].values, params.mu0.density(grid))
         assert np.abs(start[4]) > 0.1 * np.abs(start[0])  # modes carry mass
         decay = np.exp(-0.5 * params.sigma ** 2 * grid.rfft_k2() * params.T)
         assert np.max(np.abs(end - start * decay)) / grid.n < 1e-12
@@ -107,8 +107,10 @@ class TestAccuracy:
             vol = params.grid.cell_volume
             worst = 0.0
             for k in range(len(sol.times) - 1):
-                p_mid = 0.5 * (sol.p_path.values[k] + sol.p_path.values[k + 1])
-                rho_mid = 0.5 * (sol.rho_path.values[k] + sol.rho_path.values[k + 1])
+                p_mid = 0.5 * (sol.p_path[k].values
+                               + sol.p_path[k + 1].values)
+                rho_mid = 0.5 * (sol.rho_path[k].values
+                                 + sol.rho_path[k + 1].values)
                 lam = (birth_fn(nodes, rho_mid.ravel())
                        - death_fn(nodes, rho_mid.ravel()))
                 gain = np.sum(lam * p_mid.ravel()) * vol
@@ -129,12 +131,13 @@ class TestAccuracy:
         sol = solve_pks(params)
         kernel = params.make_kernel()
         for k in range(len(sol.times) - 1):
-            rho_k = Field(params.grid, sol.rho_path.values[k])
-            half = semigroup_step(rho_k, kernel.convolve_density(sol.p_path.values[k]),
-                                  0.5 * params.dt, params.D, params.r, params.alpha)
-            full = semigroup_step(half, kernel.convolve_density(sol.p_path.values[k + 1]),
-                                  0.5 * params.dt, params.D, params.r, params.alpha)
-            assert np.array_equal(full.values, sol.rho_path.values[k + 1])
+            half = semigroup_step(
+                sol.rho_path[k], kernel.convolve_density(sol.p_path[k].values),
+                0.5 * params.dt, params.D, params.r, params.alpha)
+            full = semigroup_step(
+                half, kernel.convolve_density(sol.p_path[k + 1].values),
+                0.5 * params.dt, params.D, params.r, params.alpha)
+            assert np.array_equal(full.values, sol.rho_path[k + 1].values)
 
 
 class TestAdvectionSchemes:
@@ -166,27 +169,27 @@ class TestAdvectionSchemes:
         params = base_params(advection="upwind",
                              drift=DriftSpec("constant", {"vx": 0.8}))
         sol = solve_pks(params)
-        assert np.min(sol.p_path.values) >= -1e-12
+        assert min(np.min(f.values) for f in sol.p_path) >= -1e-12
 
     def test_semi_lagrangian_matches_upwind_in_the_small(self):
         # cross-check the two advection discretizations against each other
         params_sl = base_params(dt=0.005, T=0.25)
         params_uw = dataclasses.replace(params_sl, advection="upwind")
-        a = solve_pks(params_sl).p_path.values[-1]
-        b = solve_pks(params_uw).p_path.values[-1]
+        a = solve_pks(params_sl).p_path[-1].values
+        b = solve_pks(params_uw).p_path[-1].values
         assert np.max(np.abs(a - b)) < 0.02 * np.max(np.abs(a))
 
     def test_auto_picks_a_scheme_and_runs(self):
         params = base_params(advection="auto")
         sol = solve_pks(params)
-        assert np.all(np.isfinite(sol.p_path.values))
+        assert all(np.all(np.isfinite(f.values)) for f in sol.p_path)
 
 
 def pde_pairing(sol, phi, k):
     """<phi, p> at step k by grid quadrature."""
-    grid = sol.p_path.grid
-    phi_nodes = np.asarray(phi(grid.node_coords())).reshape(grid.shape)
-    return float(np.sum(sol.p_path.values[k] * phi_nodes) * grid.cell_volume)
+    p = sol.p_path[k]
+    phi_nodes = np.asarray(phi(p.grid.node_coords())).reshape(p.grid.shape)
+    return float(np.sum(p.values * phi_nodes) * p.grid.cell_volume)
 
 
 def within_3se(pde, mc, se):
@@ -225,7 +228,7 @@ class TestCompareWithMonteCarlo:
         from chemobranch.meanfield import rebuild_field_path
         kernel = params.make_kernel()
         path = rebuild_field_path(
-            params, lambda k: kernel.convolve_density(sol.p_path.values[k]))
+            params, lambda k: kernel.convolve_density(sol.p_path[k].values))
         ens = simulate_mass_ensemble(params, path, NoiseUniverse(4, 1), 2000)
 
         def one(x):

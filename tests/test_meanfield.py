@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import record
 
-from chemobranch import (DriftSpec, EmptyEnsemble, FieldPath, GridSpec,
+from chemobranch import (DriftSpec, EmptyEnsemble, GridSpec,
                          InitialFieldSpec, InitialMeasureSpec, ModelParams,
                          NoiseUniverse, PicardStalled, RateSpec, empirical,
                          integrate, mean_se, semigroup_step, simulate_hybrid,
@@ -33,7 +33,14 @@ def free_field_path(params):
     for _ in range(params.n_steps):
         rho = semigroup_step(rho, None, params.dt, params.D, params.r, 0.0)
         slices.append(rho)
-    return FieldPath.from_fields(slices)
+    return tuple(slices)
+
+
+def path_gap(a, b):
+    """Largest |difference| of two field paths over nodes and checkpoints."""
+    assert len(a) == len(b)
+    return max(float(np.max(np.abs(x.values - y.values)))
+               for x, y in zip(a, b))
 
 
 def states_equal(a, b):
@@ -51,7 +58,7 @@ class TestHybrid:
         micro, micro_states, fields = record(simulate_microscopic, params,
                                              20, u)
         hybrid, hybrid_states, _ = record(
-            simulate_hybrid, params, FieldPath.from_fields(fields), u)
+            simulate_hybrid, params, tuple(fields), u)
         assert len(hybrid_states) == len(micro_states) == params.n_steps + 1
         assert all(states_equal(a.restrict_to_line(1), b)
                    for a, b in zip(micro_states, hybrid_states))
@@ -62,12 +69,13 @@ class TestHybrid:
                                   getattr(hybrid.events, name))
 
     def test_field_path_must_hold_the_run_steps(self):
-        # slice k of a path is read at step k: a path of another step
-        # length, or too short, is refused
+        # field k of a path is read at step k: a path of another step
+        # length, or too short, even by one field, is refused
         params = base_params()
-        for other in (dataclasses.replace(params, dt=params.dt / 2),
-                      dataclasses.replace(params, T=params.T / 2)):
-            path = free_field_path(other)
+        for path in (
+                free_field_path(dataclasses.replace(params, dt=params.dt / 2)),
+                free_field_path(dataclasses.replace(params, T=params.T / 2)),
+                free_field_path(params)[:-1]):
             with pytest.raises(ValueError):
                 simulate_hybrid(params, path, NoiseUniverse(3, 1))
             with pytest.raises(ValueError):
@@ -116,7 +124,7 @@ class TestHybrid:
             lam_seq = []
             for k in range(params.n_steps):
                 pos = free[k + 1].live_positions()
-                rho_val = path.field_at(k).value_at(pos)
+                rho_val = path[k].value_at(pos)
                 lam_seq.append(float(death_fn(pos, rho_val)[0]))
             cum = np.cumsum(np.array(lam_seq) * params.dt)
             for k in checkpoints:
@@ -232,11 +240,11 @@ class TestSelfConsistentField:
         params = base_params(alpha=0.0)
         free = free_field_path(params)
         mac = solve_selfconsistent_field(params, "macroscopic")
-        assert np.array_equal(mac.rho_path.values, free.values)
+        assert path_gap(mac.rho_path, free) == 0.0
         pic = solve_selfconsistent_field(params, "picard",
                                          universe=NoiseUniverse(1, 1),
                                          n_replicas=50, tol=1e-9)
-        assert np.array_equal(pic.rho_path.values, free.values)
+        assert path_gap(pic.rho_path, free) == 0.0
         assert len(pic.picard_gaps) == 1 and pic.picard_gaps[0] == 0.0
 
     def test_uniform_stationary_zero_mode_ode(self):
@@ -249,8 +257,8 @@ class TestSelfConsistentField:
             rho0=InitialFieldSpec("constant", {"c": 0.2}),
             kernel_width=0.05, dt=0.01, T=1.0, alpha=0.8, r=0.6)
         scf = solve_selfconsistent_field(params, "macroscopic")
-        assert np.allclose(scf.p_path.values[-1], 1.0, rtol=1e-10)
-        m_T = float(np.mean(scf.rho_path.values[-1]))
+        assert np.allclose(scf.p_path[-1].values, 1.0, rtol=1e-10)
+        m_T = float(np.mean(scf.rho_path[-1].values))
         exact = 0.8 / 0.6 + (0.2 - 0.8 / 0.6) * np.exp(-0.6 * params.T)
         assert m_T == pytest.approx(exact, rel=1e-6)
 
@@ -265,8 +273,8 @@ class TestSelfConsistentField:
         pic2 = solve_selfconsistent_field(params, "picard",
                                           universe=NoiseUniverse(14, 1),
                                           n_replicas=1500, tol=5e-4)
-        mc_band = np.max(np.abs(pic.rho_path.values - pic2.rho_path.values))
-        gap = np.max(np.abs(pic.rho_path.values - mac.rho_path.values))
+        mc_band = path_gap(pic.rho_path, pic2.rho_path)
+        gap = path_gap(pic.rho_path, mac.rho_path)
         assert gap < 3 * mc_band + 1e-4
 
     def test_picard_gaps_contract(self):
@@ -302,7 +310,7 @@ class TestSelfConsistentField:
         for k in range(params.n_steps):
             X = ens.X[:, k]
             M = ens.M[:, k]
-            rho = scf.rho_path.field_at(k)
+            rho = scf.rho_path[k]
             grad = rho.gradient_at(X)
             rho_val = rho.value_at(X)
             bphi = (np.sum(drift_fn(X, grad) * phi.gradient(X), axis=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import record
 
-from chemobranch import (DriftSpec, FieldPath, GridSpec, InitialFieldSpec,
+from chemobranch import (DriftSpec, GridSpec, InitialFieldSpec,
                          InitialMeasureSpec, ModelParams, NoiseUniverse,
                          RateSpec, measure_convergence_experiment,
                          simulate_hybrid,
@@ -29,8 +29,7 @@ def params2d():
 def test_micro_and_hybrid_couple_bitwise(params2d):
     u = NoiseUniverse(7, 2)
     _, micro, fields = record(simulate_microscopic, params2d, 30, u)
-    _, hybrid, _ = record(simulate_hybrid, params2d,
-                          FieldPath.from_fields(fields), u)
+    _, hybrid, _ = record(simulate_hybrid, params2d, tuple(fields), u)
     assert len(micro) == len(hybrid) == params2d.n_steps + 1
     for a, b in zip(micro, hybrid):
         a = a.restrict_to_line(1)
