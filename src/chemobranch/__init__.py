@@ -13,13 +13,13 @@ from .errors import (CFLViolation, ChemobranchError, ConfigInvalid,
                      NonFiniteState, PicardStalled, PopulationExplosion)
 from .field import (Field, GridSpec, Kernel, check_path, deposit,
                     semigroup_step)
-from .microscopic import (EventRecord, MicroTrajectory, ModelParams,
-                          simulate_lines, simulate_microscopic)
+from .microscopic import (MicroTrajectory, ModelParams, simulate_lines,
+                          simulate_microscopic)
 from .meanfield import (MassEnsemble, SelfConsistentField, simulate_hybrid,
                         simulate_mass_ensemble, solve_selfconsistent_field)
-from .macroscopic import PksSolution, observed_order, solve_pks
-from .population import (EmpiricalMeasure, LineageIndex, PopulationState,
-                         empirical, integrate, mean_se, state_distance)
+from .macroscopic import PksSolution, order_check, solve_pks
+from .population import (EmpiricalMeasure, PopulationState, empirical,
+                         integrate, mean_se, state_distance)
 from .randomness import NoiseUniverse
 from .registry import DriftSpec, InitialFieldSpec, InitialMeasureSpec, RateSpec
 from .analysis import (BumpFunction, ConvergenceReport, TestFunctionBank,

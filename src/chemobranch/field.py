@@ -263,8 +263,8 @@ def _atom_sums(terms: np.ndarray, lead: np.ndarray | None) -> np.ndarray:
 
 class Kernel:
     """Periodized Gaussian mollifier of unit mass on the torus, held as its
-    Fourier multiplier: ``hat`` = exp(-w^2|k|^2/2) / dx^d on the rfftn layout,
-    and ``samples`` (the node values) is its inverse FFT.  The modes beyond
+    Fourier multiplier: ``hat`` = exp(-w^2|k|^2/2) / dx^d on the rfftn
+    layout, whose inverse FFT is the kernel at the nodes.  The modes beyond
     the grid's are dropped, at most exp(-w^2 k_Nyq^2/2) = 2.7e-9 of the
     kernel at the narrowest allowed width, 2 dx.
     """
@@ -279,7 +279,6 @@ class Kernel:
                                          f"[{lo:g}, {hi:g}], got "
                                          f"{self.width:g}{default}")
         self.hat = np.exp(-0.5 * self.width ** 2 * grid.rfft_k2()) / grid.cell_volume
-        self.samples = np.fft.irfftn(self.hat, s=grid.shape, axes=range(grid.d))
 
     def convolve_density(self, values: np.ndarray) -> np.ndarray:
         """Spectral convolution (kernel * density) on the grid."""

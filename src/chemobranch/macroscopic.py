@@ -157,11 +157,14 @@ def solve_pks(params: ModelParams) -> PksSolution:
         tuple(Field(grid, v, t) for v, t in zip(rho_slices, times)))
 
 
-def observed_order(params: ModelParams) -> float:
-    """Strang order via a dt-halving triplet on the configured problem."""
-    sols = [solve_pks(dataclasses.replace(params, dt=params.dt / 2 ** j))
-            for j in range(3)]
-    finals = [s.p_path[-1].values for s in sols]
+def order_check(params: ModelParams, sol: PksSolution) -> dict:
+    """The Strang order observed over a dt-halving triplet on the configured
+    problem, ``sol`` being its solution at dt, and the verdict that it lies
+    in [1.8, 2.2]: ``{"observed_order": ..., "pass": ...}``."""
+    finals = [sol.p_path[-1].values] + [
+        solve_pks(dataclasses.replace(params, dt=params.dt / 2 ** j))
+        .p_path[-1].values for j in (1, 2)]
     e1 = np.max(np.abs(finals[0] - finals[1]))
     e2 = np.max(np.abs(finals[1] - finals[2]))
-    return float(np.log2(e1 / e2))
+    order = float(np.log2(e1 / e2))
+    return {"observed_order": order, "pass": 1.8 <= order <= 2.2}

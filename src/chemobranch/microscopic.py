@@ -44,8 +44,8 @@ from .errors import (ConfigInvalid, LineageDepthExceeded, NonFiniteState,
                      PopulationExplosion)
 from .field import (Field, GridSpec, Kernel, check_path, deposit,
                     semigroup_step)
-from .population import (MAX_WORD_LEN, EmpiricalMeasure, LineageIndex,
-                         PopulationState, cell_keys)
+from .population import (MAX_WORD_LEN, EmpiricalMeasure, PopulationState,
+                         cell_keys)
 from .randomness import NoiseUniverse
 from .registry import DriftSpec, InitialFieldSpec, InitialMeasureSpec, RateSpec
 
@@ -144,8 +144,14 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class EventRecord:
+    """One event as a record, ``idx`` the cell's (line, word length, word
+    bits).  Kept only for ``perfbench/spans.py``, which reads
+    ``MicroTrajectory.event_log``, until the benchmark reads the run's
+    counters elsewhere (ROADMAP item 5); everything else reads
+    ``EventColumns``."""
+
     time: float
-    idx: LineageIndex
+    idx: tuple[int, int, int]
     kind: str
     position: np.ndarray
 
@@ -182,14 +188,16 @@ class MicroTrajectory:
 
     @cached_property
     def event_log(self) -> list[EventRecord]:
-        """The events as records, built from ``events`` on first use."""
+        """The events as records, built from ``events`` on first use; for
+        ``perfbench/spans.py`` only, like ``EventRecord``."""
         ev = self.events
-        return [EventRecord(t, LineageIndex(line, n, bits), kind, x)
+        return [EventRecord(t, (line, n, bits), kind, x)
                 for t, line, n, bits, kind, x in zip(
                     ev.time.tolist(), ev.line.tolist(), ev.word_len.tolist(),
                     ev.word_bits.tolist(), ev.kinds().tolist(), ev.position)]
 
     def live_counts(self) -> np.ndarray:
+        """``live``; for ``perfbench/spans.py`` only, like ``event_log``."""
         return self.live
 
     def sup_live_over_n0(self) -> float:
@@ -496,8 +504,15 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
     in order: ``state`` is the population at k·dt, every cell born by then
     with the dead ones kept, built only when ``observe`` is given, and
     ``rho`` the field then.  Neither changes afterwards.
+
+    ``founder_lines`` must be one or more distinct integers from 1, else
+    ``ValueError``: a line number leads the identity of each of its cells.
     """
     founder_lines = tuple(int(i) for i in founder_lines)
+    if not founder_lines or min(founder_lines) < 1 \
+            or len(set(founder_lines)) < len(founder_lines):
+        raise ValueError("founder lines must be one or more distinct "
+                         "integers from 1")
     p = params
     d, dt, L = p.grid.d, p.dt, p.grid.extent
     n_steps = p.n_steps
@@ -580,6 +595,4 @@ def simulate_microscopic(params: ModelParams, n0: int, universe: NoiseUniverse,
                          *, observe=None) -> MicroTrajectory:
     """Run the coupled individual-based model with founder lines 1..n0;
     ``observe`` as in ``simulate_lines``."""
-    if n0 < 1:
-        raise ValueError("n0 must be at least 1")
     return simulate_lines(params, range(1, n0 + 1), universe, observe=observe)

@@ -1,12 +1,15 @@
 """Genealogy-indexed population state, its metric, and empirical measures.
 
-Cells are identified by a cell-line number plus a binary ancestry word
-(daughters append 0 and 1 to the mother's word).  A population snapshot maps
-those identities to a position-or-dead record; the dead marker is represented
-by a NaN position row.  Snapshots are immutable once built.
+A cell is identified by three integer columns: its line number (from 1),
+and its binary ancestry word as a length (0 for a founder, at most
+``MAX_WORD_LEN``) and bits read MSB-first, so that a daughter's word is
+the mother's ``bits << 1 | b`` for b = 0, 1.  A population snapshot maps
+those identities to a position-or-dead record; the dead marker is
+represented by a NaN position row.  Snapshots are immutable once built.
 
 ``cell_keys`` gives each identity one bytes key in the canonical cell
-order; every ordering and lookup of cells sorts or searches these keys.
+order, (line, word length, word bits); every ordering and lookup of cells
+sorts or searches these keys.
 """
 
 from __future__ import annotations
@@ -16,40 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, LineageDepthExceeded, NonFiniteAtom
+from .errors import DimensionMismatch, NonFiniteAtom
 
 MAX_WORD_LEN = 64
 _SIGN = np.uint64(1 << 63)
-
-
-@dataclass(frozen=True, order=True)
-class LineageIndex:
-    """Identity of a cell: line number `line` and packed ancestry word.
-
-    The word is stored MSB-first in ``word_bits`` with explicit length, so
-    appending a symbol is ``bits << 1 | b``.  The empty word (length 0) is the
-    founder of its line.  Indices compare as their fields in order, line,
-    word length, word bits: the order of ``cell_keys``.
-    """
-
-    line: int
-    word_len: int = 0
-    word_bits: int = 0
-
-    def __post_init__(self):
-        if self.line < 1:
-            raise ValueError("line numbers start at 1")
-        if not 0 <= self.word_len <= MAX_WORD_LEN:
-            raise LineageDepthExceeded(
-                f"word length {self.word_len} outside [0, {MAX_WORD_LEN}]")
-        if self.word_bits >> max(self.word_len, 0):
-            raise ValueError("word_bits has bits beyond word_len")
-
-    def word_str(self) -> str:
-        return "@" + format(self.word_bits, "b").zfill(self.word_len) if self.word_len else "@"
-
-    def __repr__(self):
-        return f"LineageIndex({self.line}, {self.word_str()!r})"
 
 
 def cell_keys(lines, word_lens, word_bits) -> np.ndarray:
@@ -65,8 +38,8 @@ def cell_keys(lines, word_lens, word_bits) -> np.ndarray:
 
 
 class PopulationState:
-    """Finite map LineageIndex -> (birth, death, position) at a fixed time,
-    array-backed.
+    """Finite map cell -> (birth, death, position) at a fixed time,
+    array-backed, a cell being its (line, word length, word bits) columns.
 
     Rows are kept in ``cell_keys`` order, (line, word length, word bits),
     so that every iteration order, dump, and deposit is deterministic;
@@ -232,18 +205,16 @@ def _identity_columns(pop: PopulationState, rows=slice(None)) -> list[str]:
 
 
 def population_to_lines(pop: PopulationState,
-                        identity: list[str] | None = None) -> list[str]:
+                        identity: list[str]) -> list[str]:
     """A ``# population t= d=`` line, then one row per cell: line, word bits,
     word length, birth, death, and the position or ``dead``.
 
-    ``identity``, when given, holds each row's first four fields as text
-    (what ``_identity_columns`` makes of ``pop``).
+    ``identity`` holds each row's first four fields as text (what
+    ``_identity_columns`` makes of ``pop``).
     """
     coords = join_columns(pop.positions.T)
     where = [c if live else "dead"
              for c, live in zip(coords, pop.live_mask.tolist())]
-    if identity is None:
-        identity = _identity_columns(pop)
     return [f"# population t={pop.time!r} d={pop.d}"] + join_columns(
         (identity, pop.deaths, where))
 

@@ -120,7 +120,8 @@ class NoiseUniverse:
     experiments or Monte Carlo replicas should use ``child`` universes.
 
     A batch of cells is given as ``(lines, word_lens, word_bits)``: one
-    array per ``LineageIndex`` field, or a scalar shared by the batch.
+    array per identity column of a cell (``population``), or a scalar
+    shared by the batch.
     """
 
     master_seed: int

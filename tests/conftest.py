@@ -1,3 +1,7 @@
+import io
+
+from chemobranch.population import SnapshotWriter
+
 _ACCEPTANCE_LINES: list[str] = []
 
 
@@ -27,3 +31,21 @@ def record(run, *args, **kwargs):
 
     traj = run(*args, observe=observe, **kwargs)
     return traj, states, fields
+
+
+def event_rows(events):
+    """The rows of a run's ``EventColumns`` in the order they happen, as
+    Python values: (time, line, word length, word bits, branched, position),
+    the position a tuple of floats."""
+    return list(zip(events.time.tolist(), events.line.tolist(),
+                    events.word_len.tolist(), events.word_bits.tolist(),
+                    events.branch.tolist(),
+                    map(tuple, events.position.tolist())))
+
+
+def written(pop) -> str:
+    """The text of the state ``pop`` as a ``SnapshotWriter`` writes it on
+    its own."""
+    out = io.StringIO()
+    SnapshotWriter(out).write(pop)
+    return out.getvalue()

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import event_rows
 
 from chemobranch import (DriftSpec, EmpiricalMeasure, Field,
                          GridSpec, InitialFieldSpec, InitialMeasureSpec,
@@ -270,7 +271,7 @@ class TestCouplingExperiment:
 
         def events(rho_path, u_r):
             traj = simulate_hybrid(params, rho_path, u_r)
-            return [(ev.time, ev.idx, ev.kind) for ev in traj.event_log]
+            return [row[:5] for row in event_rows(traj.events)]
 
         hits = np.zeros(len(deltas))
         for r in range(400):

@@ -9,6 +9,10 @@ outside ``__init__.py``; docstrings and comments do not count.
 No sort in the package orders cells by their word columns: the canonical
 cell order is decided once, by ``population.cell_keys``, and every ordering
 sorts or searches those keys.
+
+A cell is its (line, word length, word bits) columns and a run's events are
+its ``EventColumns``: neither the package nor its tests read the event
+records that ``microscopic`` keeps for the benchmark alone.
 """
 
 import ast
@@ -17,6 +21,7 @@ from pathlib import Path
 import chemobranch
 
 PACKAGE = Path(chemobranch.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _exported() -> list[str]:
@@ -71,3 +76,43 @@ def test_no_sort_orders_cells_by_their_word_columns():
             if names & WORD_COLUMNS:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], f"sorts by word columns instead of cell_keys: {found}"
+
+
+# read only by the benchmark's span hooks, and defined in ``microscopic``
+BENCHMARK_ONLY = {"event_log", "live_counts", "EventRecord"}
+RETIRED_ATTRIBUTES = {"event_log", "live_counts", "idx"}
+# the deleted identity class, spelled in two parts so that a search of the
+# sources for its name finds no use of it
+RETIRED_NAMES = {"EventRecord", "Lineage" "Index"}
+
+
+def _retired_uses(tree, exempt):
+    """Line numbers of the retired names in ``tree``, read or defined,
+    skipping the definitions named in ``exempt``."""
+    found, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            if node.name in exempt:
+                continue
+            if node.name in BENCHMARK_ONLY | RETIRED_NAMES:
+                found.append(node.lineno)
+        if (isinstance(node, ast.Attribute)
+                and node.attr in RETIRED_ATTRIBUTES | RETIRED_NAMES
+                or isinstance(node, ast.Name) and node.id in RETIRED_NAMES
+                or isinstance(node, ast.alias)
+                and node.name in RETIRED_NAMES):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_nothing_reads_the_benchmark_only_event_records():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = (BENCHMARK_ONLY if path == PACKAGE / "microscopic.py"
+                  else set())
+        found += [f"{path.name}:{line}"
+                  for line in _retired_uses(tree, exempt)]
+    assert found == [], f"reads retired event or cell records: {found}"

@@ -5,7 +5,7 @@ import pytest
 
 from chemobranch import (CFLViolation, DriftSpec, GridSpec,
                          InitialFieldSpec, InitialMeasureSpec, ModelParams,
-                         NoiseUniverse, RateSpec, observed_order,
+                         NoiseUniverse, RateSpec, order_check,
                          semigroup_step, simulate_mass_ensemble, solve_pks)
 from chemobranch.macroscopic import _advect_upwind
 
@@ -92,8 +92,10 @@ class TestDegenerateDynamics:
 
 class TestAccuracy:
     def test_strang_order_on_smooth_data(self):
-        order = observed_order(base_params())
-        assert 1.8 <= order <= 2.2
+        params = base_params()
+        summary = order_check(params, solve_pks(params))
+        assert 1.8 <= summary["observed_order"] <= 2.2
+        assert summary["pass"] is True
 
     def test_mass_law_residual_second_order(self):
         # Richardson oracle: the per-step defect of d/dt mass = <lambda, p>

@@ -89,7 +89,7 @@ class TestHybrid:
         u = NoiseUniverse(3, 1)
         path = free_field_path(params)
         traj, states, _ = record(simulate_hybrid, params, path, u)
-        assert len(traj.event_log) == 0
+        assert len(traj.events.time) == 0
         assert all(s.live_count == 1 for s in states)
 
         x = params.mu0.sample(u, [1], 1, 8.0)[0]
@@ -120,7 +120,7 @@ class TestHybrid:
             _, free, _ = record(simulate_hybrid, params=silent,
                                 rho_path=path, universe=u_r)
             real = simulate_hybrid(params, path, u_r)
-            first = real.event_log[0].time if real.event_log else np.inf
+            first = real.events.time.min(initial=np.inf)
             lam_seq = []
             for k in range(params.n_steps):
                 pos = free[k + 1].live_positions()

@@ -4,12 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import record
+from conftest import event_rows, record, written
 
 from chemobranch import (ConfigInvalid, DriftSpec, GridSpec, InitialFieldSpec,
                          InitialMeasureSpec, LineageDepthExceeded,
-                         LineageIndex, ModelParams, NoiseUniverse,
-                         PopulationExplosion, RateSpec, population,
+                         ModelParams, NoiseUniverse, PopulationExplosion,
+                         RateSpec, population, simulate_lines,
                          simulate_microscopic)
 from chemobranch.microscopic import (EVENT_BRANCH, EVENT_DEATH,
                                      MAX_CLOCK_POINTS, _Engine)
@@ -48,8 +48,8 @@ class TestDegenerateRates:
     def test_zero_rates_conserve_population(self):
         params = base_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         traj = simulate_microscopic(params, 40, NoiseUniverse(1, 1))
-        assert len(traj.event_log) == 0
-        assert np.all(traj.live_counts() == 40)
+        assert len(traj.events.time) == 0
+        assert np.all(traj.live == 40)
 
     def test_rate_bound_validated(self):
         with pytest.raises(ValueError):
@@ -85,8 +85,8 @@ class TestBrownianOracle:
         p_survive = np.exp(-c * T)
         expected = n0 * p_survive
         se = np.sqrt(n0 * p_survive * (1 - p_survive))
-        assert abs(traj.live_counts()[-1] - expected) < 3 * se
-        assert all(ev.kind == EVENT_DEATH for ev in traj.event_log)
+        assert abs(traj.live[-1] - expected) < 3 * se
+        assert set(traj.events.kinds().tolist()) == {EVENT_DEATH}
 
 
 class TestThinning:
@@ -99,10 +99,10 @@ class TestThinning:
             drift=DriftSpec("zero"),
             mu0=InitialMeasureSpec("uniform"), dt=0.05, T=2.0)
         traj = simulate_microscopic(params, 150, NoiseUniverse(3, 1))
-        branches = [ev for ev in traj.event_log if ev.kind == EVENT_BRANCH]
-        assert len(branches) > 30
-        assert all(ev.position[0] < 4.0 for ev in branches)
-        assert all(ev.kind == EVENT_BRANCH for ev in traj.event_log)
+        ev = traj.events
+        assert len(ev.time) > 30
+        assert set(ev.kinds().tolist()) == {EVENT_BRANCH}
+        assert np.all(ev.position[:, 0] < 4.0)
 
     def test_yule_domination(self):
         # mean of sup live/n0 stays below exp(lambda_bar T) with CLT slack
@@ -125,17 +125,16 @@ class TestCouplingDeterminism:
         assert all(states_equal(x, y) for x, y in zip(a_states, b_states))
         assert all(np.array_equal(x.values, y.values)
                    for x, y in zip(a_fields, b_fields))
-        assert [(e.time, e.idx, e.kind) for e in a.event_log] == \
-               [(e.time, e.idx, e.kind) for e in b.event_log]
+        assert event_rows(a.events) == event_rows(b.events)
 
     def test_snapshot_writer_formats_identities_once(self, monkeypatch):
         # the streamed writer gives the per-state text of every checkpoint
         # and formats each cell's line, word and birth at one checkpoint
         traj, states, _ = record(simulate_microscopic, base_params(T=2.0),
                                  30, NoiseUniverse(7, 1))
-        kinds = {ev.kind for ev in traj.event_log}
-        assert kinds == {EVENT_BRANCH, EVENT_DEATH}
-        whole = [population.population_to_lines(s) for s in states]
+        assert set(traj.events.kinds().tolist()) == {EVENT_BRANCH,
+                                                     EVENT_DEATH}
+        whole = [written(state) for state in states]
         formatted = []
         identity = population._identity_columns
 
@@ -149,7 +148,7 @@ class TestCouplingDeterminism:
         writer = population.SnapshotWriter(out)
         for state in states:
             writer.write(state)
-        assert out.getvalue() == "".join("\n".join(b) + "\n" for b in whole)
+        assert out.getvalue() == "".join(whole)
         assert sorted(formatted) == sorted(identity(states[-1]))
 
     def test_shared_lines_agree_across_n0_when_decoupled(self):
@@ -159,7 +158,7 @@ class TestCouplingDeterminism:
         u = NoiseUniverse(17, 1)
         small, small_states, _ = record(simulate_microscopic, params, 6, u)
         large, large_states, _ = record(simulate_microscopic, params, 9, u)
-        assert len(small.event_log) > 0
+        assert len(small.events.time) > 0
         a, b = small.events, large.events
         for line in range(1, 7):
             assert all(states_equal(x.restrict_to_line(line),
@@ -171,11 +170,13 @@ class TestCouplingDeterminism:
                                       getattr(b, name)[b.line == line])
 
 
-def row_of(state, idx):
-    """The one row of ``state`` that holds cell ``idx``."""
-    rows = np.flatnonzero((state.lines == idx.line)
-                          & (state.word_lens == idx.word_len)
-                          & (state.word_bits == idx.word_bits))
+def row_of(state, cell):
+    """The one row of ``state`` that holds ``cell``, a (line, word length,
+    word bits) tuple."""
+    line, word_len, word_bits = cell
+    rows = np.flatnonzero((state.lines == line)
+                          & (state.word_lens == word_len)
+                          & (state.word_bits == word_bits))
     assert len(rows) == 1
     return rows[0]
 
@@ -188,30 +189,29 @@ class TestEventBookkeeping:
         traj, states, _ = record(simulate_microscopic, params, 20,
                                  NoiseUniverse(5, 1))
         times = params.times()
-        branches = [ev for ev in traj.event_log if ev.kind == EVENT_BRANCH]
+        rows = event_rows(traj.events)
+        branches = [row for row in rows if row[4]]
         assert len(branches) == 50
-        ended = {ev.idx for ev in traj.event_log}
+        ended = {row[1:4] for row in rows}
         ended_in_birth_step = 0
-        for ev in branches:
+        for t, line, word_len, word_bits, _, x in branches:
             # the checkpoint closing the step that holds the event
-            k = int(np.searchsorted(times, ev.time, side="right")) - 1
-            assert times[k] <= ev.time < times[k + 1]
+            k = int(np.searchsorted(times, t, side="right")) - 1
+            assert times[k] <= t < times[k + 1]
             snap = states[k + 1]
-            mother = row_of(snap, ev.idx)
+            mother = row_of(snap, (line, word_len, word_bits))
             assert np.isnan(snap.positions[mother, 0])
-            assert snap.deaths[mother] == ev.time
-            idx = ev.idx
+            assert snap.deaths[mother] == t
             for b in (0, 1):  # the daughters append 0 and 1 to the word
-                child = LineageIndex(idx.line, idx.word_len + 1,
-                                     idx.word_bits << 1 | b)
+                child = (line, word_len + 1, word_bits << 1 | b)
                 row = row_of(snap, child)
-                assert snap.births[row] == ev.time
+                assert snap.births[row] == t
                 if not np.isnan(snap.positions[row, 0]):
                     # daughters do not move before the next step
-                    assert np.array_equal(snap.positions[row], ev.position)
+                    assert tuple(snap.positions[row].tolist()) == x
                 else:
                     assert child in ended
-                    assert ev.time < snap.deaths[row] < times[k + 1]
+                    assert t < snap.deaths[row] < times[k + 1]
                     ended_in_birth_step += 1
         assert ended_in_birth_step == 2
 
@@ -220,13 +220,14 @@ class TestEventBookkeeping:
                              birth=RateSpec("constant", {"c": 0.5}),
                              death=RateSpec("constant", {"c": 0.3}))
         traj = simulate_microscopic(params, 30, NoiseUniverse(29, 1))
-        times = [ev.time for ev in traj.event_log]
+        rows = event_rows(traj.events)
+        times = [row[0] for row in rows]
         assert times == sorted(times)
         seen = {}
-        for ev in traj.event_log:
-            key = (ev.idx.line, ev.idx.word_len, ev.idx.word_bits)
+        for row in rows:
+            key = row[1:4]
             assert key not in seen  # one terminal event per cell
-            seen[key] = ev.time
+            seen[key] = row[0]
 
     def test_observed_states_keep_dead_rows(self):
         # each checkpoint state holds every cell born by then, the dead with
@@ -243,7 +244,7 @@ class TestEventBookkeeping:
         assert np.all(np.isnan(final.positions[dead]))
         assert np.all(final.deaths[dead] <= params.T)
         assert np.all(final.deaths[~dead] == np.inf)
-        assert traj.live_counts().tolist() == [s.live_count for s in states]
+        assert traj.live.tolist() == [s.live_count for s in states]
         assert [s.time for s in states] == params.times().tolist()
 
 
@@ -296,14 +297,14 @@ class TestEngine:
         assert built == params.times().tolist()
         assert traj.field is fields[-1]
         assert np.array_equal(bare.field.values, traj.field.values)
-        assert np.array_equal(bare.live_counts(), traj.live_counts())
+        assert np.array_equal(bare.live, traj.live)
 
     def test_sup_live_equals_event_replay(self):
         traj = simulate_microscopic(base_params(dt=0.05, T=2.0), 30,
                                     NoiseUniverse(29, 1))
         live = peak = 30
-        for ev in traj.event_log:
-            live += 1 if ev.kind == EVENT_BRANCH else -1
+        for row in event_rows(traj.events):
+            live += 1 if row[4] else -1
             peak = max(peak, live)
         assert peak > 30
         assert traj.sup_live_over_n0() == peak / 30
@@ -324,7 +325,7 @@ class TestLineageRestriction:
         for k in (0, len(states) // 2, len(states) - 1):
             total = sum(states[k].restrict_to_line(i).live_count
                         for i in range(1, n0 + 1))
-            assert total == states[k].live_count == traj.live_counts()[k]
+            assert total == states[k].live_count == traj.live[k]
 
 
 class TestGuards:
@@ -348,24 +349,23 @@ class TestGuards:
                              drift=DriftSpec("zero"), dt=0.1, T=1.0)
         u = NoiseUniverse(seed, 1)
         free, free_states, _ = record(simulate_microscopic, params, 10, u)
-        live = 10 + np.cumsum([1 if ev.kind == EVENT_BRANCH else -1
-                               for ev in free.event_log])
+        rows = event_rows(free.events)
+        live = 10 + np.cumsum([1 if row[4] else -1 for row in rows])
         peak = int(live.max())
         assert peak > 10
         if seed == 2:
             # the count first reaches the peak when a cell born earlier in
             # the same step branches
-            first = free.event_log[int(np.argmax(live))]
+            t, *cell, branched, _ = rows[int(np.argmax(live))]
             final = free_states[-1]
-            born = final.births[row_of(final, first.idx)]
-            step = np.searchsorted(params.times(), [born, first.time],
+            born = final.births[row_of(final, cell)]
+            step = np.searchsorted(params.times(), [born, t],
                                    side="right") - 1
-            assert first.kind == EVENT_BRANCH and born > 0
+            assert branched and born > 0
             assert step[0] == step[1]
         at_peak = simulate_microscopic(
             dataclasses.replace(params, population_cap=peak), 10, u)
-        assert [(e.time, e.idx, e.kind) for e in at_peak.event_log] == \
-               [(e.time, e.idx, e.kind) for e in free.event_log]
+        assert event_rows(at_peak.events) == rows
         with pytest.raises(PopulationExplosion):
             simulate_microscopic(
                 dataclasses.replace(params, population_cap=peak - 1), 10, u)
@@ -436,6 +436,17 @@ class TestGuards:
         with pytest.raises(LineageDepthExceeded):
             simulate_microscopic(params, 30, NoiseUniverse(0, 1))
 
+    @pytest.mark.parametrize("lines", [[], [0], [-3], [1, 1]])
+    def test_founder_lines_checked_before_the_run(self, lines):
+        # a line number leads each cell's identity and noise keys: lines
+        # must be one or more distinct integers from 1
+        with pytest.raises(ValueError, match="founder lines"):
+            simulate_lines(base_params(), lines, NoiseUniverse(1, 1))
+
+    def test_no_founders_rejected(self):
+        with pytest.raises(ValueError, match="founder lines"):
+            simulate_microscopic(base_params(), 0, NoiseUniverse(1, 1))
+
     def test_time_grid_validated(self):
         with pytest.raises(ValueError):
             base_params(dt=0.3, T=1.0)
@@ -460,7 +471,7 @@ class TestGuards:
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert traj.live_counts()[-1] == 256
+            assert traj.live[-1] == 256
             return peak - current
 
         assert working(64.0) < 1.1 * working(16.0)
@@ -476,7 +487,7 @@ class TestGuards:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert traj.live_counts().tolist() == [2000] * (n_steps + 1)
+            assert traj.live.tolist() == [2000] * (n_steps + 1)
             return peak
 
         assert peak(512) < 1.5 * peak(64)
@@ -531,8 +542,8 @@ class TestRateArgumentSwitch:
         u = NoiseUniverse(44, 1)
         a = simulate_microscopic(params_rho, 40, u)
         b = simulate_microscopic(params_grad, 40, u)
-        sig_a = [(e.time, e.idx, e.kind) for e in a.event_log]
-        sig_b = [(e.time, e.idx, e.kind) for e in b.event_log]
+        sig_a = [row[:5] for row in event_rows(a.events)]
+        sig_b = [row[:5] for row in event_rows(b.events)]
         assert sig_a != sig_b  # the switch reaches the thinning decision
 
     def test_grad_rho_norm_consistent_across_models(self):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import written
 
-from chemobranch import (DimensionMismatch, EmpiricalMeasure, LineageIndex,
+from chemobranch import (DimensionMismatch, EmpiricalMeasure,
                          PopulationState, empirical, integrate, mean_se,
                          state_distance)
-from chemobranch.errors import LineageDepthExceeded
-from chemobranch.population import (SnapshotWriter, cell_keys,
-                                    population_to_lines)
+from chemobranch.population import SnapshotWriter, cell_keys
 
 
 def word(bits_str: str) -> tuple[int, int]:
@@ -18,32 +17,11 @@ def word(bits_str: str) -> tuple[int, int]:
 
 
 def make_idx(line, bits_str=""):
-    wl, wb = word(bits_str)
-    return LineageIndex(line, wl, wb)
+    """The cell (line, word length, word bits) of a word given as text."""
+    return (line, *word(bits_str))
 
 
-def parent(idx):
-    """The mother's index: the ancestry word without its trailing symbol."""
-    return LineageIndex(idx.line, idx.word_len - 1, idx.word_bits >> 1)
-
-
-class TestLineageIndex:
-    def test_parent_drops_trailing_symbol(self):
-        # word 101 -> 10
-        assert parent(make_idx(1, "101")) == make_idx(1, "10")
-
-    def test_parent_single_symbol(self):
-        assert parent(make_idx(3, "0")) == make_idx(3)
-
-    def test_root_has_no_parent(self):
-        # a founder's word is empty, and no index has a shorter one
-        with pytest.raises(LineageDepthExceeded):
-            parent(make_idx(1))
-
-    def test_depth_cap(self):
-        with pytest.raises(LineageDepthExceeded):
-            LineageIndex(1, 65, 0)
-
+class TestCellOrder:
     @given(cells=st.lists(st.tuples(
         st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(0, 64)).flatmap(
             lambda lw: st.tuples(st.just(lw[0]), st.just(lw[1]),
@@ -60,10 +38,11 @@ class TestLineageIndex:
         assert np.array_equal(np.argsort(keys, kind="stable"),
                               sorted(range(len(cells)), key=cells.__getitem__))
 
-    def test_total_ordering(self):
-        idxs = [make_idx(2), make_idx(1, "1"), make_idx(1), make_idx(1, "01"),
-                make_idx(1, "0"), make_idx(1, "10")]
-        ordered = sorted(idxs)
+    def test_cell_keys_order_line_then_word_length_then_bits(self):
+        cells = [make_idx(2), make_idx(1, "1"), make_idx(1), make_idx(1, "01"),
+                 make_idx(1, "0"), make_idx(1, "10")]
+        keys = cell_keys(*zip(*cells))
+        ordered = [cells[i] for i in np.argsort(keys, kind="stable")]
         assert ordered == [make_idx(1), make_idx(1, "0"), make_idx(1, "1"),
                            make_idx(1, "01"), make_idx(1, "10"), make_idx(2)]
 
@@ -76,14 +55,14 @@ def state_from(d, entries, time=0.0):
         if entries[idx] is not None:
             positions[row] = entries[idx]
     deaths = [np.inf if entries[idx] is not None else 0.5 for idx in idxs]
-    return PopulationState(time, d, [idx.line for idx in idxs],
-                           [idx.word_len for idx in idxs],
-                           [idx.word_bits for idx in idxs],
+    return PopulationState(time, d, [idx[0] for idx in idxs],
+                           [idx[1] for idx in idxs],
+                           [idx[2] for idx in idxs],
                            np.zeros(len(idxs)), deaths, positions)
 
 
 def read_population(lines):
-    """Parse one block of the population_to_lines format."""
+    """Parse one block of the snapshot format."""
     head = lines[0].split()
     assert head[:2] == ["#", "population"]
     t, d = float(head[2].removeprefix("t=")), int(head[3].removeprefix("d="))
@@ -99,7 +78,7 @@ def read_population(lines):
 
 
 def row_by_row_lines(pop):
-    """Reference for population_to_lines: one f-string per row."""
+    """Reference for the snapshot writer: one f-string per row."""
     def fmt(x):
         return repr(float(x))
 
@@ -319,7 +298,7 @@ class TestSerialization:
                              make_idx(1, "0"): None,
                              make_idx(3, "101"): [7.125, 0.0]},
                          time=1.5)
-        back = read_population(population_to_lines(pop))
+        back = read_population(written(pop).splitlines())
         assert back.time == pop.time and back.d == pop.d
         assert np.array_equal(back.lines, pop.lines)
         assert np.array_equal(back.word_lens, pop.word_lens)
@@ -330,7 +309,7 @@ class TestSerialization:
 
     def test_dead_rows_serialize_as_dead(self):
         pop = state_from(1, {make_idx(1): None})
-        assert population_to_lines(pop)[1].endswith(" dead")
+        assert written(pop).splitlines()[1].endswith(" dead")
 
     @given(data=st.data(), d=st.sampled_from([1, 2]), time=_floats,
            n=st.integers(0, 12))
@@ -351,7 +330,7 @@ class TestSerialization:
                              [data.draw(_floats) for _ in range(d)])
         pop = PopulationState(time, d, lines, word_lens, word_bits, births,
                               deaths, np.array(positions).reshape(n, d))
-        assert population_to_lines(pop) == row_by_row_lines(pop)
+        assert written(pop) == "\n".join(row_by_row_lines(pop)) + "\n"
 
     def test_checkpoint_writer_matches_per_state_writer(self):
         def state(time, rows):
@@ -375,9 +354,8 @@ class TestSerialization:
         writer = SnapshotWriter(out)
         for pop in run:
             writer.write(pop)
-        for lines in (population_to_lines, row_by_row_lines):
-            assert out.getvalue() == "".join(
-                "\n".join(lines(pop)) + "\n" for pop in run)
+        assert out.getvalue() == "".join(map(written, run)) == "".join(
+            "\n".join(row_by_row_lines(pop)) + "\n" for pop in run)
 
     @given(data=st.data(), d=st.sampled_from([1, 2]))
     @settings(max_examples=200, deadline=None)

@@ -7,26 +7,27 @@ from numpy.random import Philox
 from scipy import stats
 from scipy.special import ndtri
 
-from chemobranch import InitialMeasureSpec, LineageIndex, NoiseUniverse
+from chemobranch import InitialMeasureSpec, NoiseUniverse
 
 
 def idx(line, word=""):
-    return LineageIndex(line, len(word), int(word, 2) if word else 0)
+    """The cell (line, word length, word bits) of a word given as text."""
+    return (line, len(word), int(word, 2) if word else 0)
 
 
-def batch(*indices):
+def batch(*cells):
     """A batch of cells as the (lines, word lengths, word bits) columns."""
-    return (np.array([i.line for i in indices], dtype=np.int64),
-            np.array([i.word_len for i in indices], dtype=np.int64),
-            np.array([i.word_bits for i in indices], dtype=np.uint64))
+    return (np.array([c[0] for c in cells], dtype=np.int64),
+            np.array([c[1] for c in cells], dtype=np.int64),
+            np.array([c[2] for c in cells], dtype=np.uint64))
 
 
-def wiener(u, index, k0, k1, dt):
-    return u.wiener_increments(batch(index), k0, k1, dt)[0]
+def wiener(u, cell, k0, k1, dt):
+    return u.wiener_increments(batch(cell), k0, k1, dt)[0]
 
 
-def clock(u, index, t_end, lambda_bar):
-    times, marks, offsets = u.clock_arrays(batch(index), t_end, lambda_bar)
+def clock(u, cell, t_end, lambda_bar):
+    times, marks, offsets = u.clock_arrays(batch(cell), t_end, lambda_bar)
     assert offsets.tolist() == [0, len(times)] and len(marks) == len(times)
     return times, marks
 
@@ -165,9 +166,10 @@ def _ref_mix(x):
     return x ^ (x >> 31)
 
 
-def _ref_key(seed, idx, purpose):
+def _ref_key(seed, cell, purpose):
+    line, word_len, word_bits = cell
     h = _ref_mix(seed & _MASK)
-    for part in (idx.line, idx.word_bits, idx.word_len, purpose):
+    for part in (line, word_bits, word_len, purpose):
         h = _ref_mix(h ^ (part & _MASK))
     return np.array([h, _ref_mix(h ^ 0xD1B54A32D192ED03)], dtype=np.uint64)
 
@@ -180,15 +182,15 @@ def _ref_uniforms(key, start, count):
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def _ref_wiener(seed, d, idx, k0, k1, dt):
-    u = _ref_uniforms(_ref_key(seed, idx, 1), k0 * d, (k1 - k0) * d)
+def _ref_wiener(seed, d, cell, k0, k1, dt):
+    u = _ref_uniforms(_ref_key(seed, cell, 1), k0 * d, (k1 - k0) * d)
     return ndtri(u).reshape(k1 - k0, d) * np.sqrt(dt)
 
 
-def _ref_clock(seed, idx, t_end, lambda_bar):
+def _ref_clock(seed, cell, t_end, lambda_bar):
     if t_end <= 0:
         return np.empty(0), np.empty(0)
-    tkey, mkey = _ref_key(seed, idx, 2), _ref_key(seed, idx, 3)
+    tkey, mkey = _ref_key(seed, cell, 2), _ref_key(seed, cell, 3)
     blocks, carry, g = [], 0.0, 0
     while carry < t_end:
         gaps = -np.log(_ref_uniforms(tkey, g, 64)) / lambda_bar
@@ -205,10 +207,10 @@ def _same_bits(a, b):
 
 
 @st.composite
-def lineage_indices(draw):
+def cell_ids(draw):
     word_len = draw(st.integers(0, 64))
     bits = draw(st.integers(0, (1 << word_len) - 1))
-    return LineageIndex(draw(st.integers(1, 10 ** 9)), word_len, bits)
+    return (draw(st.integers(1, 10 ** 9)), word_len, bits)
 
 
 @st.composite
@@ -217,14 +219,14 @@ def cell_batches(draw):
     Python ints, and 257 cells hash as uint64 arrays."""
     size = draw(st.sampled_from([0, 1, 2, 257]))
     if size <= 2:
-        return draw(st.lists(lineage_indices(), min_size=size, max_size=size))
+        return draw(st.lists(cell_ids(), min_size=size, max_size=size))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
     cells = []
     for _ in range(size):
         word_len = int(rng.integers(0, 65))
         bits = int.from_bytes(rng.bytes(8), "little") >> (64 - word_len)
-        cells.append(LineageIndex(int(rng.integers(1, 10 ** 9)), word_len,
-                                  bits if word_len else 0))
+        cells.append((int(rng.integers(1, 10 ** 9)), word_len,
+                      bits if word_len else 0))
     return cells
 
 
@@ -239,17 +241,16 @@ class TestStreamAlgorithmPinned:
     @given(seed=seeds, d=st.sampled_from([1, 2]), cells=cell_batches(),
            k0=st.integers(0, 300), steps=st.integers(0, 120),
            dt=st.floats(1e-4, 10.0))
-    @example(seed=7, d=2, cells=[LineageIndex(3, 2, 1)], k0=37, steps=13,
-             dt=0.02)
-    @example(seed=7, d=1, cells=[LineageIndex(1)], k0=50, steps=0, dt=0.02)
+    @example(seed=7, d=2, cells=[(3, 2, 1)], k0=37, steps=13, dt=0.02)
+    @example(seed=7, d=1, cells=[(1, 0, 0)], k0=50, steps=0, dt=0.02)
     def test_wiener_increments_match_reference(self, seed, d, cells, k0,
                                                steps, dt):
         # k0 > 0 is a cell born at step k0: its stream starts mid-block
         u = NoiseUniverse(seed, d)
         got = u.wiener_increments(batch(*cells), k0, k0 + steps, dt)
         assert got.shape == (len(cells), steps, d)
-        for row, index in zip(got, cells):
-            assert _same_bits(row, _ref_wiener(seed, d, index, k0, k0 + steps,
+        for row, cell in zip(got, cells):
+            assert _same_bits(row, _ref_wiener(seed, d, cell, k0, k0 + steps,
                                                dt))
         # written in place into a window of a wider array, as the engine
         # fills its increment blocks; the margins stay untouched
@@ -262,13 +263,13 @@ class TestStreamAlgorithmPinned:
     @settings(max_examples=150, deadline=None)
     @given(seed=seeds, d=st.sampled_from([1, 2]), cells=cell_batches(),
            t_end=st.floats(-1.0, 8.0), lambda_bar=st.floats(1e-3, 300.0))
-    @example(seed=11, d=1, cells=[LineageIndex(5)], t_end=4.0,
+    @example(seed=11, d=1, cells=[(5, 0, 0)], t_end=4.0,
              lambda_bar=200.0)       # lambda_bar * T = 800: 13 gap blocks
-    @example(seed=11, d=1, cells=[LineageIndex(5), LineageIndex(6)],
+    @example(seed=11, d=1, cells=[(5, 0, 0), (6, 0, 0)],
              t_end=4.0, lambda_bar=16.0)  # rows that end in different blocks
-    @example(seed=11, d=1, cells=[LineageIndex(5)], t_end=1e-9,
+    @example(seed=11, d=1, cells=[(5, 0, 0)], t_end=1e-9,
              lambda_bar=0.5)         # no point before t_end
-    @example(seed=11, d=2, cells=[LineageIndex(2, 1, 1)], t_end=0.0,
+    @example(seed=11, d=2, cells=[(2, 1, 1)], t_end=0.0,
              lambda_bar=0.5)         # empty window
     def test_clock_arrays_match_reference(self, seed, d, cells, t_end,
                                           lambda_bar):
@@ -276,8 +277,8 @@ class TestStreamAlgorithmPinned:
             batch(*cells), t_end, lambda_bar)
         assert offsets[0] == 0 and len(offsets) == len(cells) + 1
         assert len(times) == len(marks) == offsets[-1]
-        for i, index in enumerate(cells):
-            ref_times, ref_marks = _ref_clock(seed, index, t_end, lambda_bar)
+        for i, cell in enumerate(cells):
+            ref_times, ref_marks = _ref_clock(seed, cell, t_end, lambda_bar)
             cell = slice(offsets[i], offsets[i + 1])
             assert _same_bits(times[cell], ref_times)
             assert _same_bits(marks[cell], ref_marks)
@@ -287,7 +288,7 @@ class TestStreamAlgorithmPinned:
            k0=st.integers(0, 100), steps=st.integers(0, 70))
     def test_line_streams_match_reference(self, seed, d, cells, k0, steps):
         # founders' initial positions and the replica-indexed mass streams
-        lines = np.array([index.line for index in cells], dtype=np.int64)
+        lines = np.array([cell[0] for cell in cells], dtype=np.int64)
         u = NoiseUniverse(seed, d)
         init = u.init_uniforms(lines, d)
         mass = u.mass_increments(lines, k0, k0 + steps, 0.02)
@@ -296,7 +297,7 @@ class TestStreamAlgorithmPinned:
         assert init.shape == x0.shape == (len(cells), d)
         assert mass.shape == (len(cells), steps, d)
         for i, line in enumerate(lines.tolist()):
-            root = LineageIndex(line)
+            root = (line, 0, 0)
             ref = _ref_uniforms(_ref_key(seed, root, 4), 0, d)
             assert _same_bits(init[i], ref)
             assert _same_bits(x0[i], np.mod(1.0 + 0.5 * ndtri(ref), 8.0))
