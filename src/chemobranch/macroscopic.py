@@ -13,7 +13,7 @@ under CFL <= 1) or a conservative semi-Lagrangian step with spectral
 interpolation and Jacobian weights (second order, preferred at large CFL).
 The density diffuses with coefficient sigma^2/2 and is transported with the
 drift, matching the particle generator (sigma^2/2) Lap + b . grad for any
-sigma.
+sigma, the drift and rates being the particle step's (``ModelParams``).
 """
 
 from __future__ import annotations
@@ -112,28 +112,22 @@ def solve_pks(params: ModelParams) -> PksSolution:
     dt, n_steps, scheme = p.dt, p.n_steps, p.advection
 
     kernel = p.make_kernel()
-    birth_fn = p.birth.build(grid.extent)
-    death_fn = p.death.build(grid.extent)
-    drift_fn = None if p.drift.is_zero else p.drift.build(grid.d)
+    birth_fn, death_fn = p.rates
     nodes = grid.node_coords()
     nu = 0.5 * p.sigma ** 2
 
     dens = p.mu0.density(grid)
-    rho = p.make_rho0()
+    rho = p.rho0.sample(grid)
     p_slices = [dens]
     rho_slices = [rho.values]
     for k in range(n_steps):
         rho = semigroup_step(rho, kernel.convolve_density(dens), 0.5 * dt,
                              p.D, p.r, p.alpha)
-        grads = np.stack([g.ravel() for g in rho.gradient_grid()], axis=1)
-        if p.lambda_arg == "rho":
-            rate_arg = rho.values.ravel()
-        else:
-            rate_arg = np.sqrt(np.sum(grads * grads, axis=1))
-        lam = (birth_fn(nodes, rate_arg)
-               - death_fn(nodes, rate_arg)).reshape(grid.shape)
-        if drift_fn is not None:
-            bvals = drift_fn(nodes, grads)
+        arg = p.rate_argument(rho)
+        lam = (birth_fn(nodes, arg) - death_fn(nodes, arg)).reshape(grid.shape)
+        if p.drift_fn is not None:
+            grads = np.stack([g.ravel() for g in rho.gradient_grid()], axis=1)
+            bvals = p.drift_fn(nodes, grads)
             # transport velocity equals the particle drift: the density obeys
             # d/dt p = ... - div(p b), the Fokker-Planck form of dX = b dt
             vel = [bvals[:, ax].reshape(grid.shape) for ax in range(grid.d)]

@@ -8,7 +8,8 @@ lambda = lambda_b - lambda_d, simulated as a replica ensemble
 (``simulate_mass_ensemble``).  Both consume the same deterministic field
 path, a tuple of ``Field`` with field k at checkpoint k, which is produced
 either by the macroscopic solver (default, cheap) or by fixed-point
-iteration on the mild field equation with mass ensembles.
+iteration on the mild field equation with mass ensembles.  Both step as
+the coupled engine does (``ModelParams``).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyEnsemble, NonFiniteState, PicardStalled
+from .errors import EmptyEnsemble, PicardStalled
 from .field import Field, check_path, deposit, semigroup_step
-from .microscopic import MicroTrajectory, ModelParams, simulate_lines
+from .microscopic import (WIENER_BLOCK, MicroTrajectory, ModelParams,
+                          simulate_lines)
 from .population import EmpiricalMeasure, mean_se
 from .randomness import NoiseUniverse
 
@@ -58,9 +60,6 @@ class MassEnsemble:
         return mean_se(vals)
 
 
-_BLOCK = 64  # steps of Wiener increments prefetched per refill
-
-
 def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
                            universe: NoiseUniverse, replicas: int) -> MassEnsemble:
     """Vectorized (X, M) replicas: Euler-Maruyama for X, exponential Euler for M.
@@ -69,47 +68,37 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
     kept at every step of ``params.times()``.  Their initial positions, and
     each 64-step block of their increments, are drawn in one batch.
     The mass update M <- M * exp(lambda(X, rho) dt) is exact for constant
-    rates; lambda is evaluated where the branching models evaluate their
-    clock-event rates, so the two mean-measure estimators share discretization
-    conventions.
+    rates; X moves and lambda is evaluated as and where the branching models
+    move and evaluate their clock-event rates (``ModelParams``), so the two
+    mean-measure estimators share discretization conventions.
     """
     K = replicas
     if K < 1:
         raise EmptyEnsemble("mass ensemble needs at least one replica")
     replica_ids = tuple(range(1, K + 1))
     p = params
-    d, dt, L = p.grid.d, p.dt, p.grid.extent
+    d, dt = p.grid.d, p.dt
     n_steps = p.n_steps
     check_path(rho_path, dt, n_steps)
+    birth_fn, death_fn = p.rates
 
-    birth_fn = p.birth.build(L)
-    death_fn = p.death.build(L)
-    drift_fn = None if p.drift.is_zero else p.drift.build(d)
-    needs_rho = p.birth.reads_field or p.death.reads_field
-
-    X = p.mu0.sample(universe, replica_ids, d, L)
+    X = p.mu0.sample(universe, replica_ids, d, p.grid.extent)
     M = np.ones(K)
     Xs = np.zeros((K, n_steps + 1, d))
     Ms = np.zeros((K, n_steps + 1))
     Xs[:, 0] = X
     Ms[:, 0] = M
 
-    inc_block = None
     for k in range(n_steps):
-        if k % _BLOCK == 0:
-            hi = min(k + _BLOCK, n_steps)
+        if k % WIENER_BLOCK == 0:
+            hi = min(k + WIENER_BLOCK, n_steps)
             inc_block = universe.mass_increments(replica_ids, k, hi, dt)
-        t = k * dt
         rho = rho_path[k]
-        if drift_fn is not None:
-            X = X + drift_fn(X, rho.gradient_at(X)) * dt
-        X = np.mod(X + p.sigma * inc_block[:, k % _BLOCK], L)
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteState(f"non-finite mass-particle position at t={t + dt}")
+        X = p.move(X, rho, inc_block[:, k % WIENER_BLOCK], (k + 1) * dt)
         # rate at the end-of-substep position with the substep-start field,
         # the same convention the branching engine applies at clock events
-        rho_vals = p.rate_argument(rho, X) if needs_rho else np.zeros(K)
-        lam = birth_fn(X, rho_vals) - death_fn(X, rho_vals)
+        arg = p.rate_argument(rho, X)
+        lam = birth_fn(X, arg) - death_fn(X, arg)
         M = M * np.exp(lam * dt)
         Xs[:, k + 1] = X
         Ms[:, k + 1] = M
@@ -130,12 +119,13 @@ class SelfConsistentField:
 def rebuild_field_path(params: ModelParams, source_at) -> tuple[Field, ...]:
     """Advance the field one full step at a time with frozen sources.
 
-    ``source_at(k)`` returns the grid source for the step ending at step k;
+    ``source_at(k)`` returns the grid source for the step ending at step k,
+    and is called for k = 1..n_steps in order, or never when alpha = 0;
     this is the same per-step convention the particle models use, so fields
     built here couple bitwise with simulation fields in degenerate cases.
     """
     p = params
-    rho = p.make_rho0()
+    rho = p.rho0.sample(p.grid)
     path = [rho]
     for k in range(1, p.n_steps + 1):
         src = source_at(k) if p.alpha != 0.0 else None
@@ -177,11 +167,9 @@ def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
     gaps: list[float] = []
     for _ in range(max_iters):
         ens = simulate_mass_ensemble(p, rho_path, mass_universe, n_replicas)
-        sources = []
-        for k in range(p.n_steps + 1):
-            mu = EmpiricalMeasure(ens.X[:, k], ens.M[:, k] / len(ens.replica_ids))
-            sources.append(deposit(mu, kernel, p.grid))
-        new_path = rebuild_field_path(p, lambda k: sources[k])
+        new_path = rebuild_field_path(p, lambda k: deposit(
+            EmpiricalMeasure(ens.X[:, k], ens.M[:, k] / n_replicas), kernel,
+            p.grid))
         gap = 0.0
         for a, b in zip(rho_path, new_path):
             dv = float(np.max(np.abs(a.values - b.values)))

@@ -2,24 +2,26 @@
 
 Founder lines move by Euler-Maruyama with chemotactic drift, branch or die
 at Poisson-clock points thinned by the state-dependent rates, and source the
-field through the mollified empirical measure.  Within each step of length dt
-the order is fixed: evaluate the gradient, move every live cell, read the
-field quantity the rates consume, in one batch, at the cells whose clock
-rings in the step (end-of-substep positions, field at substep start),
-process the step's clock events in rounds over the ringing cells (daughters
-read their mother's value, as they sit at her position), then deposit and
-advance the field.  A point's field value and rates do not depend on the
-batch they are read in, and no decision reads another event of the step, so
-batches hold only the cells that need them and the rounds find the events
-of global time order.  This order plus counter-based noise makes every
-trajectory a pure function of (params, universe), independent of threads.
+field through the mollified empirical measure.  ``ModelParams`` owns the
+particle step all models share: rates, drift, what the rates read, the move.
+Within each step of length dt the order is fixed: evaluate the gradient,
+move every live cell, read the field quantity the rates consume, in one
+batch, at the cells whose clock rings in the step (end-of-substep
+positions, field at substep start), process the step's clock events in
+rounds over the ringing cells (daughters read their mother's value, as they
+sit at her position), then deposit and advance the field.  A point's field
+value and rates do not depend on the batch they are read in, and no
+decision reads another event of the step, so batches hold only the cells
+that need them and the rounds find the events of global time order.  This
+order plus counter-based noise makes every trajectory a pure function of
+(params, universe), independent of threads.
 
 Cells enter the engine in batches, all founders at once and all daughters
 of a step's round together, and each batch draws its clock points in one
 call.  Wiener increments are held one 64-step block per cell: every live
-cell draws the next block when it starts, and the cells born during a step
-draw the rest of its block together at the step's end.  Counter-indexed
-streams make every draw bit-identical to a per-cell draw of the whole run.
+cell draws the next block when it starts, and each new batch draws from its
+first step to that step's block end as it enters.  Counter-indexed streams
+make every draw bit-identical to a per-cell draw of the whole run.
 
 The same engine drives the single-line mean-field process by swapping the
 coupled field for a given field path, a tuple of ``Field`` with field k at
@@ -53,13 +55,15 @@ EVENT_BRANCH = "branch"
 EVENT_DEATH = "death"
 ADVECTION_SCHEMES = ("auto", "upwind", "semi_lagrangian")
 LAMBDA_ARGS = ("rho", "grad_rho_norm")
+WIENER_BLOCK = 64  # steps of Wiener increments drawn per refill
 # bound on lambda_bar * T, the mean number of clock points a cell draws
 MAX_CLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All model constants, rate/drift selections, and discretization controls.
+    """All model constants, rate/drift selections, and discretization
+    controls, and the particle step that every model takes from them.
 
     Construction validates every constant and raises ``ConfigInvalid``
     naming the offending field (``width`` for the kernel width, ``mu0.at``
@@ -125,21 +129,46 @@ class ModelParams:
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
 
-    def rate_argument(self, field, points) -> np.ndarray:
-        """The field quantity rates consume at the given points."""
+    @cached_property
+    def rates(self):
+        """(birth, death), each lambda(x, arg), arg from ``rate_argument``."""
+        return (self.birth.build(self.grid.extent),
+                self.death.build(self.grid.extent))
+
+    @cached_property
+    def drift_fn(self):
+        """b(x, grad rho), or None for the zero drift."""
+        return None if self.drift.is_zero else self.drift.build(self.grid.d)
+
+    def rate_argument(self, field: Field, points=None) -> np.ndarray:
+        """``field``'s value or gradient norm (``lambda_arg``) at ``points``,
+        or the nodes (row-major) if None; zeros if no rate reads the field."""
+        if not (self.birth.reads_field or self.death.reads_field):
+            return np.zeros(field.values.size if points is None
+                            else len(points))
         if self.lambda_arg == "rho":
-            return field.value_at(points)
-        g = field.gradient_at(points)
+            return (field.values.ravel() if points is None
+                    else field.value_at(points))
+        g = (np.stack([c.ravel() for c in field.gradient_grid()], axis=1)
+             if points is None else field.gradient_at(points))
         return np.sqrt(np.sum(g * g, axis=1))
+
+    def move(self, x: np.ndarray, rho: Field, inc: np.ndarray,
+             t: float) -> np.ndarray:
+        """Euler-Maruyama step of ``x`` (m, d) to time t with increments
+        ``inc``, wrapped onto the torus; ``NonFiniteState`` if not finite."""
+        if self.drift_fn is not None:
+            x = x + self.drift_fn(x, rho.gradient_at(x)) * self.dt
+        x = np.mod(x + self.sigma * inc, self.grid.extent)
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteState(f"non-finite position at t={t}")
+        return x
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
     def make_kernel(self) -> Kernel:
         return Kernel(self.grid, self.kernel_width)
-
-    def make_rho0(self) -> Field:
-        return self.rho0.sample(self.grid)
 
 
 @dataclass(frozen=True)
@@ -180,7 +209,6 @@ class MicroTrajectory:
     observer (``simulate_lines``)."""
 
     params: ModelParams
-    n0: int
     founder_lines: tuple[int, ...]
     live: np.ndarray
     field: Field
@@ -202,11 +230,11 @@ class MicroTrajectory:
 
     def sup_live_over_n0(self) -> float:
         """sup over continuous time of live count / n0, exact from the events."""
+        n0 = len(self.founder_lines)
         net = np.cumsum(np.where(self.events.branch, 1, -1))
-        return (len(self.founder_lines) + int(net.max(initial=0))) / self.n0
+        return (n0 + int(net.max(initial=0))) / n0
 
 
-_BLOCK = 64  # steps of Wiener increments drawn per refill
 _PER_CELL = ("lines", "wlens", "wbits", "keys", "births", "deaths", "alive",
              "pos", "cursor", "rate_arg", "inc")
 
@@ -275,11 +303,10 @@ class _Engine:
     alike, sorts or searches that column.
 
     ``inc`` holds one block of Wiener increments per cell, (cap, 64, d):
-    step k reads column k % 64.  A cell draws its increments of a block
-    when the block starts, together with every live cell, or, if it first
-    moves inside the block, from that step to the block's end together with
-    the cells born in the same step (founders first move at step 0); both
-    go through ``draw_increments``.
+    step k reads column k % 64.  Every live cell draws a block when it
+    starts, and each batch of new cells draws from the step it first moves
+    in to the end of that step's block as ``add_cells`` enters it; both go
+    through ``draw_increments``.
     """
 
     def __init__(self, params: ModelParams, universe: NoiseUniverse):
@@ -298,7 +325,7 @@ class _Engine:
         self.pos = np.zeros((cap, self.d))
         self.cursor = np.zeros(cap, dtype=np.int64)
         self.rate_arg = np.zeros(cap)  # what its rates read in this step
-        self.inc = np.zeros((cap, min(_BLOCK, self.n_steps), self.d))
+        self.inc = np.zeros((cap, min(WIENER_BLOCK, self.n_steps), self.d))
         self.count = 0
         self.n_live = 0
         self.clock_times = np.zeros(cap)
@@ -321,10 +348,10 @@ class _Engine:
             setattr(self, name, grown)
 
     def add_cells(self, lines, wlens, wbits, positions: np.ndarray,
-                  births) -> slice:
+                  births, step: int) -> slice:
         """Insert a batch of cells born at ``births`` into consecutive slots
-        and draw their clock points up to T in one batch
-        (``draw_increments`` draws their Wiener increments)."""
+        and draw, in one batch each, their clock points up to T and their
+        Wiener increments from ``step``, their first, to its block's end."""
         m = len(lines)
         if self.count + m > len(self.lines):  # to the next power of two
             self._resize(_PER_CELL, 1 << (self.count + m - 1).bit_length())
@@ -358,6 +385,8 @@ class _Engine:
         np.cumsum(times < np.repeat(self.births[new], counts), out=early[1:])
         self.cursor[new] = (offsets[:-1] + cells + early[offsets[1:]]
                             - early[offsets[:-1]])
+        if step < self.n_steps:
+            self.draw_increments(new, step)
         self._live = None
         return new
 
@@ -367,8 +396,8 @@ class _Engine:
     def draw_increments(self, slots, k: int):
         """Draw in one call the Wiener increments of the cells ``slots``
         (an index array or a slice) from step k to the end of its block."""
-        j = k % _BLOCK
-        end = min(k - j + _BLOCK, self.n_steps)
+        j = k % WIENER_BLOCK
+        end = min(k - j + WIENER_BLOCK, self.n_steps)
         cols = slice(j, j + end - k)
         # a slice of slots selects a view, drawn into in place (its write
         # back copies nothing); an index array selects a copy, written back
@@ -377,13 +406,12 @@ class _Engine:
             (self.lines[slots], self.wlens[slots], self.wbits[slots]), k, end,
             self.p.dt, out=block)
 
-    def process_clocks(self, slots: np.ndarray, t_next: float, birth_fn,
-                       death_fn):
-        """Process the clock points before ``t_next`` of the live cells
-        ``slots`` in rounds: each reads its cells' next points and marks,
-        evaluates the rates once, kills the cells that branch or die and
-        adds all their daughters in one batch; the next round holds the
-        daughters and rejected cells whose next point is before ``t_next``.
+    def process_clocks(self, slots: np.ndarray, k: int):
+        """Process the clock points of step k, before (k + 1)·dt, of the
+        live cells ``slots`` in rounds: each reads its cells' next points
+        and marks, evaluates the rates once, kills the cells that branch or
+        die and adds all their daughters in one batch; the next round holds
+        the daughters and rejected cells whose next point is in the step.
 
         The cap and the depth limit hold in time order (``_Tally``).  A
         round at most doubles the live count; once it passes the cap, the
@@ -391,6 +419,8 @@ class _Engine:
         final when found and the run stops at the first one past the cap.
         """
         cap = self.p.population_cap
+        t_next = (k + 1) * self.p.dt
+        birth_fn, death_fn = self.p.rates
         n_start, branches, deep = self.n_live, 0, False
         found, tally = [], None
         while len(slots):
@@ -428,7 +458,7 @@ class _Engine:
                     np.repeat(self.lines[mothers], 2),
                     np.repeat(self.wlens[mothers] + 1, 2), words,
                     np.repeat(self.pos[mothers], 2, axis=0),
-                    np.repeat(t[branch], 2))
+                    np.repeat(t[branch], 2), k + 1)
                 self.rate_arg[new] = np.repeat(self.rate_arg[mothers], 2)
                 born = np.arange(new.start, new.stop)
                 pending.append(born[self.next_times(born) < t_next])
@@ -514,19 +544,14 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
         raise ValueError("founder lines must be one or more distinct "
                          "integers from 1")
     p = params
-    d, dt, L = p.grid.d, p.dt, p.grid.extent
+    d, dt = p.grid.d, p.dt
     n_steps = p.n_steps
     n0 = len(founder_lines)
     coupled = rho_path is None
-
-    birth_fn = p.birth.build(L)
-    death_fn = p.death.build(L)
-    drift_fn = None if p.drift.is_zero else p.drift.build(d)
-    needs_rho = p.birth.reads_field or p.death.reads_field
     kernel = p.make_kernel() if coupled and p.alpha != 0.0 else None
 
     if coupled:
-        rho = p.make_rho0()
+        rho = p.rho0.sample(p.grid)
     else:
         check_path(rho_path, dt, n_steps)
         rho = rho_path[0]
@@ -535,9 +560,8 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
         raise _explosion(p.population_cap)
     eng = _Engine(p, universe)
     lines = np.array(founder_lines, dtype=np.int64)
-    founders = eng.add_cells(lines, 0, 0, p.mu0.sample(universe, lines, d, L),
-                             0.0)
-    eng.draw_increments(founders, 0)
+    eng.add_cells(lines, 0, 0, p.mu0.sample(universe, lines, d, p.grid.extent),
+                  0.0, 0)
 
     live = np.empty(n_steps + 1, dtype=np.int64)
     live[0] = eng.n_live
@@ -546,29 +570,16 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
 
     for k in range(n_steps):
         t_next = (k + 1) * dt
-        if k and k % _BLOCK == 0:  # every live cell draws the new block
+        if k and k % WIENER_BLOCK == 0:  # every live cell draws the new block
             eng.draw_increments(eng.live_slots(), k)
         ls = eng.live_slots()
-        born = eng.count
         if len(ls):
-            x = eng.pos[ls]
-            if drift_fn is not None:
-                move = drift_fn(x, rho.gradient_at(x)) * dt
-                x = x + move + p.sigma * eng.inc[ls, k % _BLOCK]
-            else:
-                x = x + p.sigma * eng.inc[ls, k % _BLOCK]
-            x = np.mod(x, L)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteState(f"non-finite position at t={t_next}")
-            eng.pos[ls] = x
+            eng.pos[ls] = p.move(eng.pos[ls], rho,
+                                 eng.inc[ls, k % WIENER_BLOCK], t_next)
             ring = ls[eng.next_times(ls) < t_next]
-            if needs_rho and len(ring):  # one batch: the ringing cells
+            if len(ring):  # one batch: the ringing cells
                 eng.rate_arg[ring] = p.rate_argument(rho, eng.pos[ring])
-            eng.process_clocks(ring, t_next, birth_fn, death_fn)
-        # the cells born in the step draw the rest of its block from the
-        # next step, unless the next step starts a block or the run ends
-        if born < eng.count and (k + 1) % _BLOCK and k + 1 < n_steps:
-            eng.draw_increments(slice(born, eng.count), k + 1)
+            eng.process_clocks(ring, k)
 
         if coupled:
             source = None
@@ -587,8 +598,8 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
         if observe is not None:
             observe(k + 1, eng.snapshot(t_next), rho)
 
-    return MicroTrajectory(params=p, n0=n0, founder_lines=founder_lines,
-                           live=live, field=rho, events=eng.event_columns())
+    return MicroTrajectory(params=p, founder_lines=founder_lines, live=live,
+                           field=rho, events=eng.event_columns())
 
 
 def simulate_microscopic(params: ModelParams, n0: int, universe: NoiseUniverse,

@@ -25,9 +25,10 @@ class RegistrySpec:
     """A registry selection: ``kind`` plus named numeric parameters.
 
     A parameter name is accepted if some kind of the family reads it, every
-    parameter but those in ``POINTS`` is a single number, and the parameters
-    in ``POSITIVE`` are positive when given.  A point has one entry per axis
-    or one entry for every axis; ``check_points`` holds it to the grid.
+    parameter but those in ``POINTS`` is a single number, the parameters in
+    ``POSITIVE`` are positive and those in ``INTEGER`` integers when given.
+    A point has one entry per axis or one entry for every axis;
+    ``check_points`` holds it to the grid.
     """
 
     kind: str
@@ -35,6 +36,7 @@ class RegistrySpec:
 
     KINDS: ClassVar[dict[str, tuple[str, ...]]] = {}  # kind -> names it reads
     POSITIVE: ClassVar[tuple[str, ...]] = ()
+    INTEGER: ClassVar[tuple[str, ...]] = ()
     POINTS: ClassVar[tuple[str, ...]] = ()
 
     def __post_init__(self):
@@ -50,6 +52,8 @@ class RegistrySpec:
                 raise ConfigInvalid(name, f"expects a single number, got {value}")
             if name in self.POSITIVE and not value > 0:
                 raise ConfigInvalid(name, f"must be positive, got {value}")
+            if name in self.INTEGER and not float(value).is_integer():
+                raise ConfigInvalid(name, f"must be an integer, got {value}")
 
     def point(self, name: str, d: int, default: float) -> np.ndarray:
         """Point parameter ``name`` with d entries (``default`` on every axis
@@ -202,13 +206,14 @@ class InitialMeasureSpec(RegistrySpec):
 class InitialFieldSpec(RegistrySpec):
     """Initial chemoattractant rho_0 (twice differentiable torus function).
 
-    kinds: constant (c); cosine (c0 + amp * cos(2*pi*mode*x_1/L));
-    bump (amp * periodized gaussian at center with width).
+    kinds: constant (c); cosine (c0 + amp * cos(2*pi*mode*x_1/L), mode an
+    integer); bump (amp * periodized gaussian at center with width).
     """
 
     KINDS = {"constant": ("c",), "cosine": ("c0", "amp", "mode"),
              "bump": ("amp", "width", "center")}
     POSITIVE = ("width",)
+    INTEGER = ("mode",)
     POINTS = ("center",)
 
     def sample(self, grid: GridSpec) -> Field:

@@ -1,5 +1,9 @@
 import io
 
+import numpy as np
+
+from chemobranch import (DriftSpec, GridSpec, InitialFieldSpec,
+                         InitialMeasureSpec, ModelParams, RateSpec)
 from chemobranch.population import SnapshotWriter
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -16,6 +20,36 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def model_params(**over):
+    """The ``FULL_COUPLING`` model of ``tests/test_acceptance.py`` as
+    ``ModelParams``, with the fields in ``over`` replaced."""
+    defaults = dict(
+        grid=GridSpec(1, 128, 8.0),
+        sigma=0.2, D=1.0, r=0.5, alpha=0.5, lambda_bar=0.6,
+        birth=RateSpec("logistic", {"c": 0.3, "slope": 2.0, "center": 0.2}),
+        death=RateSpec("constant", {"c": 0.1}),
+        drift=DriftSpec("chemotaxis", {"chi": 0.5, "gsat": 2.0}),
+        mu0=InitialMeasureSpec("gaussian", {"center": [4.0], "sd": 0.5}),
+        rho0=InitialFieldSpec("bump", {"amp": 1.0, "center": [4.0],
+                                       "width": 1.0}),
+        dt=0.02, T=1.0,
+    )
+    defaults.update(over)
+    return ModelParams(**defaults)
+
+
+def states_equal(a, b) -> bool:
+    """Whether two population states hold the same cells, keys and words
+    included, with the same births, deaths and positions, bit for bit."""
+    return (np.array_equal(a.keys, b.keys)
+            and np.array_equal(a.lines, b.lines)
+            and np.array_equal(a.word_lens, b.word_lens)
+            and np.array_equal(a.word_bits, b.word_bits)
+            and np.array_equal(a.births, b.births)
+            and np.array_equal(a.deaths, b.deaths)
+            and np.array_equal(a.positions, b.positions, equal_nan=True))
 
 
 def record(run, *args, **kwargs):

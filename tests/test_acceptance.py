@@ -7,15 +7,15 @@ final determinism criterion with the other worker-thread count.
 
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
-from conftest import record
+from conftest import model_params, record
 
-from chemobranch import (DriftSpec, Field, GridSpec, InitialFieldSpec,
-                         InitialMeasureSpec, ModelParams, NoiseUniverse,
-                         RateSpec, coupling_experiment, empirical, integrate,
-                         mean_se, semigroup_step, simulate_hybrid,
+from chemobranch import (Field, GridSpec, NoiseUniverse, RateSpec,
+                         coupling_experiment, empirical, integrate, mean_se,
+                         semigroup_step, simulate_hybrid,
                          simulate_mass_ensemble, solve_pks,
                          solve_selfconsistent_field)
 from chemobranch.analysis import TestFunctionBank
@@ -55,19 +55,7 @@ run.seed = 1
 """
 
 
-def full_coupling_params(**over):
-    defaults = dict(
-        grid=GridSpec(1, 128, 8.0),
-        sigma=0.2, D=1.0, r=0.5, alpha=0.5, lambda_bar=0.6,
-        birth=RateSpec("logistic", {"c": 0.3, "slope": 2.0, "center": 0.2}),
-        death=RateSpec("constant", {"c": 0.1}),
-        drift=DriftSpec("chemotaxis", {"chi": 0.5, "gsat": 2.0}),
-        mu0=InitialMeasureSpec("gaussian", {"center": [4.0], "sd": 0.5}),
-        rho0=InitialFieldSpec("bump", {"amp": 1.0, "center": [4.0], "width": 1.0}),
-        dt=0.02, T=1.0, advection="semi_lagrangian",
-    )
-    defaults.update(over)
-    return ModelParams(**defaults)
+full_coupling_params = partial(model_params, advection="semi_lagrangian")
 
 
 class Session:
@@ -199,7 +187,7 @@ def test_05_mean_field_equality(acc):
         for name, phi in phis:
             m_mean, m_se = ens.pairing_stats(phi, k)
             h_mean, h_se = mean_se([
-                integrate(empirical(states[k], traj.n0), phi)
+                integrate(empirical(states[k], len(traj.founder_lines)), phi)
                 for traj, states, _ in runs])
             z = abs(m_mean - h_mean) / np.hypot(m_se, h_se)
             worst = max(worst, z)

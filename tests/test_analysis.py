@@ -1,33 +1,20 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
-from conftest import event_rows
+from conftest import event_rows, model_params
 
-from chemobranch import (DriftSpec, EmpiricalMeasure, Field,
-                         GridSpec, InitialFieldSpec, InitialMeasureSpec,
-                         ModelParams, NoiseUniverse, RateSpec,
-                         TestFunctionBank, coupling_experiment,
-                         measure_convergence_experiment, simulate_hybrid,
-                         vague_distance, yule_bound_check)
+from chemobranch import (DriftSpec, EmpiricalMeasure, Field, GridSpec,
+                         NoiseUniverse, RateSpec, TestFunctionBank,
+                         coupling_experiment, measure_convergence_experiment,
+                         simulate_hybrid, vague_distance, yule_bound_check)
 from chemobranch.analysis import (BumpFunction, fit_loglog_slope,
                                   wilson_interval)
 from chemobranch.meanfield import solve_selfconsistent_field
 
 
-def base_params(**over):
-    defaults = dict(
-        grid=GridSpec(1, 128, 8.0),
-        sigma=0.2, D=1.0, r=0.5, alpha=0.5, lambda_bar=0.6,
-        birth=RateSpec("logistic", {"c": 0.3, "slope": 2.0, "center": 0.2}),
-        death=RateSpec("constant", {"c": 0.1}),
-        drift=DriftSpec("chemotaxis", {"chi": 0.5, "gsat": 2.0}),
-        mu0=InitialMeasureSpec("gaussian", {"center": [4.0], "sd": 0.5}),
-        rho0=InitialFieldSpec("bump", {"amp": 1.0, "center": [4.0], "width": 1.0}),
-        dt=0.02, T=1.0, advection="semi_lagrangian",
-    )
-    defaults.update(over)
-    return ModelParams(**defaults)
+base_params = partial(model_params, advection="semi_lagrangian")
 
 
 def decoupled(**over):

@@ -13,6 +13,12 @@ sorts or searches those keys.
 A cell is its (line, word length, word bits) columns and a run's events are
 its ``EventColumns``: neither the package nor its tests read the event
 records that ``microscopic`` keeps for the benchmark alone.
+
+The particle step has one owner: only ``microscopic.ModelParams`` builds
+the rate and drift functions (``build`` of a ``RateSpec`` or
+``DriftSpec``) and decides what the rates read (``lambda_arg``,
+``reads_field``) and whether there is a drift (``is_zero``); every model
+reads them from it.
 """
 
 import ast
@@ -116,3 +122,25 @@ def test_nothing_reads_the_benchmark_only_event_records():
         found += [f"{path.name}:{line}"
                   for line in _retired_uses(tree, exempt)]
     assert found == [], f"reads retired event or cell records: {found}"
+
+
+
+# what only ModelParams reads of its rate and drift specs and switches
+STEP_ATTRIBUTES = {"build", "lambda_arg", "reads_field", "is_zero"}
+
+
+def test_only_model_params_owns_the_particle_step():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        todo = [ast.parse(path.read_text(encoding="utf-8"))]
+        while todo:
+            node = todo.pop()
+            if (isinstance(node, ast.ClassDef) and node.name == "ModelParams"
+                    and path.name == "microscopic.py"):
+                continue
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in STEP_ATTRIBUTES):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            todo.extend(ast.iter_child_nodes(node))
+    assert found == [], ("rates, drift or what the rates read decided "
+                         f"outside ModelParams: {sorted(found)}")

@@ -295,6 +295,9 @@ class TestCliRuns:
          "drift.vx"),
         ("macro", "init.mu0.sd = 0\n", "init.mu0.sd"),
         ("micro", "run.n0 = 4\ninit.rho0.width = 0\n", "init.rho0.width"),
+        # a cosine mode of 1.5 would run as mode 1
+        ("micro", "run.n0 = 4\ninit.rho0.kind = cosine\n"
+                  "init.rho0.mode = 1.5\n", "init.rho0.mode"),
         ("hybrid", "meanfield.mode = bogus\n", "meanfield.mode"),
         ("micro", "run.n0 = 4\ndrift.gsat = 0\n", "drift.gsat"),
         ("micro", "run.n0 = 4\nbirth.c =\n", "birth.c"),

@@ -431,7 +431,8 @@ class TestFieldAlongRuns:
         profile = reference_periodized_gaussian(xs, kern.width,
                                                 params.grid.extent)
         grad_sup_kernel = np.max(np.abs(np.gradient(profile, xs)))
-        sup_mass = max(s.live_count / traj.n0 for s in states)
+        sup_mass = max(s.live_count / len(traj.founder_lines)
+                       for s in states)
         grad0 = np.max(np.abs(fields[0].gradient_grid()[0]))
         for k, t in enumerate(params.times()):
             grad_t = np.max(np.abs(fields[k].gradient_grid()[0]))
@@ -452,9 +453,9 @@ class TestFieldAlongRuns:
         params, traj, states, fields = self.make_run()
         kern = params.make_kernel()
         r, alpha, dt = params.r, params.alpha, params.dt
+        n0 = len(traj.founder_lines)
         for k in range(params.n_steps):
-            src = deposit(empirical(states[k + 1], traj.n0), kern,
-                          params.grid)
+            src = deposit(empirical(states[k + 1], n0), kern, params.grid)
             expected = (np.mean(fields[k].values) * np.exp(-r * dt)
                         + alpha * np.mean(src) * (1 - np.exp(-r * dt)) / r)
             assert np.mean(fields[k + 1].values) == pytest.approx(

@@ -1,28 +1,18 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import model_params
 
-from chemobranch import (CFLViolation, DriftSpec, GridSpec,
-                         InitialFieldSpec, InitialMeasureSpec, ModelParams,
-                         NoiseUniverse, RateSpec, order_check,
-                         semigroup_step, simulate_mass_ensemble, solve_pks)
+from chemobranch import (CFLViolation, DriftSpec, Field, GridSpec,
+                         InitialFieldSpec, InitialMeasureSpec, NoiseUniverse,
+                         RateSpec, order_check, semigroup_step,
+                         simulate_mass_ensemble, solve_pks)
 from chemobranch.macroscopic import _advect_upwind
 
 
-def base_params(**over):
-    defaults = dict(
-        grid=GridSpec(1, 128, 8.0),
-        sigma=0.2, D=1.0, r=0.5, alpha=0.5, lambda_bar=0.6,
-        birth=RateSpec("logistic", {"c": 0.3, "slope": 2.0, "center": 0.2}),
-        death=RateSpec("constant", {"c": 0.1}),
-        drift=DriftSpec("chemotaxis", {"chi": 0.5, "gsat": 2.0}),
-        mu0=InitialMeasureSpec("gaussian", {"center": [4.0], "sd": 0.5}),
-        rho0=InitialFieldSpec("bump", {"amp": 1.0, "center": [4.0], "width": 1.0}),
-        dt=0.02, T=1.0, advection="semi_lagrangian",
-    )
-    defaults.update(over)
-    return ModelParams(**defaults)
+base_params = partial(model_params, advection="semi_lagrangian")
 
 
 class TestDegenerateDynamics:
@@ -103,8 +93,7 @@ class TestAccuracy:
         def max_residual(dt):
             params = base_params(dt=dt)
             sol = solve_pks(params)
-            birth_fn = params.birth.build(params.grid.extent)
-            death_fn = params.death.build(params.grid.extent)
+            birth_fn, death_fn = params.rates
             nodes = params.grid.node_coords()
             vol = params.grid.cell_volume
             worst = 0.0
@@ -113,8 +102,8 @@ class TestAccuracy:
                                + sol.p_path[k + 1].values)
                 rho_mid = 0.5 * (sol.rho_path[k].values
                                  + sol.rho_path[k + 1].values)
-                lam = (birth_fn(nodes, rho_mid.ravel())
-                       - death_fn(nodes, rho_mid.ravel()))
+                arg = params.rate_argument(Field(params.grid, rho_mid))
+                lam = birth_fn(nodes, arg) - death_fn(nodes, arg)
                 gain = np.sum(lam * p_mid.ravel()) * vol
                 resid = (sol.mass()[k + 1] - sol.mass()[k]) - dt * gain
                 worst = max(worst, abs(resid))

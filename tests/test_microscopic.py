@@ -1,47 +1,28 @@
 import dataclasses
 import io
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
-from conftest import event_rows, record, written
+from conftest import (event_rows, model_params, record, states_equal,
+                      written)
 
-from chemobranch import (ConfigInvalid, DriftSpec, GridSpec, InitialFieldSpec,
-                         InitialMeasureSpec, LineageDepthExceeded,
-                         ModelParams, NoiseUniverse, PopulationExplosion,
-                         RateSpec, population, simulate_lines,
-                         simulate_microscopic)
+from chemobranch import (ConfigInvalid, DriftSpec, InitialMeasureSpec,
+                         LineageDepthExceeded, NoiseUniverse,
+                         PopulationExplosion, RateSpec, population,
+                         simulate_lines, simulate_microscopic)
 from chemobranch.microscopic import (EVENT_BRANCH, EVENT_DEATH,
                                      MAX_CLOCK_POINTS, _Engine)
 
 
-def base_params(**over):
-    defaults = dict(
-        grid=GridSpec(1, 128, 8.0),
-        sigma=0.2, D=1.0, r=0.5, alpha=0.5, lambda_bar=0.6,
-        birth=RateSpec("constant", {"c": 0.3}),
-        death=RateSpec("constant", {"c": 0.1}),
-        drift=DriftSpec("chemotaxis", {"chi": 0.5, "gsat": 2.0}),
-        mu0=InitialMeasureSpec("gaussian", {"center": [4.0], "sd": 0.5}),
-        rho0=InitialFieldSpec("bump", {"amp": 1.0, "center": [4.0], "width": 1.0}),
-        dt=0.02, T=1.0,
-    )
-    defaults.update(over)
-    return ModelParams(**defaults)
+base_params = partial(model_params, birth=RateSpec("constant", {"c": 0.3}))
 
 
 def decoupled(**over):
     return base_params(alpha=0.0,
                        birth=RateSpec("zero"), death=RateSpec("zero"),
                        drift=DriftSpec("zero"), **over)
-
-
-def states_equal(a, b):
-    return (np.array_equal(a.positions, b.positions, equal_nan=True)
-            and np.array_equal(a.lines, b.lines)
-            and np.array_equal(a.word_bits, b.word_bits)
-            and np.array_equal(a.births, b.births)
-            and np.array_equal(a.deaths, b.deaths))
 
 
 class TestDegenerateRates:
@@ -275,7 +256,7 @@ class TestEngine:
             m = int(rng.integers(1, 40))
             eng.add_cells(rng.integers(1, 6, m), rng.integers(0, 4, m),
                           rng.integers(0, 4, m).astype(np.uint64),
-                          rng.uniform(0.0, 8.0, (m, 1)), 0.0)
+                          rng.uniform(0.0, 8.0, (m, 1)), 0.0, 0)
             if batch % 3:
                 n = eng.count
                 full = np.lexsort((eng.wbits[:n], eng.wlens[:n],
@@ -503,29 +484,27 @@ class TestWeakFormResidual:
             birth=RateSpec("logistic", {"c": 0.3, "slope": 1.5, "center": 0.3}),
             death=RateSpec("constant", {"c": 0.1}), dt=0.02, T=1.0)
         phi = TestFunctionBank.default_for_grid(params.grid).functions[1]
-        drift_fn = params.drift.build(params.grid.d)
-        birth_fn = params.birth.build(params.grid.extent)
-        death_fn = params.death.build(params.grid.extent)
+        birth_fn, death_fn = params.rates
         u = NoiseUniverse(101, 1)
-        reps = 80
+        reps, n0 = 80, 40
         residuals = []
         for rep in range(reps):
-            traj, states, fields = record(simulate_microscopic, params, 40,
-                                          u.child("wf", rep))
+            _, states, fields = record(simulate_microscopic, params, n0,
+                                       u.child("wf", rep))
             acc = 0.0
             for k in range(params.n_steps):
                 pos = states[k].live_positions()
                 if len(pos) == 0:
                     continue
                 rho = fields[k]
-                grad = rho.gradient_at(pos)
-                rho_val = rho.value_at(pos)
-                bphi = (np.sum(drift_fn(pos, grad) * phi.gradient(pos), axis=1)
+                b = params.drift_fn(pos, rho.gradient_at(pos))
+                arg = params.rate_argument(rho, pos)
+                bphi = (np.sum(b * phi.gradient(pos), axis=1)
                         + 0.5 * params.sigma ** 2 * phi.laplacian(pos))
-                lam = birth_fn(pos, rho_val) - death_fn(pos, rho_val)
-                acc += params.dt * np.sum(bphi + lam * phi(pos)) / traj.n0
-            pair_T = np.sum(phi(states[-1].live_positions())) / traj.n0
-            pair_0 = np.sum(phi(states[0].live_positions())) / traj.n0
+                lam = birth_fn(pos, arg) - death_fn(pos, arg)
+                acc += params.dt * np.sum(bphi + lam * phi(pos)) / n0
+            pair_T = np.sum(phi(states[-1].live_positions())) / n0
+            pair_0 = np.sum(phi(states[0].live_positions())) / n0
             residuals.append(pair_T - pair_0 - acc)
         residuals = np.asarray(residuals)
         se = residuals.std(ddof=1) / np.sqrt(reps)
