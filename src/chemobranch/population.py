@@ -194,7 +194,10 @@ def join_columns(columns, sep: str = " ") -> list[str]:
     ``str(int(x))``, each converted to Python values once per column; any
     other column must already hold strings.
     """
-    return list(map(sep.join, zip(*map(_column_text, columns))))
+    texts = list(map(_column_text, columns))
+    if len(texts) == 1:
+        return list(texts[0])
+    return list(map(sep.join, zip(*texts)))
 
 
 def _identity_columns(pop: PopulationState, rows=slice(None)) -> list[str]:
@@ -204,43 +207,74 @@ def _identity_columns(pop: PopulationState, rows=slice(None)) -> list[str]:
                          pop.word_lens[rows], pop.births[rows]))
 
 
-def population_to_lines(pop: PopulationState,
-                        identity: list[str]) -> list[str]:
-    """A ``# population t= d=`` line, then one row per cell: line, word bits,
-    word length, birth, death, and the position or ``dead``.
+def _row_heads(identity: list[str], deaths: np.ndarray) -> list[str]:
+    """Each row's text before its position: a newline, its ``identity``
+    text (what ``_identity_columns`` makes), its death and a space."""
+    return list(map("\n{} {!r} ".format, identity, deaths.tolist()))
 
-    ``identity`` holds each row's first four fields as text (what
-    ``_identity_columns`` makes of ``pop``).
+
+def population_to_lines(pop: PopulationState, heads: np.ndarray) -> str:
+    """The text block of ``pop``: a ``# population t= d=`` line, then one
+    row per cell: line, word bits, word length, birth, death, and the
+    position or ``dead``; every line ends in a newline.
+
+    ``heads`` holds each row's text before its position (what
+    ``_row_heads`` makes of ``pop``'s rows), so only the live positions are
+    formatted here.
     """
-    coords = join_columns(pop.positions.T)
-    where = [c if live else "dead"
-             for c, live in zip(coords, pop.live_mask.tolist())]
-    return [f"# population t={pop.time!r} d={pop.d}"] + join_columns(
-        (identity, pop.deaths, where))
+    pieces = np.empty(2 * len(pop), dtype=object)
+    pieces[0::2] = heads
+    tails = pieces[1::2]
+    tails[:] = "dead"
+    live = pop.live_mask
+    tails[live] = join_columns(pop.positions[live].T)
+    return (f"# population t={pop.time!r} d={pop.d}"
+            + "".join(pieces.tolist()) + "\n")
 
 
 class SnapshotWriter:
     """Writes the checkpoints of one run to an open text file as they come,
     each as ``population_to_lines`` makes it.
 
-    A checkpoint holds every row of the one before it, since a run never
-    drops a cell, so each cell's line, word and birth are formatted once, at
-    the first checkpoint that holds it: one ``searchsorted`` over the cell
-    keys (``pop.keys``) finds the rows formatted before.
+    A checkpoint must hold every cell of the one before it with the same
+    birth, as a run never drops a cell; ``write`` raises ``ValueError``
+    otherwise.  So a row's head, its text before its position, is formatted
+    only when it changes: its line, word and birth once, at the first
+    checkpoint that holds it, and its death then and again whenever the
+    death changes (from ``inf`` to the time the cell dies).  Of a checkpoint
+    only the live positions are formatted anew.  One ``searchsorted`` over
+    the cell keys (``pop.keys``) finds the rows written before.
     """
 
     def __init__(self, file):
         self.file = file
         self.keys = cell_keys([], [], [])
+        self.births = np.empty(0)
+        self.deaths = np.empty(0, dtype=np.int64)
         self.identity = np.empty(0, dtype=object)
+        self.heads = np.empty(0, dtype=object)
 
     def write(self, pop: PopulationState):
         seen = np.searchsorted(pop.keys, self.keys)
+        if len(seen) and (seen[-1] == len(pop) or
+                          pop.keys[seen].tobytes() != self.keys.tobytes()):
+            raise ValueError(f"the checkpoint at t={pop.time!r} lacks a "
+                             "cell of the one before it")
+        if pop.births[seen].tobytes() != self.births.tobytes():
+            raise ValueError(f"the checkpoint at t={pop.time!r} changes the "
+                             "birth of a cell of the one before it")
         fresh = np.ones(len(pop), dtype=bool)
         fresh[seen] = False
         identity = np.empty(len(pop), dtype=object)
         identity[seen] = self.identity
         identity[fresh] = _identity_columns(pop, fresh)
-        self.keys, self.identity = pop.keys, identity
-        self.file.write(
-            "\n".join(population_to_lines(pop, identity.tolist())) + "\n")
+        # deaths compared as bits, as their text differs for 0.0 and -0.0
+        deaths = pop.deaths.view(np.int64)
+        stale = fresh.copy()
+        stale[seen] = deaths[seen] != self.deaths
+        heads = np.empty(len(pop), dtype=object)
+        heads[seen] = self.heads
+        heads[stale] = _row_heads(identity[stale].tolist(), pop.deaths[stale])
+        self.keys, self.births, self.deaths = pop.keys, pop.births, deaths
+        self.identity, self.heads = identity, heads
+        self.file.write(population_to_lines(pop, heads))

@@ -83,3 +83,20 @@ def written(pop) -> str:
     out = io.StringIO()
     SnapshotWriter(out).write(pop)
     return out.getvalue()
+
+
+def row_by_row_lines(pop):
+    """Reference for the snapshot writer: one f-string per row."""
+    def fmt(x):
+        return repr(float(x))
+
+    out = [f"# population t={fmt(pop.time)} d={pop.d}"]
+    for row in range(len(pop)):
+        head = (f"{pop.lines[row]} {pop.word_bits[row]} {pop.word_lens[row]} "
+                f"{fmt(pop.births[row])} {fmt(pop.deaths[row])}")
+        pos = pop.positions[row]
+        if np.isnan(pos[0]):
+            out.append(head + " dead")
+        else:
+            out.append(head + " " + " ".join(fmt(x) for x in pos))
+    return out

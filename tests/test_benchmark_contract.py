@@ -7,7 +7,9 @@ If one of them is renamed, every traced operation of the benchmark exits
 with an internal error, and only the benchmark would show it.  This runs
 each operation of every small workload once, traced, through
 ``perfbench/child.py`` as the benchmark does, and requires a clean exit and
-outputs that pass the workload's own check.
+outputs that pass the workload's own check; for the ``micro`` operation the
+``population.population_to_lines.rows`` count must equal the cell rows of
+its snapshot file.
 """
 
 import importlib.util
@@ -57,3 +59,9 @@ def test_traced_operation_exits_cleanly(tmp_path, name, index):
     assert doc["error"] is None, doc["error"]
     assert doc["exit_code"] == 0, proc.stderr
     op.check(out)
+    if op.subcommand == "micro":
+        # the writer's span counts every row it writes, so a rename of
+        # what it wraps cannot zero that metric unseen
+        with (out / "micro_snapshots.txt").open(encoding="utf-8") as f:
+            rows = sum(not line.startswith("#") for line in f)
+        assert doc["counts"]["population.population_to_lines.rows"] == rows

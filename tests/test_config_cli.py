@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import record
+from conftest import record, row_by_row_lines
 from hypothesis import given, settings, strategies as st
 from test_population import read_population
 
@@ -64,8 +64,14 @@ def data_lines(path):
 
 
 def assert_snapshots_equal(path, states):
-    """The file holds one ``# population`` block per state, in order, and
-    each block parses back to that state exactly."""
+    """The file holds one ``# population`` block per state, in order: after
+    its two header lines it is, byte for byte, the text the reference
+    formatter ``row_by_row_lines`` gives each state, and each block parses
+    back to that state exactly."""
+    text = path.read_text()
+    head = "".join(text.splitlines(keepends=True)[:2])
+    assert text == head + "".join(
+        "\n".join(row_by_row_lines(state)) + "\n" for state in states)
     lines = data_lines(path)
     starts = [i for i, line in enumerate(lines)
               if line.startswith("# population ")]

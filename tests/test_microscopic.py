@@ -1,7 +1,9 @@
 import dataclasses
 import io
 import tracemalloc
+from collections import Counter
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -124,13 +126,35 @@ class TestCouplingDeterminism:
             formatted.extend(text)
             return text
 
+        handed = []  # per checkpoint, the identities given a new head
+        row_heads = population._row_heads
+
+        def counted_heads(identities, deaths):
+            handed[-1].extend(identities)
+            return row_heads(identities, deaths)
+
         monkeypatch.setattr(population, "_identity_columns", counted)
+        monkeypatch.setattr(population, "_row_heads", counted_heads)
         out = io.StringIO()
         writer = population.SnapshotWriter(out)
         for state in states:
+            handed.append([])
             writer.write(state)
         assert out.getvalue() == "".join(whole)
         assert sorted(formatted) == sorted(identity(states[-1]))
+        # a cell's death is formatted once per value it takes: at its entry
+        # and, if it entered alive, at its death; a row dead at one
+        # checkpoint is not formatted at the next
+        deaths = {}
+        for state in states:
+            for cell, death in zip(identity(state), state.deaths.tolist()):
+                deaths.setdefault(cell, set()).add(death)
+        heads = Counter(chain.from_iterable(handed))
+        assert heads == {cell: len(seen) for cell, seen in deaths.items()}
+        assert max(heads.values()) == 2
+        for before, now in zip(states, handed[1:]):
+            dead = np.array(identity(before), dtype=object)[~before.live_mask]
+            assert set(dead.tolist()).isdisjoint(now)
 
     def test_shared_lines_agree_across_n0_when_decoupled(self):
         # the coupling property the convergence theorems rely on: the states

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import written
+from conftest import row_by_row_lines, written
 
 from chemobranch import (DimensionMismatch, EmpiricalMeasure,
                          PopulationState, empirical, integrate, mean_se,
@@ -75,23 +75,6 @@ def read_population(lines):
                            [float(row[3]) for row in rows],
                            [float(row[4]) for row in rows],
                            np.array(positions).reshape(len(rows), d))
-
-
-def row_by_row_lines(pop):
-    """Reference for the snapshot writer: one f-string per row."""
-    def fmt(x):
-        return repr(float(x))
-
-    out = [f"# population t={fmt(pop.time)} d={pop.d}"]
-    for row in range(len(pop)):
-        head = (f"{pop.lines[row]} {pop.word_bits[row]} {pop.word_lens[row]} "
-                f"{fmt(pop.births[row])} {fmt(pop.deaths[row])}")
-        pos = pop.positions[row]
-        if np.isnan(pos[0]):
-            out.append(head + " dead")
-        else:
-            out.append(head + " " + " ".join(fmt(x) for x in pos))
-    return out
 
 
 _floats = st.one_of(st.sampled_from([0.0, -0.0, 1e-7, 0.1, 1e20, 5e-324]),
@@ -356,6 +339,27 @@ class TestSerialization:
             writer.write(pop)
         assert out.getvalue() == "".join(map(written, run)) == "".join(
             "\n".join(row_by_row_lines(pop)) + "\n" for pop in run)
+
+    def test_snapshot_writer_rejects_a_checkpoint_without_a_written_cell(self):
+        # without the check, line 3 took line 2's row: "2 0 0 0.0 inf 3.5"
+        first = state_from(1, {make_idx(1): [1.0], make_idx(2): [2.0]})
+        out = io.StringIO()
+        writer = SnapshotWriter(out)
+        writer.write(first)
+        with pytest.raises(ValueError, match="lacks a cell"):
+            writer.write(state_from(1, {make_idx(1): [1.0],
+                                        make_idx(3): [3.5]}, time=0.5))
+        assert out.getvalue() == written(first)
+
+    def test_snapshot_writer_rejects_a_changed_birth(self):
+        first = state_from(1, {make_idx(1): [1.0]})
+        out = io.StringIO()
+        writer = SnapshotWriter(out)
+        writer.write(first)
+        with pytest.raises(ValueError, match="birth"):
+            writer.write(PopulationState(0.5, 1, [1], [0], [0], [0.25],
+                                         [np.inf], [[1.0]]))
+        assert out.getvalue() == written(first)
 
     @given(data=st.data(), d=st.sampled_from([1, 2]))
     @settings(max_examples=200, deadline=None)
