@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .errors import ChemobranchError, ConfigInvalid
 from .field import Field, field_to_bytes, field_to_csv_lines
 from .microscopic import simulate_microscopic
-from .population import SnapshotWriter, join_columns
+from .population import SnapshotWriter, join_columns, mean_se
 from .randomness import NoiseUniverse
 
 EXIT_OK = 0
@@ -158,23 +158,33 @@ def run_mass(cfg, out: Path, seed: int) -> int:
     write_paths = cfg.get_bool("mass.write_paths", False)
     universe = NoiseUniverse(seed, params.grid.d)
     scf = meanfield.solve_selfconsistent_field(params, "macroscopic")
-    ens = meanfield.simulate_mass_ensemble(params, scf.rho_path,
-                                           universe.child("mass"), k_reps)
-    head = _header(cfg, seed, "mass")
     phis = _default_phis(params)
+    stats = {name: [] for name in phis}  # (mean, se) per checkpoint
+    paths = []  # (X, M) per checkpoint, kept only to write them
+
+    def observe(k, X, M):
+        for name, phi in phis.items():
+            stats[name].append(mean_se(M * np.asarray(phi(X))))
+        if write_paths:
+            paths.append((X, M))
+
+    ens = meanfield.simulate_mass_ensemble(
+        params, scf.rho_path, universe.child("mass"), k_reps, observe=observe)
+    head = _header(cfg, seed, "mass")
+    times = params.times()
     lines = ["time,phi,mean,se"]
-    for name, phi in phis.items():
-        for j, t in enumerate(ens.times):
-            mean, se = ens.pairing_stats(phi, j)
+    for name, rows in stats.items():
+        for t, (mean, se) in zip(times, rows):
             lines.append(f"{_fmt(t)},{name},{mean!r},{se!r}")
     _write_text(out / "mass_pairings.csv", head + lines)
     if write_paths:
         d = params.grid.d
         cols = "replica,time," + ",".join(f"x{i + 1}" for i in range(d)) + ",M"
-        times = join_columns([ens.times])
+        X = np.stack([x for x, _ in paths], axis=1)
+        M = np.stack([m for _, m in paths], axis=1)
+        times = join_columns([times])
         _write_text(out / "mass_paths.csv", head + [cols], (
-            join_columns((repeat(str(rid)), times, *ens.X[i].T, ens.M[i]),
-                         sep=",")
+            join_columns((repeat(str(rid)), times, *X[i].T, M[i]), sep=",")
             for i, rid in enumerate(ens.replica_ids)))
     return EXIT_OK
 

@@ -10,6 +10,11 @@ path, a tuple of ``Field`` with field k at checkpoint k, which is produced
 either by the macroscopic solver (default, cheap) or by fixed-point
 iteration on the mild field equation with mass ensembles.  Both step as
 the coupled engine does (``ModelParams``).
+
+Neither keeps a trajectory: each hands its state at every checkpoint to
+the caller's observer and returns only what it holds at the end, so the
+ensemble's memory follows the number of replicas, not the number of steps.
+The Picard iteration deposits each step's source in its observer.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import EmptyEnsemble, PicardStalled
 from .field import Field, check_path, deposit, semigroup_step
 from .microscopic import (WIENER_BLOCK, MicroTrajectory, ModelParams,
                           simulate_lines)
-from .population import EmpiricalMeasure, mean_se
+from .population import EmpiricalMeasure
 from .randomness import NoiseUniverse
 
 MODES = ("macroscopic", "picard")  # how solve_selfconsistent_field finds the field
@@ -43,30 +48,32 @@ def simulate_hybrid(params: ModelParams, rho_path: tuple[Field, ...],
 
 @dataclass(frozen=True)
 class MassEnsemble:
-    """Stacked (X, M) replicas 1..K stored at every step; M(0) = 1.
+    """The (X, M) replicas 1..K at the final time: X (K, d), M (K,).
 
     The ensemble estimates the mean measure as
-    mu_t = (1/K) sum_k M_k(t) delta_{X_k(t)} over its K replicas.
+    mu_t = (1/K) sum_k M_k(t) delta_{X_k(t)} over its K replicas; the
+    states before the final one go to the run's observer
+    (``simulate_mass_ensemble``).
     """
 
     replica_ids: tuple[int, ...]
-    times: np.ndarray
-    X: np.ndarray  # (K, n_steps + 1, d)
-    M: np.ndarray  # (K, n_steps + 1)
-
-    def pairing_stats(self, phi, t_index: int) -> tuple[float, float]:
-        """Mean and standard error of <phi, mu_t> over replicas."""
-        vals = self.M[:, t_index] * np.asarray(phi(self.X[:, t_index]))
-        return mean_se(vals)
+    X: np.ndarray
+    M: np.ndarray
 
 
 def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
-                           universe: NoiseUniverse, replicas: int) -> MassEnsemble:
+                           universe: NoiseUniverse, replicas: int, *,
+                           observe=None) -> MassEnsemble:
     """Vectorized (X, M) replicas: Euler-Maruyama for X, exponential Euler for M.
 
-    Field k of ``rho_path`` drives step k.  Replicas 1..``replicas`` are
-    kept at every step of ``params.times()``.  Their initial positions, and
-    each 64-step block of their increments, are drawn in one batch.
+    Field k of ``rho_path`` drives step k.  Replicas 1..``replicas`` start
+    with M = 1; their initial positions, and each 64-step block of their
+    increments, are drawn in one batch.  ``observe(k, X, M)`` is called at
+    each checkpoint k = 0..n_steps in order with the replicas' positions
+    (K, d) and masses (K,) at k·dt; neither array changes afterwards.  The
+    run keeps no trajectory, so its memory follows the replicas, not the
+    number of steps.
+
     The mass update M <- M * exp(lambda(X, rho) dt) is exact for constant
     rates; X moves and lambda is evaluated as and where the branching models
     move and evaluate their clock-event rates (``ModelParams``), so the two
@@ -84,14 +91,13 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
 
     X = p.mu0.sample(universe, replica_ids, d, p.grid.extent)
     M = np.ones(K)
-    Xs = np.zeros((K, n_steps + 1, d))
-    Ms = np.zeros((K, n_steps + 1))
-    Xs[:, 0] = X
-    Ms[:, 0] = M
+    if observe is not None:
+        observe(0, X, M)
 
     for k in range(n_steps):
         if k % WIENER_BLOCK == 0:
             hi = min(k + WIENER_BLOCK, n_steps)
+            inc_block = None  # one block held at a time
             inc_block = universe.mass_increments(replica_ids, k, hi, dt)
         rho = rho_path[k]
         X = p.move(X, rho, inc_block[:, k % WIENER_BLOCK], (k + 1) * dt)
@@ -100,10 +106,10 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
         arg = p.rate_argument(rho, X)
         lam = birth_fn(X, arg) - death_fn(X, arg)
         M = M * np.exp(lam * dt)
-        Xs[:, k + 1] = X
-        Ms[:, k + 1] = M
+        if observe is not None:
+            observe(k + 1, X, M)
 
-    return MassEnsemble(replica_ids, p.times(), Xs, Ms)
+    return MassEnsemble(replica_ids, X, M)
 
 
 @dataclass(frozen=True)
@@ -166,10 +172,16 @@ def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
     rho_path = rebuild_field_path(p, lambda k: None)  # free evolution start
     gaps: list[float] = []
     for _ in range(max_iters):
-        ens = simulate_mass_ensemble(p, rho_path, mass_universe, n_replicas)
-        new_path = rebuild_field_path(p, lambda k: deposit(
-            EmpiricalMeasure(ens.X[:, k], ens.M[:, k] / n_replicas), kernel,
-            p.grid))
+        sources = [None]  # the source of the step ending at step k
+
+        def observe(k, X, M):
+            if k and p.alpha != 0.0:
+                sources.append(deposit(
+                    EmpiricalMeasure(X, M / n_replicas), kernel, p.grid))
+
+        simulate_mass_ensemble(p, rho_path, mass_universe, n_replicas,
+                               observe=observe)
+        new_path = rebuild_field_path(p, sources.__getitem__)
         gap = 0.0
         for a, b in zip(rho_path, new_path):
             dv = float(np.max(np.abs(a.values - b.values)))

@@ -36,6 +36,7 @@ follows the live population, not the number of steps.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -367,9 +368,11 @@ class _Engine:
         self.deaths[new] = np.inf
         self.alive[new] = True
         self.pos[new] = positions
-        times, marks, offsets = self.u.clock_arrays(
-            (self.lines[new], self.wlens[new], self.wbits[new]), self.p.T,
-            self.p.lambda_bar)
+        # one hash per cell for its clock and Wiener streams
+        hashed = self.u.hash_cells(
+            (self.lines[new], self.wlens[new], self.wbits[new]))
+        times, marks, offsets = self.u.clock_arrays(hashed, self.p.T,
+                                                    self.p.lambda_bar)
         # each cell's points and a closing +inf go to the clock store; its
         # next point is its first one at or after its birth
         counts = offsets[1:] - offsets[:-1]
@@ -386,53 +389,55 @@ class _Engine:
         self.cursor[new] = (offsets[:-1] + cells + early[offsets[1:]]
                             - early[offsets[:-1]])
         if step < self.n_steps:
-            self.draw_increments(new, step)
+            self.draw_increments(new, step, hashed)
         self._live = None
         return new
 
     def next_times(self, slots: np.ndarray) -> np.ndarray:
         return self.clock_times[self.cursor[slots]]
 
-    def draw_increments(self, slots, k: int):
+    def draw_increments(self, slots, k: int, cells=None):
         """Draw in one call the Wiener increments of the cells ``slots``
-        (an index array or a slice) from step k to the end of its block."""
+        (an index array or a slice) from step k to the end of its block;
+        ``cells`` is their ``hash_cells`` when the caller holds it."""
         j = k % WIENER_BLOCK
         end = min(k - j + WIENER_BLOCK, self.n_steps)
         cols = slice(j, j + end - k)
         # a slice of slots selects a view, drawn into in place (its write
         # back copies nothing); an index array selects a copy, written back
         block = self.inc[slots, cols]
+        if cells is None:
+            cells = (self.lines[slots], self.wlens[slots], self.wbits[slots])
         self.inc[slots, cols] = self.u.wiener_increments(
-            (self.lines[slots], self.wlens[slots], self.wbits[slots]), k, end,
-            self.p.dt, out=block)
+            cells, k, end, self.p.dt, out=block)
 
-    def process_clocks(self, slots: np.ndarray, k: int):
+    def process_clocks(self, slots: np.ndarray, times: np.ndarray, k: int):
         """Process the clock points of step k, before (k + 1)·dt, of the
-        live cells ``slots`` in rounds: each reads its cells' next points
-        and marks, evaluates the rates once, kills the cells that branch or
-        die and adds all their daughters in one batch; the next round holds
-        the daughters and rejected cells whose next point is in the step.
+        live cells ``slots``, whose next points are at ``times``, in
+        rounds: each reads its cells' next points and marks, evaluates the
+        rates once, kills the cells that branch or die and adds all their
+        daughters in one batch; the next round holds the daughters and
+        rejected cells whose next point is in the step.  The pending cells'
+        next times travel with them, so a round gathers only the next times
+        of the cells it touched.
 
         The cap and the depth limit hold in time order (``_Tally``).  A
         round at most doubles the live count; once it passes the cap, the
-        rounds take one cell at a time in time order, so that every event is
-        final when found and the run stops at the first one past the cap.
+        pending cells go into a heap by (next time, key) and the rounds pop
+        one cell at a time, so that every event is final when found and the
+        run stops at the first one past the cap.
         """
         cap = self.p.population_cap
         t_next = (k + 1) * self.p.dt
         birth_fn, death_fn = self.p.rates
         n_start, branches, deep = self.n_live, 0, False
-        found, tally = [], None
-        while len(slots):
-            rest = slots[:0]
+        found, tally, heap = [], None, []
+        while len(slots) or heap:
             if tally is not None:  # the earliest cell alone
-                times = self.next_times(slots)
-                tied = np.flatnonzero(times == times.min())
-                i = tied[np.argmin(self.keys[slots[tied]])]
-                slots, rest = slots[i:i + 1], np.delete(slots, i)
-            c = self.cursor[slots]
-            t, z = self.clock_times[c], self.clock_marks[c]
-            self.cursor[slots] = c + 1
+                t0, _, s = heapq.heappop(heap)
+                slots, times = np.array([s]), np.array([t0])
+            t, z = times, self.clock_marks[self.cursor[slots]]
+            self.cursor[slots] += 1
             x, arg = self.pos[slots], self.rate_arg[slots]
             lb = birth_fn(x, arg)
             branch = z <= lb
@@ -447,7 +452,7 @@ class _Engine:
                 if tally is not None:
                     tally.add(float(t[0]), int(slots[0]), bool(branch[0]))
             kept = slots[~end]
-            pending = [kept[self.next_times(kept) < t_next], rest]
+            pending = [(kept, self.next_times(kept))]
             mothers = slots[branch]
             if len(mothers):
                 branches += len(mothers)
@@ -461,11 +466,17 @@ class _Engine:
                     np.repeat(t[branch], 2), k + 1)
                 self.rate_arg[new] = np.repeat(self.rate_arg[mothers], 2)
                 born = np.arange(new.start, new.stop)
-                pending.append(born[self.next_times(born) < t_next])
-            slots = np.concatenate(pending)
+                pending.append((born, self.next_times(born)))
+            slots = np.concatenate([s[ts < t_next] for s, ts in pending])
+            times = np.concatenate([ts[ts < t_next] for _, ts in pending])
             if tally is None and self.n_live > cap and len(slots):
                 tally = _Tally(self, found, n_start)
-                tally.check_before(self.next_times(slots).min())
+                tally.check_before(times.min())
+            if tally is not None:
+                for entry in zip(times.tolist(), self.keys[slots].tolist(),
+                                 slots.tolist()):
+                    heapq.heappush(heap, entry)
+                slots = slots[:0]
         if tally is None and (deep or n_start + branches > cap):
             tally = _Tally(self, found, n_start)
         if tally is not None:
@@ -576,10 +587,12 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
         if len(ls):
             eng.pos[ls] = p.move(eng.pos[ls], rho,
                                  eng.inc[ls, k % WIENER_BLOCK], t_next)
-            ring = ls[eng.next_times(ls) < t_next]
+            times = eng.next_times(ls)
+            rings = times < t_next
+            ring = ls[rings]
             if len(ring):  # one batch: the ringing cells
                 eng.rate_arg[ring] = p.rate_argument(rho, eng.pos[ring])
-            eng.process_clocks(ring, k)
+            eng.process_clocks(ring, times[rings], k)
 
         if coupled:
             source = None

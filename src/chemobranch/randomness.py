@@ -50,21 +50,20 @@ def _mix64(x):
     return x ^ (x >> 31)
 
 
-def _hash_keys(h, line, word_bits, word_len, purposes) -> list:
-    """Philox keys [(k0, k1) per purpose] of the cell (line, word) under the
-    universe hash ``h``; Python ints, or uint64 arrays for a whole batch.
-
-    The hash of (universe, line, word) is shared by a cell's purposes; each
-    purpose mixes its tag into it and derives the key's second word from
-    the first.
-    """
+def _cell_hash(h, line, word_bits, word_len):
+    """Hash of the cell (line, word) under the universe hash ``h``, shared
+    by the cell's purposes; Python ints, or uint64 arrays for a batch."""
     for part in (line, word_bits, word_len):
         h = _mix64(h ^ part)
-    keys = []
-    for purpose in purposes:
-        k = _mix64(h ^ purpose)
-        keys.append((k, _mix64(k ^ 0xD1B54A32D192ED03)))
-    return keys
+    return h
+
+
+def _purpose_key(h, purpose) -> tuple:
+    """Philox key (k0, k1) of the stream of ``purpose`` of the cell hashed
+    to ``h``: the purpose's tag mixed into the hash, the second word
+    derived from the first."""
+    k = _mix64(h ^ purpose)
+    return k, _mix64(k ^ 0xD1B54A32D192ED03)
 
 
 _local = threading.local()
@@ -106,10 +105,39 @@ def _fill_uniform(keys: list, start: int, rows) -> None:
         gen.random(out=row)
 
 
+def _first_refill(mean: float) -> int:
+    """Gap blocks of a clock's first refill: enough for its points below
+    t_end, ``mean`` of them on average, but for a 4-sd excess, so a
+    later refill is rare."""
+    return 1 + int(mean + 4.0 * math.sqrt(mean)) // _CLOCK_BLOCK
+
+
 def _ints(column, m: int) -> list[int]:
     """A batch column as m Python ints; a scalar is shared by the batch."""
     column = np.asarray(column)
     return column.tolist() if column.ndim else [int(column)] * m
+
+
+class HashedCells:
+    """A batch of cells as their hashes (``NoiseUniverse.hash_cells``):
+    a list of Python ints, or a uint64 array for a large batch.  The keys
+    of every purpose derive from them, so a batch drawn for several
+    purposes is hashed once."""
+
+    __slots__ = ("hashes",)
+
+    def __init__(self, hashes):
+        self.hashes = hashes
+
+    def __len__(self) -> int:
+        return len(self.hashes)
+
+    def keys(self, purpose: int) -> list:
+        """Philox keys [k0, k1] of the cells' streams of ``purpose``."""
+        if isinstance(self.hashes, np.ndarray):
+            return np.stack(_purpose_key(self.hashes, purpose),
+                            axis=1).tolist()
+        return [_purpose_key(h, purpose) for h in self.hashes]
 
 
 @dataclass(frozen=True)
@@ -121,7 +149,8 @@ class NoiseUniverse:
 
     A batch of cells is given as ``(lines, word_lens, word_bits)``: one
     array per identity column of a cell (``population``), or a scalar
-    shared by the batch.
+    shared by the batch; or as its ``hash_cells``, which a caller that
+    draws several purposes for one batch computes once.
     """
 
     master_seed: int
@@ -139,25 +168,26 @@ class NoiseUniverse:
             h = _mix64(h ^ byte)
         return NoiseUniverse(_mix64(h ^ (index & _MASK64)), self.dimension)
 
-    def _keys(self, cells, *purposes) -> list[list]:
-        """Philox keys [k0, k1] of a batch of cells' streams, one list of m
-        keys per purpose.
+    def hash_cells(self, cells) -> HashedCells:
+        """The cells' hashes, from which every purpose's keys derive; a
+        ``HashedCells`` is returned as it is.
 
         Large batches hash in one pass over uint64 arrays; below
         ``_VECTOR_HASH`` cells numpy's per-call cost outweighs the work, and
         the same function runs on each cell's Python ints.
         """
+        if isinstance(cells, HashedCells):
+            return cells
         m = len(cells[0])
         if m >= _VECTOR_HASH:
             lines, lens, bits = (np.asarray(c).astype(np.uint64)
                                  for c in cells)
-            keys = _hash_keys(np.full(m, self._seed_mix, dtype=np.uint64),
-                              lines, bits, lens, purposes)
-            return [np.stack(pair, axis=1).tolist() for pair in keys]
+            return HashedCells(_cell_hash(
+                np.full(m, self._seed_mix, dtype=np.uint64), lines, bits,
+                lens))
         lines, lens, bits = (_ints(c, m) for c in cells)
-        per_cell = [_hash_keys(self._seed_mix, line & _MASK64, b, n, purposes)
-                    for line, n, b in zip(lines, lens, bits)]
-        return [[cell[i] for cell in per_cell] for i in range(len(purposes))]
+        return HashedCells([_cell_hash(self._seed_mix, line & _MASK64, b, n)
+                            for line, n, b in zip(lines, lens, bits)])
 
     def _normals(self, keys: list, k0: int, k1: int, dt: float,
                  out: np.ndarray | None) -> np.ndarray:
@@ -187,8 +217,8 @@ class NoiseUniverse:
         Entry [i, j] is cell i's increment over step k0+j, i.i.d. N(0, dt·I)
         and a pure function of (universe, cell, k0+j).
         """
-        return self._normals(self._keys(cells, PURPOSE_WIENER)[0], k0, k1, dt,
-                             out)
+        return self._normals(self.hash_cells(cells).keys(PURPOSE_WIENER), k0,
+                             k1, dt, out)
 
     # -- Poisson clocks ------------------------------------------------------
 
@@ -207,49 +237,58 @@ class NoiseUniverse:
         """
         if lambda_bar <= 0:
             raise ValueError("lambda_bar must be positive")
-        m = len(cells[0])
-        offsets = np.zeros(m + 1, dtype=np.int64)
+        cells = self.hash_cells(cells)
+        offsets = np.zeros(len(cells) + 1, dtype=np.int64)
         if t_end <= 0:
             return np.empty(0), np.empty(0), offsets
-        tkeys, mkeys = self._keys(cells, PURPOSE_CLOCK_TIME,
-                                  PURPOSE_CLOCK_MARK)
+        tkeys = cells.keys(PURPOSE_CLOCK_TIME)
         counts = offsets[1:]
-        # 64 gaps per row and refill; a row goes on while its last point
-        # lies below t_end, so every block but its last lies below t_end
-        blocks, rows, carry = [], slice(None), None
+        # gaps come in blocks of 64, each block's cumulative sum carried
+        # into the next; after the first refill (``_first_refill``) each
+        # refill draws a block for the rows whose last point lies below
+        # t_end, so each row's points are a prefix of its draws
+        n_blocks = _first_refill(lambda_bar * t_end)
+        chunks, rows, carry, start = [], slice(None), None, 0
         while True:
             keys = (tkeys if carry is None
                     else [tkeys[r] for r in rows.tolist()])
-            block = np.empty((len(keys), _CLOCK_BLOCK))
-            _fill_uniform(keys, len(blocks) * _CLOCK_BLOCK, block)
+            block = np.empty((len(keys), n_blocks, _CLOCK_BLOCK))
+            _fill_uniform(keys, start, block)
             block += 2.0 ** -54
             np.log(block, out=block)
             block /= -lambda_bar
-            np.cumsum(block, axis=1, out=block)
-            if carry is not None:
-                block += carry
+            np.cumsum(block, axis=2, out=block)
+            if carry is not None:  # each block's carry, in block order
+                block += np.cumsum(np.concatenate(
+                    (carry, block[:, :-1, -1]), axis=1), axis=1)[:, :, None]
+            elif n_blocks > 1:
+                block[:, 1:] += np.cumsum(block[:, :-1, -1],
+                                          axis=1)[:, :, None]
+            block = block.reshape(len(keys), n_blocks * _CLOCK_BLOCK)
             below = block < t_end
             counts[rows] += below.sum(axis=1)
-            blocks.append((rows, block, below))
+            chunks.append((rows, start, block, below))
             more = np.flatnonzero(below[:, -1])
             if not len(more):
                 break
             rows = more if carry is None else rows[more]
             carry = block[more, -1:]
+            start += block.shape[1]
+            n_blocks = 1
         np.cumsum(offsets, out=offsets)
-        if len(blocks) == 1:  # each row's points are a prefix of its block
+        if len(chunks) == 1:  # each row's points are a prefix of its block
             times = block[below]
         else:
             times = np.empty(offsets[-1])
-            lane = np.arange(_CLOCK_BLOCK)
-            for b, (rows, block, below) in enumerate(blocks):
-                dest = offsets[:-1][rows, None] + (b * _CLOCK_BLOCK + lane)
+            for rows, start, block, below in chunks:
+                dest = offsets[:-1][rows, None] + np.arange(
+                    start, start + block.shape[1])
                 times[dest[below]] = block[below]
         marks = np.empty(len(times))
         if len(marks):
             bounds = offsets.tolist()
-            _fill_uniform(mkeys, 0, [marks[a:b] for a, b in
-                                     zip(bounds[:-1], bounds[1:])])
+            _fill_uniform(cells.keys(PURPOSE_CLOCK_MARK), 0,
+                          [marks[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
             marks += 2.0 ** -54
             marks *= lambda_bar
         return times, marks, offsets
@@ -260,7 +299,8 @@ class NoiseUniverse:
         """Uniform(0,1) draws (m, count) from the reserved init streams of a
         batch of lines."""
         out = np.empty((len(lines), count))
-        _fill_uniform(self._keys((lines, 0, 0), PURPOSE_INIT)[0], 0, out)
+        _fill_uniform(self.hash_cells((lines, 0, 0)).keys(PURPOSE_INIT), 0,
+                      out)
         out += 2.0 ** -54
         return out
 
@@ -268,5 +308,5 @@ class NoiseUniverse:
                         ) -> np.ndarray:
         """Wiener increments (m, k1-k0, d) of the replica-indexed
         mass-particle streams of a batch of replicas."""
-        keys = self._keys((replicas, 0, 0), PURPOSE_MASS)[0]
+        keys = self.hash_cells((replicas, 0, 0)).keys(PURPOSE_MASS)
         return self._normals(keys, k0, k1, dt, None)

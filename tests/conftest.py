@@ -3,7 +3,8 @@ import io
 import numpy as np
 
 from chemobranch import (DriftSpec, GridSpec, InitialFieldSpec,
-                         InitialMeasureSpec, ModelParams, RateSpec)
+                         InitialMeasureSpec, ModelParams, RateSpec, mean_se,
+                         simulate_mass_ensemble)
 from chemobranch.population import SnapshotWriter
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -65,6 +66,27 @@ def record(run, *args, **kwargs):
 
     traj = run(*args, observe=observe, **kwargs)
     return traj, states, fields
+
+
+def record_mass(*args, **kwargs):
+    """``simulate_mass_ensemble(*args, **kwargs)`` with an observer that
+    keeps every checkpoint: returns the ensemble and the paths X (K,
+    n_steps + 1, d) and M (K, n_steps + 1)."""
+    xs, ms = [], []
+
+    def observe(k, X, M):
+        assert k == len(xs)
+        xs.append(X)
+        ms.append(M)
+
+    ens = simulate_mass_ensemble(*args, observe=observe, **kwargs)
+    return ens, np.stack(xs, axis=1), np.stack(ms, axis=1)
+
+
+def mass_pairing(X, M, phi, k) -> tuple[float, float]:
+    """Mean and standard error over replicas of <phi, mu> at checkpoint k
+    of recorded mass paths, M * phi(X) as the ``mass`` command pairs it."""
+    return mean_se(M[:, k] * np.asarray(phi(X[:, k])))
 
 
 def event_rows(events):

@@ -11,12 +11,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import model_params, record
+from conftest import mass_pairing, model_params, record, record_mass
 
 from chemobranch import (Field, GridSpec, NoiseUniverse, RateSpec,
                          coupling_experiment, empirical, integrate, mean_se,
-                         semigroup_step, simulate_hybrid,
-                         simulate_mass_ensemble, solve_pks,
+                         semigroup_step, simulate_hybrid, solve_pks,
                          solve_selfconsistent_field)
 from chemobranch.analysis import TestFunctionBank
 from chemobranch.cli import main
@@ -173,8 +172,7 @@ def test_05_mean_field_equality(acc):
     scf = solve_selfconsistent_field(params, "macroscopic")
     universe = NoiseUniverse(SEED, 1)
     times = [0.2, 0.5, 1.0]
-    ens = simulate_mass_ensemble(params, scf.rho_path, universe.child("mass"),
-                                 10_000)
+    _, X, M = record_mass(params, scf.rho_path, universe.child("mass"), 10_000)
     runs = [record(simulate_hybrid, params, scf.rho_path,
                    universe.child("hybrid", r)) for r in range(1000)]
     bank = TestFunctionBank.default_for_grid(params.grid)
@@ -185,7 +183,7 @@ def test_05_mean_field_equality(acc):
     for t in times:
         k = int(round(t / params.dt))
         for name, phi in phis:
-            m_mean, m_se = ens.pairing_stats(phi, k)
+            m_mean, m_se = mass_pairing(X, M, phi, k)
             h_mean, h_se = mean_se([
                 integrate(empirical(states[k], len(traj.founder_lines)), phi)
                 for traj, states, _ in runs])
@@ -205,8 +203,8 @@ def test_06_monte_carlo_pde_cross_validation(acc):
     t0 = time.perf_counter()
     sol = solve_pks(params)
     scf = solve_selfconsistent_field(params, "macroscopic")
-    ens = simulate_mass_ensemble(params, scf.rho_path,
-                                 NoiseUniverse(SEED, 1).child("mc"), 10_000)
+    _, X, M = record_mass(params, scf.rho_path,
+                          NoiseUniverse(SEED, 1).child("mc"), 10_000)
     bank = TestFunctionBank.default_for_grid(params.grid)
     phis = {"bump_wide": bank.functions[1], "bump_narrow": bank.functions[5],
             "one": lambda x: np.ones(len(np.atleast_2d(x)))}
@@ -220,7 +218,7 @@ def test_06_monte_carlo_pde_cross_validation(acc):
             k = int(round(t / params.dt))
             pde = float(np.sum(sol.p_path[k].values * phi_nodes)
                         * grid.cell_volume)
-            mc, se = ens.pairing_stats(phi, k)
+            mc, se = mass_pairing(X, M, phi, k)
             diff = abs(pde - mc)
             # round-off allowance keeps a zero-variance band comparable
             ok = ok and diff <= 3.0 * se + 1e-9 * (1.0 + abs(pde))

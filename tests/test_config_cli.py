@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import record, row_by_row_lines
+from conftest import mass_pairing, record, record_mass, row_by_row_lines
 from hypothesis import given, settings, strategies as st
 from test_population import read_population
 
@@ -476,8 +476,17 @@ class TestCliRuns:
         assert main(["mass", "--config", cfg, "--out", str(out)]) == 0
         pairings = (out / "mass_pairings.csv").read_text().splitlines()
         assert pairings[2] == "time,phi,mean,se"
-        assert main(["hybrid", "--config", cfg, "--out", str(out)]) == 0
+        # phi-major rows: each phi's pairing at every checkpoint in turn
         params = ExperimentConfig.from_file(cfg).model_params()
+        scf = meanfield.solve_selfconsistent_field(params)
+        _, X, M = record_mass(params, scf.rho_path,
+                              NoiseUniverse(42, 1).child("mass"), 50)
+        assert pairings[3:] == [
+            f"{float(t)!r},{name},{mean!r},{se!r}"
+            for name, phi in cli._default_phis(params).items()
+            for k, t in enumerate(params.times())
+            for mean, se in [mass_pairing(X, M, phi, k)]]
+        assert main(["hybrid", "--config", cfg, "--out", str(out)]) == 0
         universe = NoiseUniverse(42, 1)
         scf = meanfield.solve_selfconsistent_field(params, universe=universe)
         _, states, _ = record(meanfield.simulate_hybrid, params,
@@ -494,19 +503,20 @@ class TestCliRuns:
         assert lines[0] == "replica,time,x1,M"
         params = ExperimentConfig.from_file(cfg).model_params()
         scf = meanfield.solve_selfconsistent_field(params)
-        ens = meanfield.simulate_mass_ensemble(
+        ens, X, M = record_mass(
             params, scf.rho_path, NoiseUniverse(42, 1).child("mass"), 3)
+        times = params.times()
         # replica-major: replica k's rows are the k-th run of len(times)
         rows = np.array([[float(x) for x in line.split(",")]
                          for line in lines[1:]])
-        rows = rows.reshape(len(ens.replica_ids), len(ens.times), 4)
+        rows = rows.reshape(len(ens.replica_ids), len(times), 4)
         assert np.array_equal(rows[:, :, 0],
-                              np.repeat([ens.replica_ids], len(ens.times),
+                              np.repeat([ens.replica_ids], len(times),
                                         axis=0).T)
         assert np.array_equal(rows[:, :, 1],
-                              np.tile(ens.times, (len(ens.replica_ids), 1)))
-        assert np.array_equal(rows[:, :, 2:3], ens.X)
-        assert np.array_equal(rows[:, :, 3], ens.M)
+                              np.tile(times, (len(ens.replica_ids), 1)))
+        assert np.array_equal(rows[:, :, 2:3], X)
+        assert np.array_equal(rows[:, :, 3], M)
 
     @pytest.mark.parametrize("key", ["init.rho0.width", "init.mu0.sd"])
     @pytest.mark.parametrize("value", ["1e6", "1e300"])

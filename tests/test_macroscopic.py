@@ -3,12 +3,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import model_params
+from conftest import mass_pairing, model_params, record_mass
 
 from chemobranch import (CFLViolation, DriftSpec, Field, GridSpec,
                          InitialFieldSpec, InitialMeasureSpec, NoiseUniverse,
-                         RateSpec, order_check, semigroup_step,
-                         simulate_mass_ensemble, solve_pks)
+                         RateSpec, order_check, semigroup_step, solve_pks)
 from chemobranch.macroscopic import _advect_upwind
 
 
@@ -197,16 +196,16 @@ class TestCompareWithMonteCarlo:
             drift=DriftSpec("zero"), dt=0.02, T=0.5,
             mu0=InitialMeasureSpec("point", {"at": [4.0]}))
         sol = solve_pks(params)
-        ens = simulate_mass_ensemble(params, sol.rho_path, NoiseUniverse(3, 1),
-                                     4000)
+        _, X, M = record_mass(params, sol.rho_path, NoiseUniverse(3, 1), 4000)
         phis = {"coord": lambda x: np.atleast_2d(x)[:, 0],
                 "one": lambda x: np.ones(len(np.atleast_2d(x)))}
         # the ensemble and the PDE share the step index
-        assert np.array_equal(ens.times, sol.times)
+        assert np.array_equal(params.times(), sol.times)
+        assert M.shape[1] == len(sol.times)
         for k in (0, 12, 25):  # t = 0, 0.24, 0.5
             for name, phi in phis.items():
                 pde = pde_pairing(sol, phi, k)
-                assert within_3se(pde, *ens.pairing_stats(phi, k))
+                assert within_3se(pde, *mass_pairing(X, M, phi, k))
                 if name == "coord":
                     assert abs(pde - 4.0) < 0.05
 
@@ -220,11 +219,11 @@ class TestCompareWithMonteCarlo:
         kernel = params.make_kernel()
         path = rebuild_field_path(
             params, lambda k: kernel.convolve_density(sol.p_path[k].values))
-        ens = simulate_mass_ensemble(params, path, NoiseUniverse(4, 1), 2000)
+        _, X, M = record_mass(params, path, NoiseUniverse(4, 1), 2000)
 
         def one(x):
             return np.ones(len(np.atleast_2d(x)))
 
         pde = pde_pairing(sol, one, params.n_steps)
-        assert within_3se(pde, *ens.pairing_stats(one, params.n_steps))
+        assert within_3se(pde, *mass_pairing(X, M, one, params.n_steps))
         assert pde == pytest.approx(np.exp(c * 0.5), rel=1e-6)

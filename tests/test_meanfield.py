@@ -1,15 +1,18 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import model_params, record, states_equal
+from conftest import (mass_pairing, model_params, record, record_mass,
+                      states_equal)
 
-from chemobranch import (DriftSpec, EmptyEnsemble, GridSpec, InitialFieldSpec,
-                         InitialMeasureSpec, NoiseUniverse, PicardStalled,
-                         RateSpec, empirical, integrate, mean_se,
-                         semigroup_step, simulate_hybrid,
+from chemobranch import (DriftSpec, EmpiricalMeasure, EmptyEnsemble, GridSpec,
+                         InitialFieldSpec, InitialMeasureSpec, NoiseUniverse,
+                         PicardStalled, RateSpec, deposit, empirical,
+                         integrate, mean_se, semigroup_step, simulate_hybrid,
                          simulate_mass_ensemble, simulate_microscopic,
                          solve_selfconsistent_field)
+from chemobranch.meanfield import rebuild_field_path
 
 
 def free_field_path(params):
@@ -119,25 +122,27 @@ class TestMassParticle:
         params = model_params(birth=RateSpec("constant", {"c": c}),
                               death=RateSpec("zero"), lambda_bar=0.3)
         path = free_field_path(params)
-        M = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 1).M[0]
+        _, _, M = record_mass(params, path, NoiseUniverse(5, 1), 1)
+        M = M[0]
         assert M[0] == 1.0
         assert M[-1] == pytest.approx(np.exp(c * params.T), rel=1e-12)
 
     def test_zero_rate_mass_is_one(self):
         params = model_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         path = free_field_path(params)
-        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 2)
-        assert np.all(ens.M == 1.0)
+        _, _, M = record_mass(params, path, NoiseUniverse(5, 1), 2)
+        assert np.all(M == 1.0)
 
     def test_mass_bounds_pathwise(self):
         params = model_params(
             birth=RateSpec("logistic", {"c": 0.3, "slope": 3.0, "center": 0.0}),
             death=RateSpec("constant", {"c": 0.2}), lambda_bar=0.6)
         path = free_field_path(params)
-        ens = simulate_mass_ensemble(params, path, NoiseUniverse(9, 1), 50)
-        lo = np.exp(-params.lambda_bar * ens.times)[None, :] * (1 - 1e-12)
-        hi = np.exp(params.lambda_bar * ens.times)[None, :] * (1 + 1e-12)
-        assert np.all(ens.M >= lo) and np.all(ens.M <= hi)
+        _, _, M = record_mass(params, path, NoiseUniverse(9, 1), 50)
+        times = params.times()
+        lo = np.exp(-params.lambda_bar * times)[None, :] * (1 - 1e-12)
+        hi = np.exp(params.lambda_bar * times)[None, :] * (1 + 1e-12)
+        assert np.all(M >= lo) and np.all(M <= hi)
 
     def test_indicator_mass_matches_occupancy_oracle(self):
         # brute-force oracle: recompute exp(c * occupancy time) from the
@@ -147,19 +152,60 @@ class TestMassParticle:
                               death=RateSpec("zero"), lambda_bar=0.3,
                               mu0=InitialMeasureSpec("uniform"), dt=0.01)
         path = free_field_path(params)
-        ens = simulate_mass_ensemble(params, path, NoiseUniverse(31, 1), 10_000)
-        inside = ens.X[:, :, 0] < 4.0
+        _, X, M = record_mass(params, path, NoiseUniverse(31, 1), 10_000)
+        inside = X[:, :, 0] < 4.0
         occ = np.trapezoid(inside.astype(float), dx=params.dt, axis=1)
         oracle = np.exp(c * occ)
-        diff = ens.M[:, -1].mean() - oracle.mean()
-        se = np.hypot(ens.M[:, -1].std(ddof=1), oracle.std(ddof=1)) / np.sqrt(10_000)
+        diff = M[:, -1].mean() - oracle.mean()
+        se = np.hypot(M[:, -1].std(ddof=1), oracle.std(ddof=1)) / np.sqrt(10_000)
         assert abs(diff) < 3 * se + c * params.dt
+
+    def test_observer_sees_every_checkpoint_unchanged(self):
+        # T = 1.5: 75 steps, two 64-step blocks of increments
+        params = model_params(T=1.5)
+        path = free_field_path(params)
+        seen = []
+
+        def observe(k, X, M):
+            seen.append((k, X, M, X.copy(), M.copy()))
+
+        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 20,
+                                     observe=observe)
+        assert [k for k, *_ in seen] == list(range(params.n_steps + 1))
+        for _, X, M, X0, M0 in seen:
+            assert X.shape == (20, 1) and M.shape == (20,)
+            assert np.array_equal(X, X0) and np.array_equal(M, M0)
+        # the returned state is the last checkpoint, observed or not
+        plain = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 20)
+        for final in (ens, plain):
+            assert np.array_equal(final.X, seen[-1][1])
+            assert np.array_equal(final.M, seen[-1][2])
+
+    def test_memory_is_flat_in_T(self):
+        # no trajectory is kept: the peak follows the replicas and one
+        # 64-step block of increments, at 100 steps as at 400.  A field
+        # caches its spectrum on first evaluation; that memory is the
+        # path's, which grows with the steps, so it is built before tracing
+        peaks = []
+        for T in (2.0, 8.0):
+            params = model_params(T=T)
+            path = free_field_path(params)
+            for rho in path:
+                rho.gradient_at(np.zeros((1, 1)))
+            assert params.n_steps > 64
+            tracemalloc.start()
+            try:
+                simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 2000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
 
     def test_replica_streams_differ(self):
         params = model_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         path = free_field_path(params)
-        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 2)
-        assert not np.array_equal(ens.X[0], ens.X[1])
+        _, X, _ = record_mass(params, path, NoiseUniverse(5, 1), 2)
+        assert not np.array_equal(X[0], X[1])
 
 
 def one(x):
@@ -170,20 +216,20 @@ class TestEstimateMu:
     def test_single_unit_mass_replica(self):
         params = model_params(birth=RateSpec("zero"), death=RateSpec("zero"))
         path = free_field_path(params)
-        ens = simulate_mass_ensemble(params, path, NoiseUniverse(5, 1), 1)
+        ens, X, M = record_mass(params, path, NoiseUniverse(5, 1), 1)
         assert ens.replica_ids == (1,)
-        for j in (0, len(ens.times) - 1):
-            assert ens.M[0, j] == 1.0
-            assert ens.pairing_stats(one, j) == (1.0, 0.0)
-            x = ens.X[0, j]
-            assert ens.pairing_stats(lambda p: p[:, 0], j) == (x[0], 0.0)
+        for j in (0, params.n_steps):
+            assert M[0, j] == 1.0
+            assert mass_pairing(X, M, one, j) == (1.0, 0.0)
+            x = X[0, j]
+            assert mass_pairing(X, M, lambda p: p[:, 0], j) == (x[0], 0.0)
 
     def test_total_mass_is_mean_M(self):
         params = model_params()
         scf = solve_selfconsistent_field(params, "macroscopic")
-        ens = simulate_mass_ensemble(params, scf.rho_path, NoiseUniverse(2, 1), 64)
-        for j in (0, len(ens.times) - 1):
-            assert ens.pairing_stats(one, j)[0] == ens.M[:, j].mean()
+        _, X, M = record_mass(params, scf.rho_path, NoiseUniverse(2, 1), 64)
+        for j in (0, params.n_steps):
+            assert mass_pairing(X, M, one, j)[0] == M[:, j].mean()
 
     def test_empty_ensemble(self):
         params = model_params()
@@ -198,14 +244,14 @@ class TestEstimateMu:
         params = model_params(dt=0.02, T=0.5)
         scf = solve_selfconsistent_field(params, "macroscopic")
         u = NoiseUniverse(77, 1)
-        ens = simulate_mass_ensemble(params, scf.rho_path, u.child("mass"), 4000)
+        _, X, M = record_mass(params, scf.rho_path, u.child("mass"), 4000)
         runs = [record(simulate_hybrid, params, scf.rho_path,
                        u.child("hyb", r)) for r in range(500)]
         from chemobranch.analysis import TestFunctionBank
         bank = TestFunctionBank.default_for_grid(params.grid)
         k = params.n_steps  # compare at final time
         for phi in [bank.functions[1], bank.functions[5], one]:
-            m_mean, m_se = ens.pairing_stats(phi, k)
+            m_mean, m_se = mass_pairing(X, M, phi, k)
             h_mean, h_se = mean_se([
                 integrate(empirical(states[k], len(traj.founder_lines)), phi)
                 for traj, states, _ in runs])
@@ -254,6 +300,25 @@ class TestSelfConsistentField:
         gap = path_gap(pic.rho_path, mac.rho_path)
         assert gap < 3 * mc_band + 1e-4
 
+    def test_picard_path_is_rebuilt_from_the_ensemble(self):
+        # each iteration's field, deposited step by step in the observer,
+        # equals bit for bit the field rebuilt from a recorded ensemble
+        params = model_params(dt=0.02, T=0.5)
+        n = 300
+        u = NoiseUniverse(13, 1)
+        pic = solve_selfconsistent_field(params, "picard", universe=u,
+                                         n_replicas=n, tol=1e-3)
+        assert len(pic.picard_gaps) >= 2
+        kernel = params.make_kernel()
+        path = rebuild_field_path(params, lambda k: None)
+        for _ in pic.picard_gaps:
+            _, X, M = record_mass(params, path, u.child("picard"), n)
+            path = rebuild_field_path(params, lambda k: deposit(
+                EmpiricalMeasure(X[:, k], M[:, k] / n), kernel, params.grid))
+        assert len(path) == len(pic.rho_path)
+        for a, b in zip(path, pic.rho_path):
+            assert np.array_equal(a.values, b.values)
+
     def test_picard_gaps_contract(self):
         params = model_params(dt=0.02, T=0.5)
         pic = solve_selfconsistent_field(params, "picard",
@@ -276,15 +341,15 @@ class TestSelfConsistentField:
         # has zero mean over replicas (estimated via the (X, M) ensemble)
         params = model_params(dt=0.02, T=0.5)
         scf = solve_selfconsistent_field(params, "macroscopic")
-        ens = simulate_mass_ensemble(params, scf.rho_path,
-                                     NoiseUniverse(37, 1), 4000)
+        ens, Xs, Ms = record_mass(params, scf.rho_path, NoiseUniverse(37, 1),
+                                  4000)
         from chemobranch.analysis import TestFunctionBank
         phi = TestFunctionBank.default_for_grid(params.grid).functions[1]
         birth_fn, death_fn = params.rates
         per_rep = np.zeros(len(ens.replica_ids))
         for k in range(params.n_steps):
-            X = ens.X[:, k]
-            M = ens.M[:, k]
+            X = Xs[:, k]
+            M = Ms[:, k]
             rho = scf.rho_path[k]
             b = params.drift_fn(X, rho.gradient_at(X))
             arg = params.rate_argument(rho, X)
@@ -292,6 +357,6 @@ class TestSelfConsistentField:
                     + 0.5 * params.sigma ** 2 * phi.laplacian(X))
             lam = birth_fn(X, arg) - death_fn(X, arg)
             per_rep += params.dt * M * (bphi + lam * phi(X))
-        resid = ens.M[:, -1] * phi(ens.X[:, -1]) - ens.M[:, 0] * phi(ens.X[:, 0]) - per_rep
+        resid = Ms[:, -1] * phi(Xs[:, -1]) - Ms[:, 0] * phi(Xs[:, 0]) - per_rep
         se = resid.std(ddof=1) / np.sqrt(len(resid))
         assert abs(resid.mean()) < 4 * se + 1e-12

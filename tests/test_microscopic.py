@@ -431,6 +431,36 @@ class TestGuards:
             simulate_microscopic(params, 10, NoiseUniverse(1, 1))
         assert 2000 < max(held) <= 3 * 2000
 
+    def test_one_cell_rounds_gather_only_the_cells_they_touch(self,
+                                                              monkeypatch):
+        # past the cap each round takes one cell; it reads the next times
+        # of that cell and its daughters only, not of every pending cell.
+        # Every clock point branches here, so the next times gathered are
+        # those of the founders and of each cell added once: linear in the
+        # rounds, not rounds x pending cells
+        params = base_params(birth=RateSpec("constant", {"c": 200.0}),
+                             death=RateSpec("zero"), lambda_bar=200.0,
+                             alpha=0.0, drift=DriftSpec("zero"), dt=1.0,
+                             T=2.0, population_cap=2000)
+        gathered, added = [], []
+        next_times, add_cells = _Engine.next_times, _Engine.add_cells
+
+        def gather(eng, slots):
+            gathered.append(len(slots))
+            return next_times(eng, slots)
+
+        def add(eng, lines, *args):
+            added.append(len(lines))
+            return add_cells(eng, lines, *args)
+
+        monkeypatch.setattr(_Engine, "next_times", gather)
+        monkeypatch.setattr(_Engine, "add_cells", add)
+        with pytest.raises(PopulationExplosion):
+            simulate_microscopic(params, 10, NoiseUniverse(1, 1))
+        one_cell_rounds = added.count(2)
+        assert one_cell_rounds > 1000
+        assert sum(gathered) <= sum(added)
+
     def test_lineage_depth_limit(self):
         # a critical branching run with many founders grows a genealogy
         # past the 64 generations that a cell's word holds
@@ -561,8 +591,8 @@ class TestRateArgumentSwitch:
         scf = solve_selfconsistent_field(params, "macroscopic")
         ens = simulate_mass_ensemble(params, scf.rho_path,
                                      NoiseUniverse(45, 1), 4000)
-        mc = ens.M[:, -1].mean()
-        se = ens.M[:, -1].std(ddof=1) / np.sqrt(4000)
+        mc = ens.M.mean()  # the final masses
+        se = ens.M.std(ddof=1) / np.sqrt(4000)
         pde = sol.mass()[-1]
         assert abs(mc - pde) < 3 * se + 2e-3
 

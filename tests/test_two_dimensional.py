@@ -42,8 +42,8 @@ def test_pde_mass_matches_mass_particles(params2d):
     sol = solve_pks(params2d)
     scf = solve_selfconsistent_field(params2d, "macroscopic")
     ens = simulate_mass_ensemble(params2d, scf.rho_path, u.child("m"), 2000)
-    mc = ens.M[:, -1].mean()
-    se = ens.M[:, -1].std(ddof=1) / np.sqrt(2000)
+    mc = ens.M.mean()  # the final masses
+    se = ens.M.std(ddof=1) / np.sqrt(2000)
     assert abs(mc - sol.mass()[-1]) < 3 * se + 2e-3
 
 
