@@ -160,18 +160,21 @@ def run_mass(cfg, out: Path, seed: int) -> int:
     scf = meanfield.solve_selfconsistent_field(params, "macroscopic")
     phis = _default_phis(params)
     stats = {name: [] for name in phis}  # (mean, se) per checkpoint
-    paths = []  # (X, M) per checkpoint, kept only to write them
+    times = params.times()
+    if write_paths:  # whole paths, kept only to write them
+        Xs = np.empty((k_reps, len(times), params.grid.d))
+        Ms = np.empty((k_reps, len(times)))
 
     def observe(k, X, M):
         for name, phi in phis.items():
             stats[name].append(mean_se(M * np.asarray(phi(X))))
         if write_paths:
-            paths.append((X, M))
+            Xs[:, k] = X
+            Ms[:, k] = M
 
     ens = meanfield.simulate_mass_ensemble(
         params, scf.rho_path, universe.child("mass"), k_reps, observe=observe)
     head = _header(cfg, seed, "mass")
-    times = params.times()
     lines = ["time,phi,mean,se"]
     for name, rows in stats.items():
         for t, (mean, se) in zip(times, rows):
@@ -180,11 +183,9 @@ def run_mass(cfg, out: Path, seed: int) -> int:
     if write_paths:
         d = params.grid.d
         cols = "replica,time," + ",".join(f"x{i + 1}" for i in range(d)) + ",M"
-        X = np.stack([x for x, _ in paths], axis=1)
-        M = np.stack([m for _, m in paths], axis=1)
         times = join_columns([times])
         _write_text(out / "mass_paths.csv", head + [cols], (
-            join_columns((repeat(str(rid)), times, *X[i].T, M[i]), sep=",")
+            join_columns((repeat(str(rid)), times, *Xs[i].T, Ms[i]), sep=",")
             for i, rid in enumerate(ens.replica_ids)))
     return EXIT_OK
 

@@ -105,13 +105,6 @@ def _fill_uniform(keys: list, start: int, rows) -> None:
         gen.random(out=row)
 
 
-def _first_refill(mean: float) -> int:
-    """Gap blocks of a clock's first refill: enough for its points below
-    t_end, ``mean`` of them on average, but for a 4-sd excess, so a
-    later refill is rare."""
-    return 1 + int(mean + 4.0 * math.sqrt(mean)) // _CLOCK_BLOCK
-
-
 def _ints(column, m: int) -> list[int]:
     """A batch column as m Python ints; a scalar is shared by the batch."""
     column = np.asarray(column)
@@ -243,46 +236,36 @@ class NoiseUniverse:
             return np.empty(0), np.empty(0), offsets
         tkeys = cells.keys(PURPOSE_CLOCK_TIME)
         counts = offsets[1:]
-        # gaps come in blocks of 64, each block's cumulative sum carried
-        # into the next; after the first refill (``_first_refill``) each
-        # refill draws a block for the rows whose last point lies below
-        # t_end, so each row's points are a prefix of its draws
-        n_blocks = _first_refill(lambda_bar * t_end)
-        chunks, rows, carry, start = [], slice(None), None, 0
+        # 64 gaps per row and refill; a row goes on while its last point
+        # lies below t_end, so every block but its last lies below t_end
+        blocks, rows, carry = [], slice(None), None
         while True:
             keys = (tkeys if carry is None
                     else [tkeys[r] for r in rows.tolist()])
-            block = np.empty((len(keys), n_blocks, _CLOCK_BLOCK))
-            _fill_uniform(keys, start, block)
+            block = np.empty((len(keys), _CLOCK_BLOCK))
+            _fill_uniform(keys, len(blocks) * _CLOCK_BLOCK, block)
             block += 2.0 ** -54
             np.log(block, out=block)
             block /= -lambda_bar
-            np.cumsum(block, axis=2, out=block)
-            if carry is not None:  # each block's carry, in block order
-                block += np.cumsum(np.concatenate(
-                    (carry, block[:, :-1, -1]), axis=1), axis=1)[:, :, None]
-            elif n_blocks > 1:
-                block[:, 1:] += np.cumsum(block[:, :-1, -1],
-                                          axis=1)[:, :, None]
-            block = block.reshape(len(keys), n_blocks * _CLOCK_BLOCK)
+            np.cumsum(block, axis=1, out=block)
+            if carry is not None:
+                block += carry
             below = block < t_end
             counts[rows] += below.sum(axis=1)
-            chunks.append((rows, start, block, below))
+            blocks.append((rows, block, below))
             more = np.flatnonzero(below[:, -1])
             if not len(more):
                 break
             rows = more if carry is None else rows[more]
             carry = block[more, -1:]
-            start += block.shape[1]
-            n_blocks = 1
         np.cumsum(offsets, out=offsets)
-        if len(chunks) == 1:  # each row's points are a prefix of its block
+        if len(blocks) == 1:  # each row's points are a prefix of its block
             times = block[below]
         else:
             times = np.empty(offsets[-1])
-            for rows, start, block, below in chunks:
-                dest = offsets[:-1][rows, None] + np.arange(
-                    start, start + block.shape[1])
+            lane = np.arange(_CLOCK_BLOCK)
+            for b, (rows, block, below) in enumerate(blocks):
+                dest = offsets[:-1][rows, None] + (b * _CLOCK_BLOCK + lane)
                 times[dest[below]] = block[below]
         marks = np.empty(len(times))
         if len(marks):

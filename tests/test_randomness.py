@@ -7,7 +7,7 @@ from numpy.random import Philox
 from scipy import stats
 from scipy.special import ndtri
 
-from chemobranch import InitialMeasureSpec, NoiseUniverse, randomness
+from chemobranch import InitialMeasureSpec, NoiseUniverse
 
 
 def idx(line, word=""):
@@ -282,22 +282,6 @@ class TestStreamAlgorithmPinned:
             cell = slice(offsets[i], offsets[i + 1])
             assert _same_bits(times[cell], ref_times)
             assert _same_bits(marks[cell], ref_marks)
-
-    @pytest.mark.parametrize("first", [1, 2])
-    def test_clock_refills_match_reference(self, monkeypatch, first):
-        # a first refill of one or two gap blocks, whatever the mean count:
-        # the later points come from refills that carry the last point on
-        monkeypatch.setattr(randomness, "_first_refill", lambda mean: first)
-        cells = [(5, 0, 0), (6, 1, 1), (7, 3, 5)]
-        for t_end, lambda_bar in ((4.0, 200.0), (4.0, 16.0), (1.5, 90.0)):
-            times, marks, offsets = NoiseUniverse(11, 1).clock_arrays(
-                batch(*cells), t_end, lambda_bar)
-            assert len(times) > 64 * first
-            for i, cell in enumerate(cells):
-                ref_times, ref_marks = _ref_clock(11, cell, t_end, lambda_bar)
-                cell = slice(offsets[i], offsets[i + 1])
-                assert _same_bits(times[cell], ref_times)
-                assert _same_bits(marks[cell], ref_marks)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, d=st.sampled_from([1, 2]), cells=cell_batches(),
