@@ -33,18 +33,22 @@ def _offsets(x, centers: np.ndarray, radii: np.ndarray,
     """Wrapped offsets y, (k, m, d), of m points from k bump centers, and
     u^2 = |y|^2 / radius^2, (k, m)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    half = 0.5 * extents[:, None, None]
-    y = (x - centers[:, None, :] + half) % extents[:, None, None] - half
+    extents = extents[:, None, None]
+    half = 0.5 * extents
+    # (x - c + L/2) mod L, as np.mod computes it but without its quotient:
+    # fmod, plus L where that is negative; the -0.0 that fmod can leave
+    # (np.mod gives +0.0) is gone once L/2 is subtracted
+    y = np.fmod(x - centers[:, None, :] + half, extents)
+    np.add(y, extents, out=y, where=y < 0.0)
+    y -= half
     return y, np.sum(y * y, axis=2) / radii[:, None] ** 2
 
 
 def _bump(u2: np.ndarray) -> np.ndarray:
     """exp(1 - 1/(1 - u^2)) inside the unit ball, 0 outside."""
-    inside = u2 < 1.0
-    out = np.zeros(u2.shape)
     with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
-    return out
+        arg = 1.0 - 1.0 / (1.0 - u2)
+    return np.exp(arg, out=np.zeros(u2.shape), where=u2 < 1.0)
 
 
 class BumpFunction:
@@ -149,8 +153,9 @@ class TestFunctionBank:
 def vague_distance(mu, nu, bank: TestFunctionBank) -> float:
     """Weighted vague metric: sum_k 2^-k min(1, |<phi_k, mu - nu>|).
 
-    Accepts empirical measures or grid fields on the same torus; the absolute
-    value makes the expression symmetric.
+    Accepts empirical measures or grid fields on the same torus, or their
+    pairings with the bank, one per function; the absolute value makes the
+    expression symmetric.
     """
     pa = _pair_any(mu, bank)
     pb = _pair_any(nu, bank)
@@ -162,6 +167,8 @@ def _pair_any(obj, bank: TestFunctionBank) -> np.ndarray:
         return bank.pair_measure(obj)
     if isinstance(obj, Field):
         return bank.pair_field(obj)
+    if isinstance(obj, np.ndarray) and obj.shape == bank.weights.shape:
+        return obj
     raise TypeError(f"cannot pair object of type {type(obj)!r}")
 
 
@@ -264,6 +271,7 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
     bank = TestFunctionBank.default_for_grid(p.grid)
     scf = solve_selfconsistent_field(p, "macroscopic")
     ref_grad = [rho.gradient_grid() for rho in scf.rho_path]
+    ref_pairs = [bank.pair_field(dens) for dens in scf.p_path]
 
     def one_replica(r: int):
         u_r = universe.child("replica", r)
@@ -273,7 +281,7 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
 
             def observe(k, state, rho):
                 nonlocal sup_dm, sup_field
-                dm = vague_distance(empirical(state, n0), scf.p_path[k], bank)
+                dm = vague_distance(empirical(state, n0), ref_pairs[k], bank)
                 sup_dm = max(sup_dm, dm)
                 err_val = float(np.max(np.abs(rho.values
                                               - scf.rho_path[k].values)))

@@ -16,10 +16,13 @@ interpolant, so value/gradient form a consistent pair.  The deposit of a
 measure is the kernel's Fourier multiplier times the conjugated atom sums
 sum_a w_a z_a^j, built by the same recurrence run over the atoms, then one
 inverse FFT.  In 2-D the leading (full) axis keeps one e^{ikx} table per
-point (``_leading_table``).  A point's value is computed by elementwise
-operations in a fixed order, so it does not depend on the batch of points
-it is evaluated in; sums over atoms are numpy reductions, never BLAS
-products, whose summation order can follow the BLAS thread count.
+point (``_leading_table``).  A point's z comes from ``point_phases`` alone,
+which checks and wraps the point first; a caller that reads the field at
+the same points more than once computes them once and passes them as
+``phases``.  A point's value is computed by elementwise operations in a
+fixed order, so it does not depend on the batch of points it is evaluated
+in; sums over atoms are numpy reductions, never BLAS products, whose
+summation order can follow the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -104,24 +107,15 @@ class Field:
     def _coefficients(self) -> np.ndarray:
         # rfftn of the values, cached; Field values are never mutated
         if self._coef is None:
-            self._coef = np.fft.rfftn(self.values)
+            self._coef = grid_rfft(self.values)
         return self._coef
 
-    def _check_points(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        if pts.shape[1] != self.grid.d:
-            raise NonFiniteQuery(f"query dimension {pts.shape[1]} != {self.grid.d}")
-        if not np.all(np.isfinite(pts)):
-            raise NonFiniteQuery("field evaluated at non-finite point")
-        return self.grid.wrap(pts)
-
-    def _interpolate(self, points: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    def _interpolate(self, points: np.ndarray, factors: np.ndarray,
+                     phases: np.ndarray | None) -> np.ndarray:
         """Interpolants at the points of the spectrum times each row of
         ``factors`` (``_interpolation_factors``), (m, len(factors))."""
         coef = np.moveaxis(self._coefficients() * factors, -1, 0)
-        z = _unit_phases(self.grid, self._check_points(points))
+        z = point_phases(self.grid, points) if phases is None else phases
         lead = _leading_table(self.grid, z)
         out = np.empty((len(factors), z.shape[1]))
         for lo in range(0, z.shape[1], _CHUNK):
@@ -130,23 +124,39 @@ class Field:
                                  None if lead is None else lead[:, sl])
         return out.T
 
-    def value_at(self, points: np.ndarray) -> np.ndarray:
-        """Trigonometric interpolant at arbitrary points, shape (m,)."""
-        return self._interpolate(points, _interpolation_factors(self.grid)[:1])[:, 0]
+    def value_at(self, points: np.ndarray, *,
+                 phases: np.ndarray | None = None) -> np.ndarray:
+        """Trigonometric interpolant at arbitrary points, shape (m,);
+        ``phases`` are the points' ``point_phases`` when the caller holds
+        them."""
+        return self._interpolate(points, _interpolation_factors(self.grid)[:1],
+                                 phases)[:, 0]
 
-    def gradient_at(self, points: np.ndarray) -> np.ndarray:
-        """Exact gradient of the interpolant used by value_at, shape (m, d)."""
-        return self._interpolate(points, _interpolation_factors(self.grid)[1:])
+    def gradient_at(self, points: np.ndarray, *,
+                    phases: np.ndarray | None = None) -> np.ndarray:
+        """Exact gradient of the interpolant used by value_at, shape (m, d);
+        ``phases`` as in ``value_at``."""
+        return self._interpolate(points, _interpolation_factors(self.grid)[1:],
+                                 phases)
 
     def gradient_grid(self) -> list[np.ndarray]:
         """Spectral gradient sampled on the grid, one array per axis."""
-        out = []
-        for k in _wavenumbers(self.grid):
-            k = k.copy()
-            k.flat[self.grid.n // 2] = 0.0  # the n/2 mode's slope is 0 at every node
-            out.append(np.fft.irfftn(1j * k * self._coefficients(),
-                                     s=self.grid.shape, axes=range(self.grid.d)))
-        return out
+        return [grid_irfft(ik * self._coefficients(), self.grid)
+                for ik in _gradient_multipliers(self.grid)]
+
+
+def grid_rfft(values: np.ndarray) -> np.ndarray:
+    """``np.fft.rfftn`` of grid values; in 1-D through ``np.fft.rfft``,
+    which gives the same bytes with less wrapper cost."""
+    return np.fft.rfft(values) if values.ndim == 1 else np.fft.rfftn(values)
+
+
+def grid_irfft(hat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Grid values of the rfftn-layout spectrum ``hat``, the inverse of
+    ``grid_rfft``."""
+    if grid.d == 1:
+        return np.fft.irfft(hat, n=grid.n)
+    return np.fft.irfftn(hat, s=grid.shape, axes=range(grid.d))
 
 
 @functools.lru_cache(maxsize=16)
@@ -165,6 +175,20 @@ def _interpolation_factors(grid: GridSpec) -> np.ndarray:
     return factors
 
 
+@functools.lru_cache(maxsize=16)
+def _gradient_multipliers(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """i k per axis on the rfftn layout, read-only, with mode n/2 at 0: its
+    slope is 0 at every node."""
+    out = []
+    for k in _wavenumbers(grid):
+        k = k.copy()
+        k.flat[grid.n // 2] = 0.0
+        ik = 1j * k
+        ik.flags.writeable = False
+        out.append(ik)
+    return tuple(out)
+
+
 def _wavenumbers(grid: GridSpec) -> list[np.ndarray]:
     """Per-axis wavenumbers broadcasting on the rfftn layout, in numpy fft
     order (mode n/2 counts as -n/2); the last axis keeps n/2 + 1 of them."""
@@ -176,6 +200,21 @@ def _wavenumbers(grid: GridSpec) -> list[np.ndarray]:
 
 _STRANDS = 8  # interleaved Horner strands on the last axis
 _CHUNK = 2048  # points per pass of the kernel, so that its arrays stay in cache
+
+
+def point_phases(grid: GridSpec, points: np.ndarray) -> np.ndarray:
+    """z = e^{2 pi i x/L} at the points (m, d) wrapped onto the torus, shape
+    (d, m), which point evaluation and the deposit read; ``NonFiniteQuery``
+    if a point is not finite or has the wrong dimension.  The one way to
+    get a point's phases, so they are computed alike wherever they are."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts.reshape(1, -1)
+    if pts.shape[1] != grid.d:
+        raise NonFiniteQuery(f"query dimension {pts.shape[1]} != {grid.d}")
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteQuery("field evaluated at non-finite point")
+    return _unit_phases(grid, grid.wrap(pts))
 
 
 def _unit_phases(grid: GridSpec, points: np.ndarray) -> np.ndarray:
@@ -284,18 +323,19 @@ class Kernel:
         """Spectral convolution (kernel * density) on the grid."""
         if values.shape != self.grid.shape:
             raise GridMismatch("density shape does not match kernel grid")
-        prod = self.hat * np.fft.rfftn(values)
-        out = np.fft.irfftn(prod, s=self.grid.shape, axes=range(self.grid.d))
-        return out * self.grid.cell_volume
+        return (grid_irfft(self.hat * grid_rfft(values), self.grid)
+                * self.grid.cell_volume)
 
 
-def deposit(measure: EmpiricalMeasure, kernel: Kernel, grid: GridSpec) -> np.ndarray:
+def deposit(measure: EmpiricalMeasure, kernel: Kernel, grid: GridSpec, *,
+            phases: np.ndarray | None = None) -> np.ndarray:
     """Mollified empirical measure on the grid: sum_a w_a * kernel(node - x_a).
 
     Spectral: the inverse FFT of kernel.hat * conj(sum_a w_a e^{ikx_a}), the
     atom sums taken mode by mode in the canonical (lineage) atom order, never
     through a BLAS product, whose order can follow its thread count; so
-    deposits are bit-reproducible.
+    deposits are bit-reproducible.  ``phases`` are the atoms'
+    ``point_phases`` when the caller holds them.
     """
     if kernel.grid != grid:
         raise GridMismatch("kernel was built for a different grid")
@@ -303,7 +343,7 @@ def deposit(measure: EmpiricalMeasure, kernel: Kernel, grid: GridSpec) -> np.nda
         raise NonFiniteAtom("deposit received non-finite atoms")
     if len(measure.weights) == 0:
         return np.zeros(grid.shape)
-    z = _unit_phases(grid, grid.wrap(measure.positions))
+    z = point_phases(grid, measure.positions) if phases is None else phases
     lead = _leading_table(grid, z)
     squares = _squares(grid, z[-1])
     terms = np.empty((2 ** (len(squares) - 1), z.shape[1]), dtype=np.complex128)
@@ -316,8 +356,7 @@ def deposit(measure: EmpiricalMeasure, kernel: Kernel, grid: GridSpec) -> np.nda
         terms *= squares[-1]
     sums.append(_atom_sums(terms[:1].conj(), lead))  # mode n/2 counts as -n/2
     spectrum = np.concatenate(sums, axis=-1)
-    return np.fft.irfftn(kernel.hat * spectrum.conj(), s=grid.shape,
-                         axes=range(grid.d))
+    return grid_irfft(kernel.hat * spectrum.conj(), grid)
 
 
 def semigroup_step(rho: Field, source: np.ndarray | None, dt: float, D: float,
@@ -326,19 +365,31 @@ def semigroup_step(rho: Field, source: np.ndarray | None, dt: float, D: float,
 
     rho_{t+dt} = S_dt rho_t + alpha * J_dt source, applied mode-by-mode with
     S multiplier exp(-(D|k|^2+r)dt) and J multiplier (1-S)/(D|k|^2+r).
+    ``rho``'s spectrum is reused when it holds one; none is attached to it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = rho.grid
-    a = D * grid.rfft_k2() + r
-    decay = np.exp(-a * dt)
-    hat = np.fft.rfftn(rho.values) * decay
+    a, decay, gain = _semigroup_multipliers(grid, D, r, dt)
+    hat = (grid_rfft(rho.values) if rho._coef is None else rho._coef) * decay
     if source is not None and alpha != 0.0:
         if np.asarray(source).shape != grid.shape:
             raise GridMismatch("source shape does not match field grid")
-        hat = hat + alpha * np.fft.rfftn(source) * (1.0 - decay) / a
-    values = np.fft.irfftn(hat, s=grid.shape, axes=range(grid.d))
-    return Field(grid, values, rho.time + dt)
+        hat = hat + alpha * grid_rfft(source) * gain / a
+    return Field(grid, grid_irfft(hat, grid), rho.time + dt)
+
+
+@functools.lru_cache(maxsize=32)
+def _semigroup_multipliers(grid: GridSpec, D: float, r: float,
+                           dt: float) -> tuple[np.ndarray, ...]:
+    """a = D|k|^2 + r, S = exp(-a dt) and 1 - S on the rfftn layout,
+    read-only."""
+    a = D * grid.rfft_k2() + r
+    decay = np.exp(-a * dt)
+    out = (a, decay, 1.0 - decay)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def check_path(path: tuple[Field, ...], dt: float, n_steps: int):

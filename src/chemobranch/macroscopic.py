@@ -14,26 +14,37 @@ interpolation and Jacobian weights (second order, preferred at large CFL).
 The density diffuses with coefficient sigma^2/2 and is transported with the
 drift, matching the particle generator (sigma^2/2) Lap + b . grad for any
 sigma, the drift and rates being the particle step's (``ModelParams``).
+The two advection half-steps of a Strang step share its velocity, so its
+departure map (departure points, their phases and the Jacobian) is built
+once per step, and the diffusion and semigroup multipliers once per
+(grid, coefficient, dt).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CFLViolation
-from .field import Field, semigroup_step
+from .field import Field, grid_irfft, grid_rfft, point_phases, semigroup_step
 from .microscopic import ModelParams
+
+
+@functools.lru_cache(maxsize=32)
+def _heat_multiplier(grid, nu: float, dt: float) -> np.ndarray:
+    """exp(-nu |k|^2 dt) on the rfftn layout, read-only."""
+    mult = np.exp(-nu * grid.rfft_k2() * dt)
+    mult.flags.writeable = False
+    return mult
 
 
 def _diffuse(grid, values: np.ndarray, nu: float, dt: float) -> np.ndarray:
     if nu == 0.0 or dt == 0.0:
         return values
-    mult = np.exp(-nu * grid.rfft_k2() * dt)
-    return np.fft.irfftn(np.fft.rfftn(values) * mult, s=grid.shape,
-                          axes=range(len(grid.shape)))
+    return grid_irfft(grid_rfft(values) * _heat_multiplier(grid, nu, dt), grid)
 
 
 def _advect_upwind(grid, values: np.ndarray, vel: list[np.ndarray],
@@ -54,21 +65,25 @@ def _advect_upwind(grid, values: np.ndarray, vel: list[np.ndarray],
     return out
 
 
-def _advect_semi_lagrangian(grid, values: np.ndarray, vel: list[np.ndarray],
-                            dt: float) -> np.ndarray:
-    """Conservative semi-Lagrangian step: p_new = p(departure) * |J|.
+def _semi_lagrangian(grid, vel: list[np.ndarray], dt: float):
+    """Conservative semi-Lagrangian step by ``vel`` over dt as a function
+    of the density: p_new = p(departure) * |J|.
 
     Departure feet use one midpoint iteration; the Jacobian of the departure
-    map comes from spectral derivatives of the (periodic) displacement.
+    map comes from spectral derivatives of the (periodic) displacement.  The
+    map, with the phases of its departure points, is built here once and
+    serves every density it is applied to; ``NonFiniteQuery`` if a midpoint
+    or departure point is not finite.
     """
     nodes = grid.node_coords()
-    vfields = [Field(grid, v) for v in vel]
     vnode = np.stack([v.ravel() for v in vel], axis=1)
     mid = grid.wrap(nodes - 0.5 * dt * vnode)
-    vmid = np.stack([vf.value_at(mid) for vf in vfields], axis=1)
+    z_mid = point_phases(grid, mid)
+    vmid = np.stack([Field(grid, v).value_at(mid, phases=z_mid) for v in vel],
+                    axis=1)
     disp = -dt * vmid  # displacement to departure point, periodic in x
     dep = grid.wrap(nodes + disp)
-    p_dep = Field(grid, values).value_at(dep)
+    z_dep = point_phases(grid, dep)
 
     # J = det(I + d(disp)/dx), spectral derivatives of each component
     if grid.d == 1:
@@ -78,18 +93,24 @@ def _advect_semi_lagrangian(grid, values: np.ndarray, vel: list[np.ndarray],
         d00 = Field(grid, disp[:, 0].reshape(grid.shape)).gradient_grid()
         d11 = Field(grid, disp[:, 1].reshape(grid.shape)).gradient_grid()
         jac = ((1.0 + d00[0]) * (1.0 + d11[1]) - d00[1] * d11[0]).ravel()
-    return (p_dep * jac).reshape(grid.shape)
+
+    def advect(values: np.ndarray) -> np.ndarray:
+        p_dep = Field(grid, values).value_at(dep, phases=z_dep)
+        return (p_dep * jac).reshape(grid.shape)
+    return advect
 
 
-def _advect(grid, values, vel, dt, scheme: str) -> np.ndarray:
+def _advection(grid, vel, dt, scheme: str):
+    """The advection step by ``vel`` over dt, as a function of the density,
+    by ``scheme`` ("auto" picks by the CFL number)."""
     if all(np.all(v == 0.0) for v in vel):
-        return values
+        return lambda values: values
     if scheme == "auto":
         cfl = sum(np.abs(v) for v in vel).max() * dt / grid.dx
         scheme = "semi_lagrangian" if cfl > 0.8 else "upwind"
     if scheme == "upwind":
-        return _advect_upwind(grid, values, vel, dt)
-    return _advect_semi_lagrangian(grid, values, vel, dt)
+        return lambda values: _advect_upwind(grid, values, vel, dt)
+    return _semi_lagrangian(grid, vel, dt)
 
 
 @dataclass(frozen=True)
@@ -134,10 +155,11 @@ def solve_pks(params: ModelParams) -> PksSolution:
         else:
             vel = [np.zeros(grid.shape)] * grid.d
 
+        advect = _advection(grid, vel, 0.5 * dt, scheme)  # both half-steps
         dens = _diffuse(grid, dens, nu, 0.5 * dt)
-        dens = _advect(grid, dens, vel, 0.5 * dt, scheme)
+        dens = advect(dens)
         dens = dens * np.exp(lam * dt)
-        dens = _advect(grid, dens, vel, 0.5 * dt, scheme)
+        dens = advect(dens)
         dens = _diffuse(grid, dens, nu, 0.5 * dt)
 
         rho = semigroup_step(rho, kernel.convolve_density(dens), 0.5 * dt,

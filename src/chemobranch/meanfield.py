@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyEnsemble, PicardStalled
-from .field import Field, check_path, deposit, semigroup_step
+from .field import Field, check_path, deposit, point_phases, semigroup_step
 from .microscopic import (WIENER_BLOCK, MicroTrajectory, ModelParams,
                           simulate_lines)
 from .population import EmpiricalMeasure
@@ -77,7 +77,11 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
     The mass update M <- M * exp(lambda(X, rho) dt) is exact for constant
     rates; X moves and lambda is evaluated as and where the branching models
     move and evaluate their clock-event rates (``ModelParams``), so the two
-    mean-measure estimators share discretization conventions.
+    mean-measure estimators share discretization conventions.  The phases
+    of the moved positions are computed once per step, for the rates and
+    the next step's drift, and not at all when neither reads the field;
+    they are dropped while a block of increments is drawn, the run's peak,
+    and computed again after it.
     """
     K = replicas
     if K < 1:
@@ -93,17 +97,25 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
     M = np.ones(K)
     if observe is not None:
         observe(0, X, M)
+    reads_field = p.rates_read_field or p.drift_fn is not None
+    z = None  # the phases of X
 
     for k in range(n_steps):
         if k % WIENER_BLOCK == 0:
             hi = min(k + WIENER_BLOCK, n_steps)
-            inc_block = None  # one block held at a time
+            inc_block = z = None  # one block held at a time, and no phases
             inc_block = universe.mass_increments(replica_ids, k, hi, dt)
+        if z is None and p.drift_fn is not None:
+            z = point_phases(p.grid, X)
         rho = rho_path[k]
-        X = p.move(X, rho, inc_block[:, k % WIENER_BLOCK], (k + 1) * dt)
+        X = p.move(X, rho, inc_block[:, k % WIENER_BLOCK], (k + 1) * dt,
+                   phases=z)
+        z = None  # freed before the next ones are computed
+        if reads_field:
+            z = point_phases(p.grid, X)
         # rate at the end-of-substep position with the substep-start field,
         # the same convention the branching engine applies at clock events
-        arg = p.rate_argument(rho, X)
+        arg = p.rate_argument(rho, X, phases=z)
         lam = birth_fn(X, arg) - death_fn(X, arg)
         M = M * np.exp(lam * dt)
         if observe is not None:

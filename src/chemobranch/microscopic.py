@@ -16,6 +16,12 @@ that need them and the rounds find the events of global time order.  This
 order plus counter-based noise makes every trajectory a pure function of
 (params, universe), independent of threads.
 
+The phases of a position (``field.point_phases``) are computed once per
+step, right after the move, when the deposit or the next step's gradient
+reads them: the ringing cells' rates read a subset of them, survivors keep
+theirs and daughters take their mother's, as they sit at her position.
+When nothing reads the field, none are computed.
+
 Cells enter the engine in batches, all founders at once and all daughters
 of a step's round together, and each batch draws its clock points in one
 call.  Wiener increments are held one 64-step block per cell: every live
@@ -46,7 +52,7 @@ import numpy as np
 from .errors import (ConfigInvalid, LineageDepthExceeded, NonFiniteState,
                      PopulationExplosion)
 from .field import (Field, GridSpec, Kernel, check_path, deposit,
-                    semigroup_step)
+                    point_phases, semigroup_step)
 from .population import (MAX_WORD_LEN, EmpiricalMeasure, PopulationState,
                          cell_keys)
 from .randomness import NoiseUniverse
@@ -141,25 +147,34 @@ class ModelParams:
         """b(x, grad rho), or None for the zero drift."""
         return None if self.drift.is_zero else self.drift.build(self.grid.d)
 
-    def rate_argument(self, field: Field, points=None) -> np.ndarray:
+    @cached_property
+    def rates_read_field(self) -> bool:
+        """Whether a rate reads the field (else ``rate_argument`` is 0)."""
+        return self.birth.reads_field or self.death.reads_field
+
+    def rate_argument(self, field: Field, points=None, *,
+                      phases=None) -> np.ndarray:
         """``field``'s value or gradient norm (``lambda_arg``) at ``points``,
-        or the nodes (row-major) if None; zeros if no rate reads the field."""
-        if not (self.birth.reads_field or self.death.reads_field):
+        or the nodes (row-major) if None; zeros if no rate reads the field.
+        ``phases`` are the points' ``point_phases`` when the caller holds
+        them."""
+        if not self.rates_read_field:
             return np.zeros(field.values.size if points is None
                             else len(points))
         if self.lambda_arg == "rho":
             return (field.values.ravel() if points is None
-                    else field.value_at(points))
+                    else field.value_at(points, phases=phases))
         g = (np.stack([c.ravel() for c in field.gradient_grid()], axis=1)
-             if points is None else field.gradient_at(points))
+             if points is None else field.gradient_at(points, phases=phases))
         return np.sqrt(np.sum(g * g, axis=1))
 
-    def move(self, x: np.ndarray, rho: Field, inc: np.ndarray,
-             t: float) -> np.ndarray:
+    def move(self, x: np.ndarray, rho: Field, inc: np.ndarray, t: float, *,
+             phases=None) -> np.ndarray:
         """Euler-Maruyama step of ``x`` (m, d) to time t with increments
-        ``inc``, wrapped onto the torus; ``NonFiniteState`` if not finite."""
+        ``inc``, wrapped onto the torus; ``NonFiniteState`` if not finite.
+        ``phases`` are ``x``'s ``point_phases`` when the caller holds them."""
         if self.drift_fn is not None:
-            x = x + self.drift_fn(x, rho.gradient_at(x)) * self.dt
+            x = x + self.drift_fn(x, rho.gradient_at(x, phases=phases)) * self.dt
         x = np.mod(x + self.sigma * inc, self.grid.extent)
         if not np.all(np.isfinite(x)):
             raise NonFiniteState(f"non-finite position at t={t}")
@@ -411,7 +426,8 @@ class _Engine:
         self.inc[slots, cols] = self.u.wiener_increments(
             cells, k, end, self.p.dt, out=block)
 
-    def process_clocks(self, slots: np.ndarray, times: np.ndarray, k: int):
+    def process_clocks(self, slots: np.ndarray, times: np.ndarray,
+                       k: int) -> list[np.ndarray]:
         """Process the clock points of step k, before (k + 1)·dt, of the
         live cells ``slots``, whose next points are at ``times``, in
         rounds: each reads its cells' next points and marks, evaluates the
@@ -419,7 +435,8 @@ class _Engine:
         daughters in one batch; the next round holds the daughters and
         rejected cells whose next point is in the step.  The pending cells'
         next times travel with them, so a round gathers only the next times
-        of the cells it touched.
+        of the cells it touched.  Returns the mothers of each batch of
+        daughters in the order they were added, two daughters each.
 
         The cap and the depth limit hold in time order (``_Tally``).  A
         round at most doubles the live count; once it passes the cap, the
@@ -431,7 +448,7 @@ class _Engine:
         t_next = (k + 1) * self.p.dt
         birth_fn, death_fn = self.p.rates
         n_start, branches, deep = self.n_live, 0, False
-        found, tally, heap = [], None, []
+        found, tally, heap, born = [], None, [], []
         while len(slots) or heap:
             if tally is not None:  # the earliest cell alone
                 t0, _, s = heapq.heappop(heap)
@@ -455,6 +472,7 @@ class _Engine:
             pending = [(kept, self.next_times(kept))]
             mothers = slots[branch]
             if len(mothers):
+                born.append(mothers)
                 branches += len(mothers)
                 deep = deep or self.wlens[mothers].max() >= MAX_WORD_LEN
                 words = np.repeat(self.wbits[mothers] << 1, 2)
@@ -465,8 +483,8 @@ class _Engine:
                     np.repeat(self.pos[mothers], 2, axis=0),
                     np.repeat(t[branch], 2), k + 1)
                 self.rate_arg[new] = np.repeat(self.rate_arg[mothers], 2)
-                born = np.arange(new.start, new.stop)
-                pending.append((born, self.next_times(born)))
+                daughters = np.arange(new.start, new.stop)
+                pending.append((daughters, self.next_times(daughters)))
             slots = np.concatenate([s[ts < t_next] for s, ts in pending])
             times = np.concatenate([ts[ts < t_next] for _, ts in pending])
             if tally is None and self.n_live > cap and len(slots):
@@ -482,6 +500,23 @@ class _Engine:
         if tally is not None:
             tally.check_before(np.inf)
         self.events.extend(found)
+        return born
+
+    def follow_phases(self, z: np.ndarray, ls: np.ndarray, count: int,
+                      born: list[np.ndarray]) -> np.ndarray:
+        """The phases of the live slots from those ``z`` of the slots
+        ``ls`` before a step's clock events, after which ``count`` slots
+        were in use and ``born`` was returned: survivors keep theirs and a
+        daughter takes her mother's, at whose position she sits."""
+        if self.count == count:  # deaths at most: ls in order, thinned
+            alive = self.alive[ls]
+            return z if alive.all() else z[:, alive]
+        src = np.empty(self.count, dtype=np.int64)  # each slot's column of z
+        src[ls] = np.arange(len(ls))
+        for mothers in born:
+            src[count:count + 2 * len(mothers)] = np.repeat(src[mothers], 2)
+            count += 2 * len(mothers)
+        return z[:, src[self.live_slots()]]
 
     def in_order(self, events):
         """Batches of (times, slots, branched) as one, sorted by (time,
@@ -579,20 +614,35 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
     if observe is not None:
         observe(0, eng.snapshot(0.0), rho)
 
+    # the live cells' phases, kept from the move to the deposit and the
+    # next step's gradient when either reads them
+    keep_phases = kernel is not None or p.drift_fn is not None
+    z = None
     for k in range(n_steps):
         t_next = (k + 1) * dt
         if k and k % WIENER_BLOCK == 0:  # every live cell draws the new block
             eng.draw_increments(eng.live_slots(), k)
         ls = eng.live_slots()
         if len(ls):
+            if z is None and p.drift_fn is not None:  # the founders
+                z = point_phases(p.grid, eng.pos[ls])
             eng.pos[ls] = p.move(eng.pos[ls], rho,
-                                 eng.inc[ls, k % WIENER_BLOCK], t_next)
+                                 eng.inc[ls, k % WIENER_BLOCK], t_next,
+                                 phases=z)
+            z = None  # freed before the next ones are computed
+            if keep_phases:
+                z = point_phases(p.grid, eng.pos[ls])
             times = eng.next_times(ls)
             rings = times < t_next
             ring = ls[rings]
             if len(ring):  # one batch: the ringing cells
-                eng.rate_arg[ring] = p.rate_argument(rho, eng.pos[ring])
-            eng.process_clocks(ring, times[rings], k)
+                eng.rate_arg[ring] = p.rate_argument(
+                    rho, eng.pos[ring],
+                    phases=None if z is None else z[:, rings])
+            count = eng.count
+            born = eng.process_clocks(ring, times[rings], k)
+            if z is not None:
+                z = eng.follow_phases(z, ls, count, born)
 
         if coupled:
             source = None
@@ -600,7 +650,7 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
                 ls = eng.live_slots()
                 measure = EmpiricalMeasure(eng.pos[ls].reshape(len(ls), d),
                                            np.full(len(ls), 1.0 / n0))
-                source = deposit(measure, kernel, p.grid)
+                source = deposit(measure, kernel, p.grid, phases=z)
             rho = semigroup_step(rho, source, dt, p.D, p.r, p.alpha)
             if not np.all(np.isfinite(rho.values)):
                 raise NonFiniteState(f"non-finite field at t={t_next}")

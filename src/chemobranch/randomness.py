@@ -72,13 +72,12 @@ _local = threading.local()
 def _fill_uniform(keys: list, start: int, rows) -> None:
     """Fill each row (a C-contiguous float64 array) with raw outputs
     [start, start + row.size) of the Philox stream keyed by the matching
-    [k0, k1] of ``keys``, as (raw >> 11) * 2^-53.
+    [k0, k1] of ``keys``, as (raw >> 11) * 2^-53, in [0, 1);
+    ``_open_unit`` then maps them into (0, 1).
 
     One Philox instance is reused per thread (construction would re-seed
     from OS entropy on every call); resetting its state dict is bitwise
-    equivalent to constructing Philox(key=key, counter=start // 4).  Adding
-    2^-54 afterwards maps the block into (0, 1) exactly as
-    ((raw >> 11) + 0.5) * 2^-53 does.
+    equivalent to constructing Philox(key=key, counter=start // 4).
     """
     try:
         bg, gen, state = _local.philox
@@ -103,6 +102,17 @@ def _fill_uniform(keys: list, start: int, rows) -> None:
         if skip:
             bg.random_raw(skip)
         gen.random(out=row)
+
+
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _open_unit(block: np.ndarray) -> np.ndarray:
+    """Map ``_fill_uniform``'s outputs into (0, 1) in place: add 2^-54, as
+    ((raw >> 11) + 0.5) * 2^-53 does, and clamp the top output, which
+    rounds to exactly 1.0 (ties to even), to the largest double below 1."""
+    block += 2.0 ** -54
+    return np.minimum(block, _BELOW_ONE, out=block)
 
 
 def _ints(column, m: int) -> list[int]:
@@ -195,8 +205,7 @@ class NoiseUniverse:
         elif out.shape != shape:
             raise ValueError(f"out has shape {out.shape}, expected {shape}")
         _fill_uniform(keys, k0 * self.dimension, out)
-        out += 2.0 ** -54
-        ndtri(out, out=out)
+        ndtri(_open_unit(out), out=out)
         out *= math.sqrt(dt)
         return out
 
@@ -244,8 +253,7 @@ class NoiseUniverse:
                     else [tkeys[r] for r in rows.tolist()])
             block = np.empty((len(keys), _CLOCK_BLOCK))
             _fill_uniform(keys, len(blocks) * _CLOCK_BLOCK, block)
-            block += 2.0 ** -54
-            np.log(block, out=block)
+            np.log(_open_unit(block), out=block)
             block /= -lambda_bar
             np.cumsum(block, axis=1, out=block)
             if carry is not None:
@@ -272,7 +280,7 @@ class NoiseUniverse:
             bounds = offsets.tolist()
             _fill_uniform(cells.keys(PURPOSE_CLOCK_MARK), 0,
                           [marks[a:b] for a, b in zip(bounds[:-1], bounds[1:])])
-            marks += 2.0 ** -54
+            _open_unit(marks)
             marks *= lambda_bar
         return times, marks, offsets
 
@@ -284,8 +292,7 @@ class NoiseUniverse:
         out = np.empty((len(lines), count))
         _fill_uniform(self.hash_cells((lines, 0, 0)).keys(PURPOSE_INIT), 0,
                       out)
-        out += 2.0 ** -54
-        return out
+        return _open_unit(out)
 
     def mass_increments(self, replicas, k0: int, k1: int, dt: float
                         ) -> np.ndarray:

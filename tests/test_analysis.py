@@ -137,6 +137,36 @@ class TestPairMeasure:
             assert bank.pair_measure(mu).tobytes() == per_bump.tobytes()
 
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bank_values_keep_the_np_mod_formula_bits(self, d):
+        # the wrap runs as fmod plus a masked + L; the bump exponentiates
+        # only inside the ball; both against the np.mod / gather formula
+        def reference(x, centers, radii, extents):
+            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+            half = 0.5 * extents[:, None, None]
+            y = (x - centers[:, None, :] + half) % extents[:, None, None] - half
+            u2 = np.sum(y * y, axis=2) / radii[:, None] ** 2
+            inside = u2 < 1.0
+            out = np.zeros(u2.shape)
+            with np.errstate(divide="ignore", over="ignore"):
+                out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
+            return out
+
+        L = 8.0
+        bank = TestFunctionBank.default_for_grid(GridSpec(d, 64, L))
+        centers = np.stack([f.center for f in bank.functions])
+        radii = np.array([f.radius for f in bank.functions])
+        rng = np.random.default_rng(40 + d)
+        edges = np.array([0.0, L, -0.0, np.nextafter(L, 0.0), -1e-300,
+                          -L, 3 * L, 1e6, -1e6, 0.5 * L])
+        for x in (rng.uniform(0.0, L, (1400, d)),
+                  rng.uniform(-50.0, 60.0, (500, d)),
+                  np.stack([edges] * d, axis=1),
+                  centers, centers + radii[:, None], centers - L):
+            expected = reference(x, centers, radii, np.full(len(radii), L))
+            assert bank._values(x).tobytes() == expected.tobytes()
+
+
 class TestHelpers:
     def test_wilson_interval(self):
         phat, lo, hi = wilson_interval(8, 10)
@@ -213,6 +243,19 @@ class TestMeasureConvergence:
         assert a.to_csv_lines() == b.to_csv_lines()
         assert (json.dumps(a.summary, sort_keys=True)
                 == json.dumps(b.summary, sort_keys=True))
+
+    def test_reference_density_paired_once_per_checkpoint(self, monkeypatch):
+        calls = []
+        original = TestFunctionBank.pair_field
+
+        def counted(bank, field):
+            calls.append(field.time)
+            return original(bank, field)
+
+        monkeypatch.setattr(TestFunctionBank, "pair_field", counted)
+        params = base_params(dt=0.05, T=0.25)
+        measure_convergence_experiment(params, [4, 8], 3, NoiseUniverse(7, 1))
+        assert calls == list(params.times())
 
     def test_report_schema(self):
         # coupled config so both statistics have genuine replica variance

@@ -19,6 +19,9 @@ the rate and drift functions (``build`` of a ``RateSpec`` or
 ``DriftSpec``) and decides what the rates read (``lambda_arg``,
 ``reads_field``) and whether there is a drift (``is_zero``); every model
 reads them from it.
+
+A point's phases have one source: only ``field.point_phases``, which checks
+and wraps the points first, calls ``field._unit_phases``.
 """
 
 import ast
@@ -144,3 +147,23 @@ def test_only_model_params_owns_the_particle_step():
             todo.extend(ast.iter_child_nodes(node))
     assert found == [], ("rates, drift or what the rates read decided "
                          f"outside ModelParams: {sorted(found)}")
+
+
+def test_only_point_phases_computes_phases():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        todo = [ast.parse(path.read_text(encoding="utf-8"))]
+        while todo:
+            node = todo.pop()
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "point_phases"
+                    and path.name == "field.py"):
+                continue
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+                if name == "_unit_phases":
+                    found.append(f"{path.name}:{node.lineno}")
+            todo.extend(ast.iter_child_nodes(node))
+    assert found == [], f"phases computed outside point_phases: {found}"

@@ -10,7 +10,8 @@ from conftest import record
 from chemobranch import (ConfigInvalid, EmpiricalMeasure, Field, GridMismatch,
                          GridSpec, Kernel, NonFiniteQuery, check_path,
                          deposit, semigroup_step)
-from chemobranch.field import field_to_bytes, field_to_csv_lines
+from chemobranch.field import (field_to_bytes, field_to_csv_lines, grid_irfft,
+                               grid_rfft, point_phases)
 
 
 @pytest.fixture
@@ -305,6 +306,60 @@ class TestEvaluation:
         rho = Field(grid1, np.zeros(grid1.shape))
         with pytest.raises(NonFiniteQuery):
             rho.value_at(np.array([[np.nan]]))
+
+
+class TestSharedPhases:
+    """A caller that holds the points' ``point_phases`` passes them, and the
+    result is what the field computes from the points."""
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 32)])
+    def test_passed_phases_give_the_same_bits(self, d, n):
+        grid = GridSpec(d, n, 8.0)
+        rng = np.random.default_rng(31)
+        rho = Field(grid, rng.normal(size=grid.shape))
+        pts = rng.uniform(-8.0, 16.0, size=(300, d))
+        pts[:3] = [0.0] * d, [8.0] * d, [-0.0] * d
+        z = point_phases(grid, pts)
+        assert z.shape == (d, 300)
+        assert (rho.value_at(pts, phases=z).tobytes()
+                == rho.value_at(pts).tobytes())
+        assert (rho.gradient_at(pts, phases=z).tobytes()
+                == rho.gradient_at(pts).tobytes())
+        mu = EmpiricalMeasure(pts, rng.uniform(0.0, 1.0, 300))
+        kern = Kernel(grid)
+        assert (deposit(mu, kern, grid, phases=z).tobytes()
+                == deposit(mu, kern, grid).tobytes())
+
+    @pytest.mark.parametrize("d, n", [(1, 2), (1, 128), (2, 16)])
+    def test_grid_transforms_equal_the_n_dimensional_ones(self, d, n):
+        grid = GridSpec(d, n, 8.0)
+        values = np.random.default_rng(32).normal(size=grid.shape)
+        hat = grid_rfft(values)
+        assert hat.tobytes() == np.fft.rfftn(values).tobytes()
+        hat = hat * np.exp(-grid.rfft_k2())
+        assert (grid_irfft(hat, grid).tobytes() == np.fft.irfftn(
+            hat, s=grid.shape, axes=range(d)).tobytes())
+
+    def test_semigroup_step_reuses_a_held_spectrum_and_attaches_none(self):
+        grid = GridSpec(2, 16, 8.0)
+        rng = np.random.default_rng(33)
+        values, src = rng.normal(size=(2,) + grid.shape)
+        fresh = Field(grid, values)
+        out = semigroup_step(fresh, src, 0.05, 1.0, 0.5, 0.7)
+        assert fresh._coef is None and out._coef is None
+        held = Field(grid, values)
+        held.gradient_grid()  # now holds its spectrum
+        again = semigroup_step(held, src, 0.05, 1.0, 0.5, 0.7)
+        assert again.values.tobytes() == out.values.tobytes()
+
+    def test_step_multipliers_are_cached_read_only(self):
+        from chemobranch.field import _semigroup_multipliers
+        grid = GridSpec(1, 32, 8.0)
+        first = _semigroup_multipliers(grid, 1.0, 0.5, 0.01)
+        assert _semigroup_multipliers(grid, 1.0, 0.5, 0.01) is first
+        for arr in first:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestModeMajorKernel:

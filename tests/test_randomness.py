@@ -336,3 +336,33 @@ class TestStreamAlgorithmPinned:
             assert _same_bits(inc, ref_inc)
             assert _same_bits(times, ref_times)
             assert _same_bits(marks, ref_marks)
+
+
+def test_top_raw_output_maps_inside_the_open_unit_interval(monkeypatch):
+    # (2^53 - 1) * 2^-53 + 2^-54 rounds (ties to even) to 1.0, where ndtri
+    # is +inf and log is 0; every transform clamps it below 1
+    from chemobranch import randomness
+    real = randomness._fill_uniform
+    top = (2 ** 53 - 1) * 2.0 ** -53
+
+    def fill(keys, start, rows):
+        real(keys, start, rows)
+        for row in rows:
+            if row.size:
+                row.flat[0] = top  # every stream's first draw
+
+    monkeypatch.setattr(randomness, "_fill_uniform", fill)
+    u = NoiseUniverse(5, 2)
+    cells = batch(idx(1), idx(2, "01"))
+    for inc in (u.wiener_increments(cells, 0, 3, 0.01),
+                u.mass_increments([1, 2], 0, 3, 0.01)):
+        assert np.all(np.isfinite(inc))
+        assert np.all(inc[:, 0, 0] == ndtri(np.nextafter(1.0, 0.0)) * 0.1)
+    init = u.init_uniforms([1, 2], 2)
+    assert np.all((init > 0.0) & (init < 1.0))
+    assert np.all(init[:, 0] == np.nextafter(1.0, 0.0))
+    spec = InitialMeasureSpec("gaussian", {"center": [4.0], "sd": 0.5})
+    assert np.all(np.isfinite(spec.sample(u, [1, 2], 2, 8.0)))
+    times, marks, offsets = u.clock_arrays(cells, 3.0, 2.0)
+    assert np.all(times[offsets[:-1]] > 0.0)  # no zero first gap
+    assert np.all(marks < 2.0) and np.all(marks > 0.0)
