@@ -61,7 +61,8 @@ def _snapshot_observer(path: Path, head: list[str]):
 
 def _write_json(path: Path, cfg: ExperimentConfig, seed: int, payload: dict):
     doc = {"config_hash": cfg.hash, "master_seed": seed, "summary": payload}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -138,7 +139,7 @@ def run_hybrid(cfg, out: Path, seed: int) -> int:
     scf = meanfield.solve_selfconsistent_field(
         params, mode, universe=universe,
         n_replicas=cfg.get_count("meanfield.picard_replicas", 2000),
-        tol=cfg.get_float("meanfield.picard_tol", 1e-4))
+        tol=cfg.get_float("meanfield.picard_tol", 1e-4, positive=True))
     head = _header(cfg, seed, "hybrid")
     with _snapshot_observer(out / "hybrid_snapshots.txt", head) as observe:
         traj = meanfield.simulate_hybrid(params, scf.rho_path, universe,
@@ -203,7 +204,9 @@ def run_converge(cfg, out: Path, seed: int) -> int:
 def run_couple(cfg, out: Path, seed: int) -> int:
     params = cfg.model_params()
     n0_list = cfg.get_count_list("couple.n0_list")
-    eps_list = cfg.get_float_list("couple.eps", [0.05, 0.2])
+    eps_list = cfg.get_float_list("couple.eps", [0.05, 0.2], positive=True)
+    if len({f"{eps:g}" for eps in eps_list}) < len(eps_list):
+        raise ConfigInvalid("couple.eps", f"two share a summary key: {eps_list}")
     replicas = cfg.get_count("run.replicas")
     universe = NoiseUniverse(seed, params.grid.d)
     report = analysis.coupling_experiment(params, n0_list, replicas, eps_list,

@@ -59,14 +59,16 @@ def parse_config_text(text: str) -> dict[str, str]:
     return pairs
 
 
-def _parse_float(key: str, token: str) -> float:
-    """A finite float, or a ConfigInvalid naming ``key``."""
+def _parse_float(key: str, token: str, positive: bool = False) -> float:
+    """A finite float, above 0 if asked, or a ConfigInvalid naming ``key``."""
     try:
         val = float(token)
     except ValueError:
         raise ConfigInvalid(key, f"not a number: {token!r}") from None
     if not math.isfinite(val):
         raise ConfigInvalid(key, f"must be finite, got {token!r}")
+    if positive and not val > 0:
+        raise ConfigInvalid(key, f"must be positive, got {token!r}")
     return val
 
 
@@ -108,12 +110,13 @@ class ExperimentConfig:
             raise ConfigInvalid(key, "missing required key")
         return default
 
-    def get_float(self, key: str, default: float | None = None) -> float:
+    def get_float(self, key: str, default: float | None = None, *,
+                  positive: bool = False) -> float:
         if key not in self.pairs:
             if default is None:
                 raise ConfigInvalid(key, "missing required key")
             return default
-        return _parse_float(key, self.pairs[key])
+        return _parse_float(key, self.pairs[key], positive)
 
     def get_int(self, key: str, default: int | None = None) -> int:
         if key not in self.pairs:
@@ -142,20 +145,21 @@ class ExperimentConfig:
             return False
         raise ConfigInvalid(key, f"not a boolean: {self.pairs[key]!r}")
 
-    def get_float_list(self, key: str, default: list[float] | None = None) -> list[float]:
+    def get_float_list(self, key: str, default: list[float] | None = None, *,
+                       positive: bool = False) -> list[float]:
         if key not in self.pairs:
             if default is None:
                 raise ConfigInvalid(key, "missing required key")
             return default
-        out = [_parse_float(key, tok) for tok in self.pairs[key].split(",")
-               if tok.strip()]
+        out = [_parse_float(key, tok, positive)
+               for tok in self.pairs[key].split(",") if tok.strip()]
         if not out:
             raise ConfigInvalid(key, f"holds no numbers: {self.pairs[key]!r}")
         return out
 
     def get_count_list(self, key: str) -> list[int]:
-        """A required comma-separated list of integers >= 1 with at least two
-        distinct entries: the population sizes a trend is fitted over."""
+        """A required comma-separated list of at least two strictly increasing
+        integers >= 1: the population sizes a trend reads in list order."""
         out = []
         for v in self.get_float_list(key):
             if v != int(v):
@@ -163,9 +167,9 @@ class ExperimentConfig:
             if v < 1:
                 raise ConfigInvalid(key, f"entries must be at least 1, got {v:g}")
             out.append(int(v))
-        if len(set(out)) < 2:
-            raise ConfigInvalid(key, "a trend needs at least two distinct "
-                                     f"entries, got {len(set(out))}")
+        if len(out) < 2 or any(a >= b for a, b in zip(out, out[1:])):
+            raise ConfigInvalid(key, "a trend needs at least two strictly "
+                                     f"increasing entries, got {out}")
         return out
 
     def _section_params(self, prefix: str) -> dict:

@@ -176,11 +176,13 @@ def solve_pks(params: ModelParams) -> PksSolution:
 def order_check(params: ModelParams, sol: PksSolution) -> dict:
     """The Strang order observed over a dt-halving triplet on the configured
     problem, ``sol`` being its solution at dt, and the verdict that it lies
-    in [1.8, 2.2]: ``{"observed_order": ..., "pass": ...}``."""
+    in [1.8, 2.2]: ``{"observed_order": ..., "pass": ...}``; the order is
+    None (JSON null), and fails, when an error is 0."""
     finals = [sol.p_path[-1].values] + [
         solve_pks(dataclasses.replace(params, dt=params.dt / 2 ** j))
         .p_path[-1].values for j in (1, 2)]
     e1 = np.max(np.abs(finals[0] - finals[1]))
     e2 = np.max(np.abs(finals[1] - finals[2]))
-    order = float(np.log2(e1 / e2))
-    return {"observed_order": order, "pass": 1.8 <= order <= 2.2}
+    order = float(np.log2(e1 / e2)) if e1 > 0 and e2 > 0 else None
+    return {"observed_order": order,
+            "pass": order is not None and 1.8 <= order <= 2.2}

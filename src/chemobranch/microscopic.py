@@ -16,11 +16,12 @@ that need them and the rounds find the events of global time order.  This
 order plus counter-based noise makes every trajectory a pure function of
 (params, universe), independent of threads.
 
-The phases of a position (``field.point_phases``) are computed once per
-step, right after the move, when the deposit or the next step's gradient
-reads them: the ringing cells' rates read a subset of them, survivors keep
-theirs and daughters take their mother's, as they sit at her position.
-When nothing reads the field, none are computed.
+The phases of a position (``field.point_phases``) are a slot column of
+the engine, like the rates' argument: written for the live cells right
+after the move when the deposit or the next step's gradient reads them,
+and copied from mother to daughters, who sit at her position.  The
+ringing cells' rates read a subset of them.  When nothing reads the field,
+none are computed or copied.
 
 Cells enter the engine in batches, all founders at once and all daughters
 of a step's round together, and each batch draws its clock points in one
@@ -251,8 +252,8 @@ class MicroTrajectory:
         return (n0 + int(net.max(initial=0))) / n0
 
 
-_PER_CELL = ("lines", "wlens", "wbits", "keys", "births", "deaths", "alive",
-             "pos", "cursor", "rate_arg", "inc")
+_PER_CELL = ("lines", "wlens", "wbits", "keys", "births", "deaths", "pos",
+             "cursor", "rate_arg", "z", "inc")
 
 
 def _explosion(cap: int) -> PopulationExplosion:
@@ -316,7 +317,9 @@ class _Engine:
 
     ``keys`` holds each cell's ``cell_keys`` key, set once at its birth
     (``add_cells``); every ordering of cells, of slots and of tied events
-    alike, sorts or searches that column.
+    alike, sorts or searches that column.  A cell is live while its
+    ``deaths`` entry is inf.  ``rate_arg`` and, if ``keep_phases``, the
+    phases ``z`` of ``pos`` pass from a mother to her daughters as ``pos``.
 
     ``inc`` holds one block of Wiener increments per cell, (cap, 64, d):
     step k reads column k % 64.  Every live cell draws a block when it
@@ -325,9 +328,11 @@ class _Engine:
     through ``draw_increments``.
     """
 
-    def __init__(self, params: ModelParams, universe: NoiseUniverse):
+    def __init__(self, params: ModelParams, universe: NoiseUniverse, *,
+                 keep_phases: bool = False):
         self.p = params
         self.u = universe
+        self.keep_phases = keep_phases
         self.d = params.grid.d
         self.n_steps = params.n_steps
         cap = 64
@@ -337,10 +342,10 @@ class _Engine:
         self.keys = cell_keys(self.lines, self.wlens, self.wbits)
         self.births = np.zeros(cap)
         self.deaths = np.zeros(cap)
-        self.alive = np.zeros(cap, dtype=bool)
         self.pos = np.zeros((cap, self.d))
         self.cursor = np.zeros(cap, dtype=np.int64)
         self.rate_arg = np.zeros(cap)  # what its rates read in this step
+        self.z = np.zeros((cap, self.d), dtype=complex)  # phases of pos, if kept
         self.inc = np.zeros((cap, min(WIENER_BLOCK, self.n_steps), self.d))
         self.count = 0
         self.n_live = 0
@@ -381,7 +386,6 @@ class _Engine:
                                    self.wbits[new])
         self.births[new] = births
         self.deaths[new] = np.inf
-        self.alive[new] = True
         self.pos[new] = positions
         # one hash per cell for its clock and Wiener streams
         hashed = self.u.hash_cells(
@@ -426,8 +430,7 @@ class _Engine:
         self.inc[slots, cols] = self.u.wiener_increments(
             cells, k, end, self.p.dt, out=block)
 
-    def process_clocks(self, slots: np.ndarray, times: np.ndarray,
-                       k: int) -> list[np.ndarray]:
+    def process_clocks(self, slots: np.ndarray, times: np.ndarray, k: int):
         """Process the clock points of step k, before (k + 1)·dt, of the
         live cells ``slots``, whose next points are at ``times``, in
         rounds: each reads its cells' next points and marks, evaluates the
@@ -435,8 +438,7 @@ class _Engine:
         daughters in one batch; the next round holds the daughters and
         rejected cells whose next point is in the step.  The pending cells'
         next times travel with them, so a round gathers only the next times
-        of the cells it touched.  Returns the mothers of each batch of
-        daughters in the order they were added, two daughters each.
+        of the cells it touched.
 
         The cap and the depth limit hold in time order (``_Tally``).  A
         round at most doubles the live count; once it passes the cap, the
@@ -448,7 +450,7 @@ class _Engine:
         t_next = (k + 1) * self.p.dt
         birth_fn, death_fn = self.p.rates
         n_start, branches, deep = self.n_live, 0, False
-        found, tally, heap, born = [], None, [], []
+        found, tally, heap = [], None, []
         while len(slots) or heap:
             if tally is not None:  # the earliest cell alone
                 t0, _, s = heapq.heappop(heap)
@@ -461,7 +463,6 @@ class _Engine:
             end = branch | (z <= lb + death_fn(x, arg))
             ended = slots[end]
             if len(ended):
-                self.alive[ended] = False
                 self.deaths[ended] = t[end]
                 self.n_live -= len(ended)
                 self._live = None
@@ -472,7 +473,6 @@ class _Engine:
             pending = [(kept, self.next_times(kept))]
             mothers = slots[branch]
             if len(mothers):
-                born.append(mothers)
                 branches += len(mothers)
                 deep = deep or self.wlens[mothers].max() >= MAX_WORD_LEN
                 words = np.repeat(self.wbits[mothers] << 1, 2)
@@ -483,6 +483,8 @@ class _Engine:
                     np.repeat(self.pos[mothers], 2, axis=0),
                     np.repeat(t[branch], 2), k + 1)
                 self.rate_arg[new] = np.repeat(self.rate_arg[mothers], 2)
+                if self.keep_phases:
+                    self.z[new] = np.repeat(self.z[mothers], 2, axis=0)
                 daughters = np.arange(new.start, new.stop)
                 pending.append((daughters, self.next_times(daughters)))
             slots = np.concatenate([s[ts < t_next] for s, ts in pending])
@@ -500,23 +502,11 @@ class _Engine:
         if tally is not None:
             tally.check_before(np.inf)
         self.events.extend(found)
-        return born
 
-    def follow_phases(self, z: np.ndarray, ls: np.ndarray, count: int,
-                      born: list[np.ndarray]) -> np.ndarray:
-        """The phases of the live slots from those ``z`` of the slots
-        ``ls`` before a step's clock events, after which ``count`` slots
-        were in use and ``born`` was returned: survivors keep theirs and a
-        daughter takes her mother's, at whose position she sits."""
-        if self.count == count:  # deaths at most: ls in order, thinned
-            alive = self.alive[ls]
-            return z if alive.all() else z[:, alive]
-        src = np.empty(self.count, dtype=np.int64)  # each slot's column of z
-        src[ls] = np.arange(len(ls))
-        for mothers in born:
-            src[count:count + 2 * len(mothers)] = np.repeat(src[mothers], 2)
-            count += 2 * len(mothers)
-        return z[:, src[self.live_slots()]]
+    def phases(self, slots: np.ndarray) -> np.ndarray | None:
+        """``z`` of ``slots`` as the contiguous (d, m) array the field reads,
+        or None when the run keeps no phases."""
+        return np.ascontiguousarray(self.z[slots].T) if self.keep_phases else None
 
     def in_order(self, events):
         """Batches of (times, slots, branched) as one, sorted by (time,
@@ -553,14 +543,14 @@ class _Engine:
         """Live slots sorted by (line, word length, word bits)."""
         if self._live is None:
             order = self.ordered_slots()
-            self._live = order[self.alive[order]]
+            self._live = order[self.deaths[order] == np.inf]
         return self._live
 
     def snapshot(self, t: float) -> PopulationState:
         """Every cell born so far, dead ones too, in canonical order."""
         rows = self.ordered_slots()
         pos = self.pos[rows]
-        pos[~self.alive[rows]] = np.nan
+        pos[self.deaths[rows] < np.inf] = np.nan
         return PopulationState(t, self.d, self.lines[rows], self.wlens[rows],
                                self.wbits[rows], self.births[rows],
                                self.deaths[rows], pos, self.keys[rows])
@@ -604,45 +594,38 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
 
     if n0 > p.population_cap:
         raise _explosion(p.population_cap)
-    eng = _Engine(p, universe)
+    # phases are kept when the deposit or the next step's gradient reads them
+    eng = _Engine(p, universe,
+                  keep_phases=kernel is not None or p.drift_fn is not None)
     lines = np.array(founder_lines, dtype=np.int64)
-    eng.add_cells(lines, 0, 0, p.mu0.sample(universe, lines, d, p.grid.extent),
-                  0.0, 0)
+    founders = eng.add_cells(
+        lines, 0, 0, p.mu0.sample(universe, lines, d, p.grid.extent), 0.0, 0)
+    if p.drift_fn is not None:  # the first gradient reads the founders'
+        eng.z[founders] = point_phases(p.grid, eng.pos[founders]).T
 
     live = np.empty(n_steps + 1, dtype=np.int64)
     live[0] = eng.n_live
     if observe is not None:
         observe(0, eng.snapshot(0.0), rho)
 
-    # the live cells' phases, kept from the move to the deposit and the
-    # next step's gradient when either reads them
-    keep_phases = kernel is not None or p.drift_fn is not None
-    z = None
     for k in range(n_steps):
         t_next = (k + 1) * dt
         if k and k % WIENER_BLOCK == 0:  # every live cell draws the new block
             eng.draw_increments(eng.live_slots(), k)
         ls = eng.live_slots()
         if len(ls):
-            if z is None and p.drift_fn is not None:  # the founders
-                z = point_phases(p.grid, eng.pos[ls])
-            eng.pos[ls] = p.move(eng.pos[ls], rho,
-                                 eng.inc[ls, k % WIENER_BLOCK], t_next,
-                                 phases=z)
-            z = None  # freed before the next ones are computed
-            if keep_phases:
-                z = point_phases(p.grid, eng.pos[ls])
+            eng.pos[ls] = p.move(
+                eng.pos[ls], rho, eng.inc[ls, k % WIENER_BLOCK], t_next,
+                phases=None if p.drift_fn is None else eng.phases(ls))
+            if eng.keep_phases:
+                eng.z[ls] = point_phases(p.grid, eng.pos[ls]).T
             times = eng.next_times(ls)
             rings = times < t_next
             ring = ls[rings]
             if len(ring):  # one batch: the ringing cells
                 eng.rate_arg[ring] = p.rate_argument(
-                    rho, eng.pos[ring],
-                    phases=None if z is None else z[:, rings])
-            count = eng.count
-            born = eng.process_clocks(ring, times[rings], k)
-            if z is not None:
-                z = eng.follow_phases(z, ls, count, born)
+                    rho, eng.pos[ring], phases=eng.phases(ring))
+            eng.process_clocks(ring, times[rings], k)
 
         if coupled:
             source = None
@@ -650,7 +633,8 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
                 ls = eng.live_slots()
                 measure = EmpiricalMeasure(eng.pos[ls].reshape(len(ls), d),
                                            np.full(len(ls), 1.0 / n0))
-                source = deposit(measure, kernel, p.grid, phases=z)
+                source = deposit(measure, kernel, p.grid,
+                                 phases=eng.phases(ls))
             rho = semigroup_step(rho, source, dt, p.D, p.r, p.alpha)
             if not np.all(np.isfinite(rho.values)):
                 raise NonFiniteState(f"non-finite field at t={t_next}")

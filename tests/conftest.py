@@ -41,6 +41,23 @@ def model_params(**over):
     return ModelParams(**defaults)
 
 
+def model_params_2d(**over):
+    """The 2-D counterpart of ``model_params`` on a 64 x 64 torus, with the
+    fields in ``over`` replaced."""
+    defaults = dict(
+        grid=GridSpec(2, 64, 8.0),
+        sigma=0.2, D=1.0, r=0.5, alpha=0.5, lambda_bar=0.5,
+        birth=RateSpec("logistic", {"c": 0.3, "slope": 2.0, "center": 0.2}),
+        death=RateSpec("constant", {"c": 0.1}),
+        drift=DriftSpec("chemotaxis", {"chi": 0.5, "gsat": 2.0}),
+        mu0=InitialMeasureSpec("gaussian", {"center": [4.0, 4.0], "sd": 0.5}),
+        rho0=InitialFieldSpec("bump", {"amp": 1.0, "center": [4.0, 4.0],
+                                       "width": 1.0}),
+        dt=0.05, T=0.5, advection="semi_lagrangian")
+    defaults.update(over)
+    return ModelParams(**defaults)
+
+
 def states_equal(a, b) -> bool:
     """Whether two population states hold the same cells, keys and words
     included, with the same births, deaths and positions, bit for bit."""

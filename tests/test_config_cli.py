@@ -321,6 +321,21 @@ class TestCliRuns:
         ("couple", "run.replicas = 2\ncouple.n0_list = 8\n", "couple.n0_list"),
         ("couple", "run.replicas = 2\ncouple.n0_list = 4,8\ncouple.eps = ,\n",
          "couple.eps"),
+        # a trend reads the means in list order
+        ("converge", "run.replicas = 2\nconverge.n0_list = 256,16\n",
+         "converge.n0_list"),
+        ("couple", "run.replicas = 2\ncouple.n0_list = 16,16,64\n",
+         "couple.n0_list"),
+        # every replica exceeds a threshold of 0; two thresholds with one
+        # label would share a summary key
+        ("couple", "run.replicas = 2\ncouple.n0_list = 4,8\n"
+                   "couple.eps = 0.05,0\n", "couple.eps"),
+        ("couple", "run.replicas = 2\ncouple.n0_list = 4,8\n"
+                   "couple.eps = 0.05,0.0500000001\n", "couple.eps"),
+        # a gap is at least 0, so a tolerance of 0 or below is never met
+        ("hybrid", "meanfield.mode = picard\nmeanfield.picard_tol = 0\n",
+         "meanfield.picard_tol"),
+        ("hybrid", "meanfield.picard_tol = -1e-4\n", "meanfield.picard_tol"),
         ("mass", "mass.replicas = 5\nmass.write_paths = maybe\n",
          "mass.write_paths"),
         ("macro", "macro.order_check = sure\n", "macro.order_check"),
@@ -461,6 +476,27 @@ class TestCliRuns:
         assert main(["macro", "--config", cfg, "--out", str(out)]) == 4
         doc = json.loads((out / "macro_order.json").read_text())
         assert doc["summary"]["pass"] is False
+
+    def test_macro_order_check_without_errors_writes_a_null_order(
+            self, tmp_path, capsys):
+        # a flat, sourceless problem: every dt gives the same solution, so
+        # both Strang errors are 0 and the triplet shows no order
+        flat = re.sub(r"(?m)^(birth|death|drift|init)\..*\n", "", BASE_CONFIG)
+        path = tmp_path / "flat.cfg"
+        path.write_text(flat + "birth.kind = zero\ndeath.kind = zero\n"
+                               "drift.kind = zero\ninit.mu0.kind = uniform\n"
+                               "init.rho0.kind = constant\ninit.rho0.c = 1.0\n"
+                               "macro.order_check = true\n")
+        out = tmp_path / "out"
+        assert main(["macro", "--config", str(path), "--out", str(out)]) == 4
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads((out / "macro_order.json").read_text(),
+                         parse_constant=reject)
+        assert doc["summary"] == {"observed_order": None, "pass": False}
+        assert capsys.readouterr().err == ""
 
     def test_macro_order_check_passes_semi_lagrangian(self, tmp_path):
         cfg = write_config(tmp_path, "macro.scheme = semi_lagrangian\n"

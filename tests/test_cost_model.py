@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import model_params, record
+from conftest import model_params, model_params_2d, record
 
 from chemobranch import (DriftSpec, Field, GridSpec, NoiseUniverse,
                          NonFiniteQuery, RateSpec, simulate_hybrid,
@@ -80,11 +80,16 @@ def test_nothing_reads_the_field_in_a_yule_run(phase_points):
     assert phase_points == []
 
 
-def test_carried_phases_leave_the_run_unchanged(monkeypatch):
+@pytest.mark.parametrize("params", [
+    model_params(T=0.4),
+    # only in 2-D does the (cap, d) column differ in layout from the
+    # (d, m) phases the field reads
+    model_params_2d(grid=GridSpec(2, 32, 8.0)),
+], ids=["1d", "2d"])
+def test_carried_phases_leave_the_run_unchanged(monkeypatch, params):
     # the same run with every phase recomputed where it is read: the
     # helper is bypassed by dropping every phases argument
-    params = model_params(T=0.4)
-    u = NoiseUniverse(8, 1)
+    u = NoiseUniverse(8, params.grid.d)
     traj, states, fields = record(simulate_microscopic, params, 150, u)
     for cls_attr in ("value_at", "gradient_at"):
         original = getattr(Field, cls_attr)

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import record
+from conftest import model_params_2d, record
 
-from chemobranch import (DriftSpec, GridSpec, InitialFieldSpec,
-                         InitialMeasureSpec, ModelParams, NoiseUniverse,
+from chemobranch import (DriftSpec, InitialMeasureSpec, NoiseUniverse,
                          RateSpec, measure_convergence_experiment,
                          simulate_hybrid,
                          simulate_mass_ensemble, simulate_microscopic,
@@ -14,16 +13,7 @@ from chemobranch import (DriftSpec, GridSpec, InitialFieldSpec,
 
 @pytest.fixture(scope="module")
 def params2d():
-    return ModelParams(
-        grid=GridSpec(2, 64, 8.0),
-        sigma=0.2, D=1.0, r=0.5, alpha=0.5, lambda_bar=0.5,
-        birth=RateSpec("logistic", {"c": 0.3, "slope": 2.0, "center": 0.2}),
-        death=RateSpec("constant", {"c": 0.1}),
-        drift=DriftSpec("chemotaxis", {"chi": 0.5, "gsat": 2.0}),
-        mu0=InitialMeasureSpec("gaussian", {"center": [4.0, 4.0], "sd": 0.5}),
-        rho0=InitialFieldSpec("bump", {"amp": 1.0, "center": [4.0, 4.0],
-                                       "width": 1.0}),
-        dt=0.05, T=0.5, advection="semi_lagrangian")
+    return model_params_2d()
 
 
 def test_micro_and_hybrid_couple_bitwise(params2d):
