@@ -93,7 +93,7 @@ class GridSpec:
 class Field:
     """Grid-sampled scalar field with spectral point evaluation."""
 
-    __slots__ = ("grid", "values", "time", "_coef")
+    __slots__ = ("grid", "values", "time")
 
     def __init__(self, grid: GridSpec, values: np.ndarray, time: float = 0.0):
         values = np.asarray(values, dtype=np.float64)
@@ -102,19 +102,12 @@ class Field:
         self.grid = grid
         self.values = values
         self.time = float(time)
-        self._coef = None
-
-    def _coefficients(self) -> np.ndarray:
-        # rfftn of the values, cached; Field values are never mutated
-        if self._coef is None:
-            self._coef = grid_rfft(self.values)
-        return self._coef
 
     def _interpolate(self, points: np.ndarray, factors: np.ndarray,
                      phases: np.ndarray | None) -> np.ndarray:
         """Interpolants at the points of the spectrum times each row of
         ``factors`` (``_interpolation_factors``), (m, len(factors))."""
-        coef = np.moveaxis(self._coefficients() * factors, -1, 0)
+        coef = np.moveaxis(grid_rfft(self.values) * factors, -1, 0)
         z = point_phases(self.grid, points) if phases is None else phases
         lead = _leading_table(self.grid, z)
         out = np.empty((len(factors), z.shape[1]))
@@ -141,7 +134,8 @@ class Field:
 
     def gradient_grid(self) -> list[np.ndarray]:
         """Spectral gradient sampled on the grid, one array per axis."""
-        return [grid_irfft(ik * self._coefficients(), self.grid)
+        hat = grid_rfft(self.values)
+        return [grid_irfft(ik * hat, self.grid)
                 for ik in _gradient_multipliers(self.grid)]
 
 
@@ -365,13 +359,12 @@ def semigroup_step(rho: Field, source: np.ndarray | None, dt: float, D: float,
 
     rho_{t+dt} = S_dt rho_t + alpha * J_dt source, applied mode-by-mode with
     S multiplier exp(-(D|k|^2+r)dt) and J multiplier (1-S)/(D|k|^2+r).
-    ``rho``'s spectrum is reused when it holds one; none is attached to it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = rho.grid
     a, decay, gain = _semigroup_multipliers(grid, D, r, dt)
-    hat = (grid_rfft(rho.values) if rho._coef is None else rho._coef) * decay
+    hat = grid_rfft(rho.values) * decay
     if source is not None and alpha != 0.0:
         if np.asarray(source).shape != grid.shape:
             raise GridMismatch("source shape does not match field grid")

@@ -79,9 +79,7 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
     move and evaluate their clock-event rates (``ModelParams``), so the two
     mean-measure estimators share discretization conventions.  The phases
     of the moved positions are computed once per step, for the rates and
-    the next step's drift, and not at all when neither reads the field;
-    they are dropped while a block of increments is drawn, the run's peak,
-    and computed again after it.
+    the next step's drift, and not at all when neither reads the field.
     """
     K = replicas
     if K < 1:
@@ -103,14 +101,13 @@ def simulate_mass_ensemble(params: ModelParams, rho_path: tuple[Field, ...],
     for k in range(n_steps):
         if k % WIENER_BLOCK == 0:
             hi = min(k + WIENER_BLOCK, n_steps)
-            inc_block = z = None  # one block held at a time, and no phases
+            inc_block = None  # one block held at a time
             inc_block = universe.mass_increments(replica_ids, k, hi, dt)
         if z is None and p.drift_fn is not None:
             z = point_phases(p.grid, X)
         rho = rho_path[k]
         X = p.move(X, rho, inc_block[:, k % WIENER_BLOCK], (k + 1) * dt,
                    phases=z)
-        z = None  # freed before the next ones are computed
         if reads_field:
             z = point_phases(p.grid, X)
         # rate at the end-of-substep position with the substep-start field,

@@ -256,60 +256,6 @@ _PER_CELL = ("lines", "wlens", "wbits", "keys", "births", "deaths", "pos",
              "cursor", "rate_arg", "z", "inc")
 
 
-def _explosion(cap: int) -> PopulationExplosion:
-    return PopulationExplosion(f"live count {cap + 1} exceeds cap {cap}")
-
-
-class _Tally:
-    """The live count over one step's events in time order, checked against
-    the population cap and the depth limit as the events become final.
-
-    It starts from the events found so far, sorted; later events are passed
-    to ``add`` in time order, each once every event before it is found, and
-    the sorted events before it are checked first.  The first error in time
-    order is raised, the depth limit first when one event meets both.
-    """
-
-    def __init__(self, eng: "_Engine", found, n_start: int):
-        self.eng = eng
-        self.t, self.s, b = eng.in_order(found)
-        self.live = n_start + np.cumsum(np.where(b, 1, -1))
-        self.deep = b & (eng.wlens[self.s] >= MAX_WORD_LEN)
-        self.n_start = n_start
-        self.done = 0  # sorted events checked so far
-        self.added = 0  # net births of the events added since, all earlier
-
-    def check_before(self, horizon: float):
-        """Check the sorted events before ``horizon``."""
-        self._check_to(int(np.searchsorted(self.t, horizon)))
-
-    def _check_to(self, j: int):
-        live = self.live[self.done:j] + self.added
-        deep = self.deep[self.done:j]
-        bad = np.flatnonzero((live > self.eng.p.population_cap) | deep)
-        if len(bad):
-            self._raise(deep[bad[0]])
-        self.done = max(self.done, j)
-
-    def add(self, t: float, s: int, branched: bool):
-        eng = self.eng
-        # after the sorted events before t and those at t with smaller keys
-        lo, hi = np.searchsorted(self.t, t), np.searchsorted(self.t, t, "right")
-        j = int(lo + np.searchsorted(eng.keys[self.s[lo:hi]], eng.keys[s]))
-        self._check_to(j)
-        self.added += 1 if branched else -1
-        live = (self.live[j - 1] if j else self.n_start) + self.added
-        deep = branched and eng.wlens[s] >= MAX_WORD_LEN
-        if deep or live > eng.p.population_cap:
-            self._raise(deep)
-
-    def _raise(self, deep: bool):
-        if deep:
-            raise LineageDepthExceeded(
-                f"genealogy deeper than {MAX_WORD_LEN} generations")
-        raise _explosion(self.eng.p.population_cap)
-
-
 class _Engine:
     """Growable arrays of per-cell state plus the flat store of clock points:
     a cell's points sit in ``clock_times``/``clock_marks`` followed by one
@@ -326,6 +272,10 @@ class _Engine:
     starts, and each batch of new cells draws from the step it first moves
     in to the end of that step's block as ``add_cells`` enters it; both go
     through ``draw_increments``.
+
+    ``events`` holds the clock events as the rounds of ``process_clocks``
+    find them, a batch per round; ``in_order`` sorts them into the order
+    in which they happen.
     """
 
     def __init__(self, params: ModelParams, universe: NoiseUniverse, *,
@@ -432,76 +382,99 @@ class _Engine:
 
     def process_clocks(self, slots: np.ndarray, times: np.ndarray, k: int):
         """Process the clock points of step k, before (k + 1)·dt, of the
-        live cells ``slots``, whose next points are at ``times``, in
-        rounds: each reads its cells' next points and marks, evaluates the
-        rates once, kills the cells that branch or die and adds all their
-        daughters in one batch; the next round holds the daughters and
-        rejected cells whose next point is in the step.  The pending cells'
-        next times travel with them, so a round gathers only the next times
-        of the cells it touched.
-
-        The cap and the depth limit hold in time order (``_Tally``).  A
-        round at most doubles the live count; once it passes the cap, the
-        pending cells go into a heap by (next time, key) and the rounds pop
-        one cell at a time, so that every event is final when found and the
-        run stops at the first one past the cap.
+        live cells ``slots``, whose next points are at ``times``, in rounds
+        (``_round``) while cells are pending and the live count is within
+        the cap; a round at most doubles the live count.  When a limit may
+        be crossed (cells still pending, a branching mother at the word
+        limit, or more branches than the cap leaves room for), ``_walk``
+        holds both in time order.
         """
         cap = self.p.population_cap
-        t_next = (k + 1) * self.p.dt
+        n_start, found, branches, depth = self.n_live, len(self.events), 0, 0
+        while len(slots) and self.n_live <= cap:
+            mothers, slots, times = self._round(slots, times, k)
+            branches += len(mothers)
+            depth = max(depth, self.wlens[mothers].max(initial=0))
+        if len(slots) or depth >= MAX_WORD_LEN or n_start + branches > cap:
+            self._walk(slots, times, k, n_start, found)
+
+    def _round(self, slots: np.ndarray, times: np.ndarray, k: int):
+        """One round of step k over the live cells ``slots``, whose next
+        points are at ``times``: read their marks, evaluate the rates once,
+        end the cells that branch or die and add all daughters in one
+        batch.  Returns the mothers and the cells still pending in the step,
+        daughters and rejected cells, with their next times, gathering only
+        the next times of the cells it touched."""
         birth_fn, death_fn = self.p.rates
-        n_start, branches, deep = self.n_live, 0, False
-        found, tally, heap = [], None, []
-        while len(slots) or heap:
-            if tally is not None:  # the earliest cell alone
-                t0, _, s = heapq.heappop(heap)
-                slots, times = np.array([s]), np.array([t0])
-            t, z = times, self.clock_marks[self.cursor[slots]]
-            self.cursor[slots] += 1
-            x, arg = self.pos[slots], self.rate_arg[slots]
-            lb = birth_fn(x, arg)
-            branch = z <= lb
-            end = branch | (z <= lb + death_fn(x, arg))
-            ended = slots[end]
-            if len(ended):
-                self.deaths[ended] = t[end]
-                self.n_live -= len(ended)
-                self._live = None
-                found.append((t[end], ended, branch[end]))
-                if tally is not None:
-                    tally.add(float(t[0]), int(slots[0]), bool(branch[0]))
-            kept = slots[~end]
-            pending = [(kept, self.next_times(kept))]
-            mothers = slots[branch]
-            if len(mothers):
-                branches += len(mothers)
-                deep = deep or self.wlens[mothers].max() >= MAX_WORD_LEN
-                words = np.repeat(self.wbits[mothers] << 1, 2)
-                words[1::2] |= 1
-                new = self.add_cells(
-                    np.repeat(self.lines[mothers], 2),
-                    np.repeat(self.wlens[mothers] + 1, 2), words,
-                    np.repeat(self.pos[mothers], 2, axis=0),
-                    np.repeat(t[branch], 2), k + 1)
-                self.rate_arg[new] = np.repeat(self.rate_arg[mothers], 2)
-                if self.keep_phases:
-                    self.z[new] = np.repeat(self.z[mothers], 2, axis=0)
-                daughters = np.arange(new.start, new.stop)
-                pending.append((daughters, self.next_times(daughters)))
-            slots = np.concatenate([s[ts < t_next] for s, ts in pending])
-            times = np.concatenate([ts[ts < t_next] for _, ts in pending])
-            if tally is None and self.n_live > cap and len(slots):
-                tally = _Tally(self, found, n_start)
-                tally.check_before(times.min())
-            if tally is not None:
+        z = self.clock_marks[self.cursor[slots]]
+        self.cursor[slots] += 1
+        x, arg = self.pos[slots], self.rate_arg[slots]
+        lb = birth_fn(x, arg)
+        branch = z <= lb
+        end = branch | (z <= lb + death_fn(x, arg))
+        ended = slots[end]
+        if len(ended):
+            self.deaths[ended] = times[end]
+            self.n_live -= len(ended)
+            self._live = None
+            self.events.append((times[end], ended, branch[end]))
+        kept = slots[~end]
+        pending = [(kept, self.next_times(kept))]
+        mothers = slots[branch]
+        if len(mothers):
+            words = np.repeat(self.wbits[mothers] << 1, 2)
+            words[1::2] |= 1
+            new = self.add_cells(
+                np.repeat(self.lines[mothers], 2),
+                np.repeat(self.wlens[mothers] + 1, 2), words,
+                np.repeat(self.pos[mothers], 2, axis=0),
+                np.repeat(times[branch], 2), k + 1)
+            self.rate_arg[new] = np.repeat(self.rate_arg[mothers], 2)
+            if self.keep_phases:
+                self.z[new] = np.repeat(self.z[mothers], 2, axis=0)
+            daughters = np.arange(new.start, new.stop)
+            pending.append((daughters, self.next_times(daughters)))
+        t_next = (k + 1) * self.p.dt
+        return (mothers,
+                np.concatenate([s[ts < t_next] for s, ts in pending]),
+                np.concatenate([ts[ts < t_next] for _, ts in pending]))
+
+    def _walk(self, slots: np.ndarray, times: np.ndarray, k: int,
+              n_start: int, found: int):
+        """Check step k's events one at a time in time order, from the live
+        count ``n_start`` at its start: the depth limit first, then the cap,
+        raising at the first event past one.  The events found so far,
+        ``events[found:]``, merge with those of the pending cells ``slots``,
+        at ``times``, which a heap by (next time, key) hands out as rounds
+        of one, so that each event is final when it is checked."""
+        cap = self.p.population_cap
+        t, s, b = self.in_order(self.events[found:])
+        known = zip(t, self.keys[s], s, b)
+        heap = list(zip(times.tolist(), self.keys[slots].tolist(),
+                        slots.tolist()))
+        heapq.heapify(heap)
+        live, event = n_start, next(known, None)
+        while event or heap:
+            if heap and (event is None or heap[0][:2] < event[:2]):
+                t0, _, cell = heapq.heappop(heap)
+                mothers, slots, times = self._round(np.array([cell]),
+                                                    np.array([t0]), k)
                 for entry in zip(times.tolist(), self.keys[slots].tolist(),
                                  slots.tolist()):
                     heapq.heappush(heap, entry)
-                slots = slots[:0]
-        if tally is None and (deep or n_start + branches > cap):
-            tally = _Tally(self, found, n_start)
-        if tally is not None:
-            tally.check_before(np.inf)
-        self.events.extend(found)
+                if self.deaths[cell] == np.inf:  # its point was rejected
+                    continue
+                branched = len(mothers) > 0
+            else:
+                _, _, cell, branched = event
+                event = next(known, None)
+            if branched and self.wlens[cell] >= MAX_WORD_LEN:
+                raise LineageDepthExceeded(
+                    f"genealogy deeper than {MAX_WORD_LEN} generations")
+            live += 1 if branched else -1
+            if live > cap:
+                raise PopulationExplosion(
+                    f"live count {live} exceeds cap {cap}")
 
     def phases(self, slots: np.ndarray) -> np.ndarray | None:
         """``z`` of ``slots`` as the contiguous (d, m) array the field reads,
@@ -571,9 +544,14 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
     with the dead ones kept, built only when ``observe`` is given, and
     ``rho`` the field then.  Neither changes afterwards.
 
-    ``founder_lines`` must be one or more distinct integers from 1, else
-    ``ValueError``: a line number leads the identity of each of its cells.
+    ``founder_lines``, a sequence, must be one or more distinct integers
+    from 1, else ``ValueError``: a line number leads the identity of each
+    of its cells.  More founders than ``population_cap`` raise
+    ``PopulationExplosion`` before any is built.
     """
+    if len(founder_lines) > params.population_cap:
+        raise PopulationExplosion(f"founder count {len(founder_lines)} "
+                                  f"exceeds cap {params.population_cap}")
     founder_lines = tuple(int(i) for i in founder_lines)
     if not founder_lines or min(founder_lines) < 1 \
             or len(set(founder_lines)) < len(founder_lines):
@@ -592,8 +570,6 @@ def simulate_lines(params: ModelParams, founder_lines, universe: NoiseUniverse,
         check_path(rho_path, dt, n_steps)
         rho = rho_path[0]
 
-    if n0 > p.population_cap:
-        raise _explosion(p.population_cap)
     # phases are kept when the deposit or the next step's gradient reads them
     eng = _Engine(p, universe,
                   keep_phases=kernel is not None or p.drift_fn is not None)

@@ -54,8 +54,11 @@ def test_hybrid_step_computes_each_position_once(phase_points):
     assert sum(phase_points) == 1 + int(traj.live[:-1].sum())
 
 
-def test_mass_step_computes_each_position_once(phase_points):
-    params = model_params(T=0.4)
+@pytest.mark.parametrize("T", [0.4, 1.4], ids=["20", "70"])
+def test_mass_step_computes_each_position_once(phase_points, T):
+    # the founders once, after the first increment block is drawn, then
+    # every moved replica once per step; 70 steps span a second block
+    params = model_params(T=T)
     rho_path = rebuild_field_path(params, lambda k: None)
     simulate_mass_ensemble(params, rho_path, NoiseUniverse(5, 1), 300)
     assert phase_points == [300] * (params.n_steps + 1)

@@ -12,8 +12,8 @@ from conftest import (event_rows, model_params, record, states_equal,
 
 from chemobranch import (ConfigInvalid, DriftSpec, InitialMeasureSpec,
                          LineageDepthExceeded, NoiseUniverse,
-                         PopulationExplosion, RateSpec, population,
-                         simulate_lines, simulate_microscopic)
+                         PopulationExplosion, RateSpec, microscopic,
+                         population, simulate_lines, simulate_microscopic)
 from chemobranch.microscopic import (EVENT_BRANCH, EVENT_DEATH,
                                      MAX_CLOCK_POINTS, _Engine)
 
@@ -374,6 +374,45 @@ class TestGuards:
         with pytest.raises(PopulationExplosion):
             simulate_microscopic(
                 dataclasses.replace(params, population_cap=peak - 1), 10, u)
+
+    def test_depth_limit_wins_a_tie_and_an_earlier_cap_wins(self,
+                                                            monkeypatch):
+        # with words of at most 3 generations, the first branch by a cell
+        # of word length 3 meets the depth limit; with the cap at the live
+        # count c just before it, the same event also passes the cap, and
+        # the depth limit is raised.  One below, the event that first
+        # reached c passes the cap earlier, and the cap is raised
+        params = base_params(birth=RateSpec("constant", {"c": 6.0}),
+                             death=RateSpec("constant", {"c": 4.0}),
+                             lambda_bar=10.0, alpha=0.0,
+                             drift=DriftSpec("zero"), dt=0.1, T=1.0)
+        u = NoiseUniverse(3, 1)
+        ev = simulate_microscopic(params, 10, u).events
+        live = 10 + np.cumsum(np.where(ev.branch, 1, -1))
+        first = int(np.flatnonzero(ev.branch & (ev.word_len >= 3))[0])
+        c = int(live[first - 1])
+        assert first > 0 and c == live[:first].max()
+        monkeypatch.setattr(microscopic, "MAX_WORD_LEN", 3)
+        with pytest.raises(LineageDepthExceeded):
+            simulate_microscopic(
+                dataclasses.replace(params, population_cap=c), 10, u)
+        with pytest.raises(PopulationExplosion):
+            simulate_microscopic(
+                dataclasses.replace(params, population_cap=c - 1), 10, u)
+
+    def test_founders_past_the_cap_rejected_before_any_is_built(self):
+        # a founder count is compared with the cap before the founders are
+        # listed, so a huge n0 fails at once and in constant memory
+        params = base_params(population_cap=10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PopulationExplosion,
+                               match="founder count 1000000 exceeds cap 10"):
+                simulate_microscopic(params, 10 ** 6, NoiseUniverse(1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("seed", [4, 7, 12])
     def test_tied_event_times(self, seed, monkeypatch):
