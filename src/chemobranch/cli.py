@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, macroscopic, meanfield
 from .config import ExperimentConfig
-from .errors import ChemobranchError, ConfigInvalid
+from .errors import ChemobranchError, ConfigInvalid, NonFiniteState
 from .field import Field, field_to_bytes, field_to_csv_lines
 from .microscopic import simulate_microscopic
 from .population import SnapshotWriter, join_columns, mean_se
@@ -60,10 +60,14 @@ def _snapshot_observer(path: Path, head: list[str]):
 
 
 def _write_json(path: Path, cfg: ExperimentConfig, seed: int, payload: dict):
+    """Write the summary; ``NonFiniteState`` if a value in it overflowed to
+    inf or nan, which JSON cannot hold."""
     doc = {"config_hash": cfg.hash, "master_seed": seed, "summary": payload}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2,
-                               allow_nan=False) + "\n",
-                    encoding="utf-8")
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteState(f"{path.name}: {exc}") from exc
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_report(out: Path, cfg: ExperimentConfig, seed: int, name: str,

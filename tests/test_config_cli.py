@@ -628,6 +628,19 @@ class TestRunProperty:
             assert code in (0, 4), sub
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_summary_is_a_runtime_error(self, tmp_path, capsys):
+        # at alpha = 1e300 the field-gradient error overflows to inf, which
+        # the JSON summary cannot hold: exit 3 naming the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG.replace("model.alpha = 0.5",
+                                          "model.alpha = 1e300"))
+        code = main(["converge", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("runtime error: converge_summary.json: "), err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(_mutated_run())
     def test_mutated_run_keeps_the_exit_contract(self, case):
