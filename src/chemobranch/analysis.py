@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -223,21 +224,35 @@ def fit_loglog_slope(n0s, means) -> float:
     return float(slope)
 
 
-def _aggregate_rows(kind: str, n0: int, values: np.ndarray) -> list[ReportRow]:
-    """Per-replica ``raw`` rows, then the ``mean`` row (mean, SE, 10/90%
-    quantiles) last."""
-    rows = [ReportRow(kind, n0, r, "raw", float(v), 0.0, float(v), float(v))
-            for r, v in enumerate(values)]
-    mean, se = mean_se(values)
-    lo, hi = (float(np.quantile(values, 0.1)), float(np.quantile(values, 0.9)))
-    rows.append(ReportRow(kind, n0, len(values), "mean", mean, se, lo, hi))
-    return rows
+def _series(kind: str, n0_list, values: np.ndarray
+            ) -> tuple[list[ReportRow], list[float], list[float]]:
+    """Rows of one series, ``values`` (replicas, len(n0_list)): per n0 the
+    ``raw`` row of each replica, then the ``mean`` row (mean, SE, 10/90%
+    quantiles).  Returns the rows and the means and SEs in n0 order."""
+    rows, means, ses = [], [], []
+    for n0, col in zip(n0_list, values.T):
+        rows += [ReportRow(kind, n0, r, "raw", float(v), 0.0, float(v),
+                           float(v)) for r, v in enumerate(col)]
+        mean, se = mean_se(col)
+        rows.append(ReportRow(kind, n0, len(col), "mean", mean, se,
+                              float(np.quantile(col, 0.1)),
+                              float(np.quantile(col, 0.9))))
+        means.append(mean)
+        ses.append(se)
+    return rows, means, ses
 
 
-def _wilson_row(kind: str, n0: int, hits: int, n: int) -> ReportRow:
-    phat, lo, hi = wilson_interval(hits, n)
-    se = float(np.sqrt(max(phat * (1 - phat), 0.0) / n))
-    return ReportRow(kind, n0, n, "wilson", phat, se, lo, hi)
+def _wilson_series(kind: str, n0_list, hits, n: int) -> tuple[
+        list[ReportRow], list[float], list[float], list[float]]:
+    """One ``wilson`` row per n0 for ``hits`` of ``n`` replicas; returns the
+    rows and the point estimates, lower and upper bounds in n0 order."""
+    rows = []
+    for n0, h in zip(n0_list, hits):
+        phat, lo, hi = wilson_interval(h, n)
+        se = float(np.sqrt(max(phat * (1 - phat), 0.0) / n))
+        rows.append(ReportRow(kind, n0, n, "wilson", phat, se, lo, hi))
+    return (rows, [r.value for r in rows], [r.lo for r in rows],
+            [r.hi for r in rows])
 
 
 def _trend_flags(means: np.ndarray, ses: np.ndarray) -> dict:
@@ -254,6 +269,19 @@ def _trend_flags(means: np.ndarray, ses: np.ndarray) -> dict:
 
 # ---------------------------------------------------------------------------
 # Experiments
+
+def _sups(params: ModelParams, n0: int, universe: NoiseUniverse, measure):
+    """Run the microscopic model and keep, for each entry of
+    ``measure(k, state, rho)``, its sup over the checkpoints (from 0.0).
+    Returns the sups and the run."""
+    sups: list[float] = []
+
+    def observe(k, state, rho):
+        values = measure(k, state, rho)
+        sups[:] = map(max, sups or [0.0] * len(values), values)
+
+    return sups, simulate_microscopic(params, n0, universe, observe=observe)
+
 
 def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
                                    universe: NoiseUniverse) -> ConvergenceReport:
@@ -273,45 +301,29 @@ def measure_convergence_experiment(params: ModelParams, n0_list, replicas: int,
     ref_grad = [rho.gradient_grid() for rho in scf.rho_path]
     ref_pairs = [bank.pair_field(dens) for dens in scf.p_path]
 
-    def one_replica(r: int):
-        u_r = universe.child("replica", r)
-        out = {}
-        for n0 in n0_list:
-            sup_dm = sup_field = 0.0
+    def errors(n0, k, state, rho):
+        """The vague distance to the mean measure and the field error."""
+        dm = vague_distance(empirical(state, n0), ref_pairs[k], bank)
+        err_val = float(np.max(np.abs(rho.values - scf.rho_path[k].values)))
+        gerr = np.sqrt(sum((g - rg) ** 2
+                           for g, rg in zip(rho.gradient_grid(), ref_grad[k])))
+        return dm, err_val + float(np.max(gerr))
 
-            def observe(k, state, rho):
-                nonlocal sup_dm, sup_field
-                dm = vague_distance(empirical(state, n0), ref_pairs[k], bank)
-                sup_dm = max(sup_dm, dm)
-                err_val = float(np.max(np.abs(rho.values
-                                              - scf.rho_path[k].values)))
-                grads = rho.gradient_grid()
-                gerr = np.sqrt(sum((g - rg) ** 2
-                               for g, rg in zip(grads, ref_grad[k])))
-                sup_field = max(sup_field, err_val + float(np.max(gerr)))
+    def one_replica(u_r: NoiseUniverse) -> list[list[float]]:
+        return [_sups(p, n0, u_r, partial(errors, n0))[0] for n0 in n0_list]
 
-            simulate_microscopic(p, n0, u_r, observe=observe)
-            out[n0] = (sup_dm, sup_field)
-        return out
-
-    per_replica = [one_replica(r) for r in range(replicas)]
+    values = np.array([one_replica(universe.child("replica", r))
+                       for r in range(replicas)])
 
     rows: list[ReportRow] = []
     summary: dict = {"n0_list": n0_list, "replicas": replicas}
-    for kind, pick in (("d_M", 0), ("field", 1)):
-        means, ses = [], []
-        for n0 in n0_list:
-            values = np.array([per_replica[r][n0][pick] for r in range(replicas)])
-            agg = _aggregate_rows(kind, n0, values)
-            rows.extend(agg)
-            means.append(agg[-1].value)
-            ses.append(agg[-1].se)
-        entry = {"means": means, "ses": ses}
-        entry.update(_trend_flags(np.array(means), np.array(ses)))
-        if kind == "d_M":
-            entry["slope"] = fit_loglog_slope(n0_list, means)
-        summary[kind] = entry
+    for kind, series in (("d_M", values[..., 0]), ("field", values[..., 1])):
+        kind_rows, means, ses = _series(kind, n0_list, series)
+        rows += kind_rows
+        summary[kind] = {"means": means, "ses": ses,
+                         **_trend_flags(np.array(means), np.array(ses))}
     dm, fl = summary["d_M"], summary["field"]
+    dm["slope"] = fit_loglog_slope(n0_list, dm["means"])
     summary["pass"] = bool(dm["strictly_decreasing"]
                            and -0.7 <= dm["slope"] <= -0.3
                            and fl["strictly_decreasing"])
@@ -336,70 +348,52 @@ def coupling_experiment(params: ModelParams, n0_list, replicas: int,
     scf = solve_selfconsistent_field(p, "macroscopic")
     L = p.grid.extent
 
-    def one_replica(r: int):
-        u_r = universe.child("replica", r)
+    def one_replica(u_r: NoiseUniverse) -> list[tuple[float, bool]]:
         single = []  # the hybrid's states, one line each
         hybrid = simulate_hybrid(p, scf.rho_path, u_r,
                                  observe=lambda k, state, rho:
                                  single.append(state))
-        out = {}
+
+        def gap(k, state, rho):
+            return (state_distance(state.restrict_to_line(1), single[k],
+                                   extent=L),)
+
+        out = []
         for n0 in n0_list:
-            sup_dx = 0.0
-
-            def observe(k, state, rho):
-                nonlocal sup_dx
-                sup_dx = max(sup_dx, state_distance(
-                    state.restrict_to_line(1), single[k], extent=L))
-
-            ev = simulate_microscopic(p, n0, u_r, observe=observe).events
-            line1 = ev.line == 1
+            (sup_dx,), run = _sups(p, n0, u_r, gap)
+            line1 = run.events.line == 1
             mismatch = not all(
-                np.array_equal(getattr(ev, name)[line1],
+                np.array_equal(getattr(run.events, name)[line1],
                                getattr(hybrid.events, name))
                 for name in ("time", "word_len", "word_bits", "branch"))
-            out[n0] = (sup_dx, mismatch)
+            out.append((sup_dx, mismatch))
         return out
 
-    per_replica = [one_replica(r) for r in range(replicas)]
+    values = np.array([one_replica(universe.child("replica", r))
+                       for r in range(replicas)])
+    sup_dx, mismatch = values[..., 0], values[..., 1]
 
-    rows: list[ReportRow] = []
+    rows, means, _ = _series("d_X_sup", n0_list, sup_dx)
     summary: dict = {"n0_list": n0_list, "replicas": replicas,
-                     "epsilon_list": epsilon_list}
-    sup_means = []
-    for n0 in n0_list:
-        values = np.array([per_replica[r][n0][0] for r in range(replicas)])
-        agg = _aggregate_rows("d_X_sup", n0, values)
-        rows.extend(agg)
-        sup_means.append(agg[-1].value)
-    summary["d_X_sup"] = {"means": sup_means,
-                          "max_value": float(max(
-                              per_replica[r][n0][0]
-                              for r in range(replicas) for n0 in n0_list))}
-
+                     "epsilon_list": epsilon_list,
+                     "d_X_sup": {"means": means,
+                                 "max_value": float(np.max(sup_dx))}}
     for eps in epsilon_list:
         kind = f"exceed_{eps:g}"
-        series = []
-        for n0 in n0_list:
-            exceed = sum(per_replica[r][n0][0] > eps for r in range(replicas))
-            row = _wilson_row(kind, n0, exceed, replicas)
-            rows.append(row)
-            series.append((row.value, row.lo, row.hi))
+        eps_rows, phat, lo, hi = _wilson_series(
+            kind, n0_list, np.sum(sup_dx > eps, axis=0), replicas)
+        rows += eps_rows
         monotone = all(
-            series[i + 1][0] <= series[i][0]       # point estimates decrease
-            or series[i + 1][1] <= series[i][2]    # or intervals overlap
-            for i in range(len(series) - 1))
-        summary[kind] = {"phat": [s[0] for s in series],
-                         "lo": [s[1] for s in series],
-                         "hi": [s[2] for s in series],
-                         "non_increasing_overlap": bool(monotone)}
+            phat[i + 1] <= phat[i]       # point estimates decrease
+            or lo[i + 1] <= hi[i]        # or intervals overlap
+            for i in range(len(phat) - 1))
+        summary[kind] = {"phat": phat, "lo": lo, "hi": hi,
+                         "non_increasing_overlap": monotone}
 
-    mism_series = []
-    for n0 in n0_list:
-        hits = sum(per_replica[r][n0][1] for r in range(replicas))
-        row = _wilson_row("event_mismatch", n0, hits, replicas)
-        rows.append(row)
-        mism_series.append(row.value)
-    summary["event_mismatch"] = {"phat": mism_series}
+    mism_rows, phat, _, _ = _wilson_series(
+        "event_mismatch", n0_list, np.sum(mismatch, axis=0), replicas)
+    rows += mism_rows
+    summary["event_mismatch"] = {"phat": phat}
     summary["pass"] = all(summary[f"exceed_{eps:g}"]["non_increasing_overlap"]
                           for eps in epsilon_list)
     return ConvergenceReport(rows, summary)
@@ -416,14 +410,13 @@ def yule_bound_check(params: ModelParams, n0: int, replicas: int,
     rho_path = (rebuild_field_path(p, lambda k: None) if p.alpha == 0.0
                 else None)
 
-    def one_replica(r: int) -> float:
-        u_r = universe.child("replica", r)
+    def one_replica(u_r: NoiseUniverse) -> list[float]:
         traj = simulate_lines(p, range(1, n0 + 1), u_r, rho_path=rho_path)
-        return traj.sup_live_over_n0()
+        return [traj.sup_live_over_n0()]
 
-    values = np.array([one_replica(r) for r in range(replicas)])
-    rows = _aggregate_rows("yule", n0, values)
-    mean, se = rows[-1].value, rows[-1].se
+    values = np.array([one_replica(universe.child("replica", r))
+                       for r in range(replicas)])
+    rows, (mean,), (se,) = _series("yule", [n0], values)
     bound = float(np.exp(p.lambda_bar * p.T))
     summary = {
         "n0": n0, "replicas": replicas, "mean": mean, "se": se,

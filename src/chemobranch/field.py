@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, GridMismatch, NonFiniteAtom, NonFiniteQuery
+from .errors import ConfigInvalid, GridMismatch, NonFiniteQuery
 from .population import EmpiricalMeasure, join_columns
 
 
@@ -333,8 +333,6 @@ def deposit(measure: EmpiricalMeasure, kernel: Kernel, grid: GridSpec, *,
     """
     if kernel.grid != grid:
         raise GridMismatch("kernel was built for a different grid")
-    if not (np.all(np.isfinite(measure.positions)) and np.all(np.isfinite(measure.weights))):
-        raise NonFiniteAtom("deposit received non-finite atoms")
     if len(measure.weights) == 0:
         return np.zeros(grid.shape)
     z = point_phases(grid, measure.positions) if phases is None else phases

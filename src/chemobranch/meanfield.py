@@ -31,6 +31,7 @@ from .population import EmpiricalMeasure
 from .randomness import NoiseUniverse
 
 MODES = ("macroscopic", "picard")  # how solve_selfconsistent_field finds the field
+PICARD_MAX_ITERS = 25  # Picard iterations before PicardStalled
 
 
 def simulate_hybrid(params: ModelParams, rho_path: tuple[Field, ...],
@@ -151,8 +152,8 @@ def rebuild_field_path(params: ModelParams, source_at) -> tuple[Field, ...]:
 
 def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
                                universe: NoiseUniverse | None = None,
-                               n_replicas: int = 2000, tol: float = 1e-4,
-                               max_iters: int = 25) -> SelfConsistentField:
+                               n_replicas: int = 2000, tol: float = 1e-4
+                               ) -> SelfConsistentField:
     """Compute the deterministic field driven by its own mean measure.
 
     mode "macroscopic": solve the coupled density/field PDE system, then
@@ -180,7 +181,7 @@ def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
     mass_universe = universe.child("picard")
     rho_path = rebuild_field_path(p, lambda k: None)  # free evolution start
     gaps: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(PICARD_MAX_ITERS):
         sources = [None]  # the source of the step ending at step k
 
         def observe(k, X, M):
@@ -205,5 +206,5 @@ def solve_selfconsistent_field(params: ModelParams, mode: str = "macroscopic",
         if gap < tol:
             return SelfConsistentField(rho_path, None, tuple(gaps))
     raise PicardStalled(
-        f"no contraction below {tol:.1e} after {max_iters} iterations "
-        f"(last gap {gaps[-1]:.3e})", gaps)
+        f"no contraction below {tol:.1e} after {PICARD_MAX_ITERS} "
+        f"iterations (last gap {gaps[-1]:.3e})", gaps)

@@ -127,7 +127,8 @@ def state_distance(a: PopulationState, b: PopulationState,
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted atomic measure: Σ weight_k · δ(position_k)."""
+    """Weighted atomic measure: Σ weight_k · δ(position_k), with finite
+    positions and finite nonnegative weights (an atom of weight 0 is valid)."""
 
     positions: np.ndarray  # (n_atoms, d)
     weights: np.ndarray    # (n_atoms,)
@@ -139,8 +140,8 @@ class EmpiricalMeasure:
             pos = pos.reshape(-1, 1)
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(w))):
             raise NonFiniteAtom("empirical measure contains non-finite atoms")
-        if np.any(w <= 0):
-            raise ValueError("atom weights must be positive")
+        if np.any(w < 0):
+            raise ValueError("atom weights must be nonnegative")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
 

@@ -7,8 +7,9 @@ from conftest import event_rows, model_params
 
 from chemobranch import (DriftSpec, EmpiricalMeasure, Field, GridSpec,
                          NoiseUniverse, RateSpec, TestFunctionBank,
-                         coupling_experiment, measure_convergence_experiment,
-                         simulate_hybrid, vague_distance, yule_bound_check)
+                         coupling_experiment, mean_se,
+                         measure_convergence_experiment, simulate_hybrid,
+                         vague_distance, yule_bound_check)
 from chemobranch.analysis import (BumpFunction, fit_loglog_slope,
                                   wilson_interval)
 from chemobranch.meanfield import solve_selfconsistent_field
@@ -318,3 +319,96 @@ class TestCouplingExperiment:
         assert r2 > 0.9
         assert slope > 0
         assert list(probs) == sorted(probs)
+
+
+def check_series(rows, kind, n0_list, replicas):
+    """Per n0: the ``raw`` rows of replicas 0..R-1, then one ``mean`` row
+    with replica R, the raw values' mean and SE and their 10/90% quantiles.
+    Returns the raw values, (replicas, len(n0_list))."""
+    expected = [(kind, n0, r, "raw" if r < replicas else "mean")
+                for n0 in n0_list for r in range(replicas + 1)]
+    assert [(r.kind, r.n0, r.replica, r.stat) for r in rows] == expected
+    raw = []
+    for i in range(len(n0_list)):
+        *raws, mean = rows[i * (replicas + 1):(i + 1) * (replicas + 1)]
+        values = [r.value for r in raws]
+        assert all((r.se, r.lo, r.hi) == (0.0, r.value, r.value) for r in raws)
+        assert (mean.value, mean.se) == mean_se(values)
+        assert (mean.lo, mean.hi) == (np.quantile(values, 0.1),
+                                      np.quantile(values, 0.9))
+        raw.append(values)
+    return np.array(raw).T
+
+
+class TestReportLayout:
+    """Rows and summary keys of each experiment at 2 n0 x 2 replicas,
+    T = 2 dt."""
+
+    n0_list = [4, 8]
+    replicas = 2
+
+    def params(self, **over):
+        return base_params(dt=0.05, T=0.1, **over)
+
+    def test_convergence_layout(self):
+        report = measure_convergence_experiment(
+            self.params(), self.n0_list, self.replicas, NoiseUniverse(11, 1))
+        half = len(report.rows) // 2
+        s = report.summary
+        for kind, rows in (("d_M", report.rows[:half]),
+                           ("field", report.rows[half:])):
+            check_series(rows, kind, self.n0_list, self.replicas)
+            assert s[kind]["means"] == [r.value for r in rows
+                                        if r.stat == "mean"]
+            assert s[kind]["ses"] == [r.se for r in rows if r.stat == "mean"]
+        assert set(s) == {"n0_list", "replicas", "d_M", "field", "pass"}
+        trend = {"means", "ses", "strictly_decreasing",
+                 "non_increasing_within_se"}
+        assert set(s["d_M"]) == trend | {"slope"}
+        assert set(s["field"]) == trend
+
+    def test_coupling_layout(self):
+        eps_list = [0.001, 0.2]
+        report = coupling_experiment(self.params(), self.n0_list,
+                                     self.replicas, eps_list,
+                                     NoiseUniverse(12, 1))
+        n_series = len(self.n0_list) * (self.replicas + 1)
+        sup = check_series(report.rows[:n_series], "d_X_sup", self.n0_list,
+                           self.replicas)
+        wilson = report.rows[n_series:]
+        kinds = [f"exceed_{eps:g}" for eps in eps_list] + ["event_mismatch"]
+        assert [(r.kind, r.n0, r.replica, r.stat) for r in wilson] == [
+            (kind, n0, self.replicas, "wilson")
+            for kind in kinds for n0 in self.n0_list]
+        for eps, kind in zip(eps_list, kinds):
+            rows = [r for r in wilson if r.kind == kind]
+            for r, hits in zip(rows, np.sum(sup > eps, axis=0)):
+                assert (r.value, r.lo, r.hi) == wilson_interval(hits,
+                                                                self.replicas)
+                assert r.se == np.sqrt(r.value * (1 - r.value) / self.replicas)
+        s = report.summary
+        assert set(s) == {"n0_list", "replicas", "epsilon_list", "d_X_sup",
+                          "event_mismatch", "pass", *kinds}
+        assert s["d_X_sup"] == {"means": [r.value for r in
+                                          report.rows[:n_series]
+                                          if r.stat == "mean"],
+                                "max_value": float(np.max(sup))}
+        for kind in kinds[:-1]:
+            phat, lo, hi = zip(*((r.value, r.lo, r.hi) for r in wilson
+                                 if r.kind == kind))
+            assert s[kind] == {
+                "phat": list(phat), "lo": list(lo), "hi": list(hi),
+                "non_increasing_overlap": phat[1] <= phat[0] or lo[1] <= hi[0]}
+        assert s["event_mismatch"] == {
+            "phat": [r.value for r in wilson if r.kind == "event_mismatch"]}
+
+    def test_yule_layout(self):
+        params = self.params(alpha=0.0, drift=DriftSpec("zero"))
+        report = yule_bound_check(params, 8, self.replicas,
+                                  NoiseUniverse(13, 1))
+        check_series(report.rows, "yule", [8], self.replicas)
+        s = report.summary
+        assert set(s) == {"n0", "replicas", "mean", "se", "bound", "pass",
+                          "gap_in_se"}
+        assert (s["mean"], s["se"]) == (report.rows[-1].value,
+                                        report.rows[-1].se)

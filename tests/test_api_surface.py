@@ -22,6 +22,10 @@ reads them from it.
 
 A point's phases have one source: only ``field.point_phases``, which checks
 and wraps the points first, calls ``field._unit_phases``.
+
+The report schema has one builder per row kind: only ``analysis._series``
+(``raw`` and ``mean`` rows) and ``analysis._wilson_series`` (``wilson``
+rows) build a ``ReportRow``.
 """
 
 import ast
@@ -167,3 +171,23 @@ def test_only_point_phases_computes_phases():
                     found.append(f"{path.name}:{node.lineno}")
             todo.extend(ast.iter_child_nodes(node))
     assert found == [], f"phases computed outside point_phases: {found}"
+
+
+def test_only_the_series_builders_build_report_rows():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        todo = [ast.parse(path.read_text(encoding="utf-8"))]
+        while todo:
+            node = todo.pop()
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in ("_series", "_wilson_series")
+                    and path.name == "analysis.py"):
+                continue
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+                if name == "ReportRow":
+                    found.append(f"{path.name}:{node.lineno}")
+            todo.extend(ast.iter_child_nodes(node))
+    assert found == [], f"ReportRow built outside the series builders: {found}"

@@ -640,6 +640,22 @@ class TestRunProperty:
         assert code == 3
         assert err.startswith("runtime error: converge_summary.json: "), err
 
+    def test_underflowing_picard_mass_is_a_valid_atom(self, tmp_path, capsys):
+        # death at lambda_bar = 400 over dt = 1 takes every mass to e^-800,
+        # which is 0: an atom of weight 0 is valid, so the run completes
+        pairs = {k: v for k, v in RUN_PAIRS.items()
+                 if not k.startswith("birth.")}
+        pairs.update({"meanfield.mode": "picard", "birth.kind": "zero",
+                      "death.c": "400", "model.lambda_bar": "400",
+                      "run.dt": "1", "run.T": "2", "grid.n": "64"})
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+        code = main(["hybrid", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "internal error:" not in err, err
+        assert code == 0, err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(_mutated_run())

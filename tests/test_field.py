@@ -394,6 +394,14 @@ class TestModeMajorKernel:
         src = deposit(mu, Kernel(grid), grid)
         assert src.shape == grid.shape and np.all(src == 0.0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_weight_atoms_deposit_zero(self, d):
+        # a mass that underflowed to 0 is a valid atom that deposits nothing
+        grid = GridSpec(d, 32, 8.0)
+        pts = np.random.default_rng(23).uniform(0.0, 8.0, size=(5, d))
+        src = deposit(EmpiricalMeasure(pts, np.zeros(5)), Kernel(grid), grid)
+        assert src.shape == grid.shape and np.all(src == 0.0)
+
     def test_no_per_point_mode_table_in_1d(self):
         # an (m, n/2 + 1) complex table at m = n = 2048 would take 33.6 MB
         import tracemalloc

@@ -12,6 +12,7 @@ from chemobranch import (DriftSpec, EmpiricalMeasure, EmptyEnsemble, GridSpec,
                          integrate, mean_se, semigroup_step, simulate_hybrid,
                          simulate_mass_ensemble, simulate_microscopic,
                          solve_selfconsistent_field)
+from chemobranch import meanfield
 from chemobranch.meanfield import rebuild_field_path
 
 
@@ -327,13 +328,15 @@ class TestSelfConsistentField:
         gaps = pic.picard_gaps
         assert all(gaps[i + 1] < gaps[i] for i in range(1, len(gaps) - 1))
 
-    def test_picard_stalled_reports_gaps(self):
+    def test_picard_stalled_reports_gaps(self, monkeypatch):
+        monkeypatch.setattr(meanfield, "PICARD_MAX_ITERS", 3)
         params = model_params(dt=0.05, T=0.25)
         with pytest.raises(PicardStalled) as exc:
             solve_selfconsistent_field(params, "picard",
                                        universe=NoiseUniverse(13, 1),
-                                       n_replicas=20, tol=1e-15, max_iters=3)
+                                       n_replicas=20, tol=1e-15)
         assert len(exc.value.gaps) >= 1
+        assert "after 3 iterations" in str(exc.value)
 
     def test_weak_form_of_mean_measure(self):
         # Monte Carlo weak-equation residual for the mean measure:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import row_by_row_lines, written
 
-from chemobranch import (DimensionMismatch, EmpiricalMeasure,
+from chemobranch import (DimensionMismatch, EmpiricalMeasure, NonFiniteAtom,
                          PopulationState, empirical, integrate, mean_se,
                          state_distance)
 from chemobranch.population import SnapshotWriter, cell_keys
@@ -266,6 +266,25 @@ class TestEmpiricalMeasure:
             return 2.0 * np.ones(len(x))
 
         assert integrate(mu, bump) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("at", ["position", "weight"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_atom_rejected(self, d, at, bad):
+        pos = np.full((3, d), 1.0)
+        w = np.full(3, 0.5)
+        if at == "position":
+            pos[1, d - 1] = bad
+        else:
+            w[1] = bad
+        with pytest.raises(NonFiniteAtom):
+            EmpiricalMeasure(pos, w)
+
+    def test_weights_are_nonnegative(self):
+        mu = EmpiricalMeasure(np.array([[1.0], [2.0]]), np.array([0.0, 0.5]))
+        assert integrate(mu, lambda x: np.ones(len(x))) == 0.5
+        with pytest.raises(ValueError, match="nonnegative"):
+            EmpiricalMeasure(np.array([[1.0]]), np.array([-1e-300]))
 
     def test_mean_se_over_replicas(self):
         # SE = sample std (ddof 1) / sqrt(n); one replica has SE 0
